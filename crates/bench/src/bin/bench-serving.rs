@@ -518,7 +518,7 @@ fn main() {
     // "Observability"): tracing-on p99 must stay within 5× the
     // tracing-off p99 plus a 5 ms allowance — generous because both
     // arms are single short seeded windows on a shared host, where
-    // scheduler noise dwarfs the hooks' relaxed-atomic cost.
+    // scheduler noise dwarfs the cost of recording spans.
     let obs_qps = sz.levels[sz.levels.len() / 2];
     let (obs_off, _) = run_level(&sz, model, obs_qps, 0x0B5_0FF, false);
     let (obs_on, plane) = run_level(&sz, model, obs_qps, 0x0B5_0FF, true);

@@ -25,11 +25,14 @@
 //!   sentinel, so short writes and NaN scores are both detected and
 //!   repaired by a fallback rescore.
 //!
-//! Every event increments a counter in [`ServeStats`], which the
+//! Every event increments one `dlr-obs` counter cell owned by the scorer;
+//! [`RobustScorer::stats`] reads the cells into a [`ServeStats`], which the
 //! `reranking_service` example prints and the fault-injection integration
-//! suite asserts against exactly.
+//! suite asserts against exactly, and [`RobustScorer::with_obs`] publishes
+//! the same cells as `robust_*` metrics.
 
 use crate::scoring::DocumentScorer;
+use dlr_obs::{Counter, Histogram};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -170,139 +173,66 @@ impl<F: Fn(usize) -> Option<Duration>> LatencyForecaster for F {
     }
 }
 
-/// Lossy histogram of batch latencies with power-of-two microsecond
-/// buckets — constant memory no matter how many batches are served, yet
-/// good enough resolution for tail percentiles (each bucket is at most
-/// 2× wide, so a reported percentile is within 2× of the true value).
-#[derive(Debug, Clone)]
-pub struct LatencyHistogram {
-    /// `counts[b]` holds latencies whose µs value has bit-length `b`
-    /// (bucket 0 is exactly 0µs; the last bucket absorbs the open tail).
-    counts: [u64; LatencyHistogram::BUCKETS],
-    total: u64,
-    /// Saturating sum of recorded µs, for mean reporting.
-    sum_us: u64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> LatencyHistogram {
-        LatencyHistogram {
-            counts: [0; LatencyHistogram::BUCKETS],
-            total: 0,
-            sum_us: 0,
-        }
-    }
-}
+/// A latency histogram in whole microseconds: [`dlr_obs::HistogramSnapshot`]
+/// (40 power-of-two buckets, so a reported percentile is a bucket upper
+/// bound within 2× of the true sample) with the unit in its names.
+#[derive(Debug, Clone, Default)]
+pub struct LatencyHistogram(pub dlr_obs::HistogramSnapshot);
 
 impl LatencyHistogram {
-    const BUCKETS: usize = 40;
-
-    fn bucket(us: u64) -> usize {
-        ((u64::BITS - us.leading_zeros()) as usize).min(Self::BUCKETS - 1)
-    }
-
-    fn bucket_upper_bound(b: usize) -> u64 {
-        if b == 0 {
-            0
-        } else {
-            (1u64 << b) - 1
-        }
-    }
-
-    /// Record one served batch. Counts saturate instead of wrapping, so
-    /// a histogram that has absorbed `u64::MAX` samples stays a valid
-    /// (if pinned) summary rather than corrupting its percentiles.
+    /// Record one latency, truncated to whole µs.
     pub fn record(&mut self, latency: Duration) {
-        let us = latency.as_micros().min(u64::MAX as u128) as u64;
-        let b = Self::bucket(us);
-        self.counts[b] = self.counts[b].saturating_add(1);
-        self.total = self.total.saturating_add(1);
-        self.sum_us = self.sum_us.saturating_add(us);
+        self.0.record(micros(latency));
     }
 
-    /// Batches recorded so far.
+    /// Latencies recorded so far.
     pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Saturating sum of recorded latencies in µs.
-    pub fn sum_us(&self) -> u64 {
-        self.sum_us
+        self.0.total
     }
 
     /// Mean recorded latency in µs, or `None` when nothing was recorded.
     pub fn mean_us(&self) -> Option<f64> {
-        if self.total == 0 {
-            None
-        } else {
-            Some(self.sum_us as f64 / self.total as f64)
-        }
+        self.0.mean()
     }
 
-    /// Fold `other`'s samples into this histogram. Buckets align exactly
-    /// (same power-of-two layout), so merging histograms recorded
-    /// separately — e.g. one per model version — yields the same counts
-    /// as recording every sample into one histogram, and percentile
-    /// queries on the merge bound the combined population. Merging an
-    /// empty histogram is a no-op; bucket counts saturate like
-    /// [`record`](Self::record).
+    /// Fold `other`'s samples into this histogram (see
+    /// [`dlr_obs::HistogramSnapshot::merge`]).
     pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *mine = mine.saturating_add(*theirs);
-        }
-        self.total = self.total.saturating_add(other.total);
-        self.sum_us = self.sum_us.saturating_add(other.sum_us);
+        self.0.merge(&other.0);
     }
 
-    /// Upper bound (µs) of the bucket holding the `p`-quantile sample
-    /// (`0.0 < p <= 1.0`), or `None` when nothing was recorded. When
-    /// saturation has pinned `total` above the per-bucket sum (so the
-    /// requested rank walks off the end), the last non-empty bucket's
-    /// bound is returned — a conservative tail estimate instead of a
-    /// spurious `None` on a non-empty histogram.
-    pub fn percentile_us(&self, p: f64) -> Option<u64> {
-        if self.total == 0 {
-            return None;
-        }
-        let rank = ((p.clamp(0.0, 1.0) * self.total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        let mut last_nonempty = None;
-        for (b, &c) in self.counts.iter().enumerate() {
-            if c > 0 {
-                last_nonempty = Some(b);
-            }
-            seen = seen.saturating_add(c);
-            if seen >= rank {
-                return Some(Self::bucket_upper_bound(b));
-            }
-        }
-        last_nonempty.map(Self::bucket_upper_bound)
-    }
-
-    /// Median batch latency in µs.
+    /// Median latency in µs, as its bucket's upper bound.
     pub fn p50_us(&self) -> Option<u64> {
-        self.percentile_us(0.50)
+        self.0.percentile(0.50)
     }
 
-    /// 95th-percentile batch latency in µs.
+    /// 95th-percentile latency in µs.
     pub fn p95_us(&self) -> Option<u64> {
-        self.percentile_us(0.95)
+        self.0.percentile(0.95)
     }
 
-    /// 99th-percentile batch latency in µs.
+    /// 99th-percentile latency in µs.
     pub fn p99_us(&self) -> Option<u64> {
-        self.percentile_us(0.99)
+        self.0.percentile(0.99)
     }
 
-    /// 99.9th-percentile batch latency in µs — the tail a serving layer's
-    /// SLO actually bounds. Like every quantile here it is a bucket upper
-    /// bound, within 2× of the true sample.
+    /// 99.9th-percentile latency in µs — the tail a serving layer's SLO
+    /// actually bounds.
     pub fn p999_us(&self) -> Option<u64> {
-        self.percentile_us(0.999)
+        self.0.percentile(0.999)
     }
 }
 
-/// Counters for everything the robust layer did.
+fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+}
+
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Counters for everything the robust layer did: a point-in-time view
+/// of the scorer's cells, built by [`RobustScorer::stats`].
 ///
 /// Equality compares the event counters only — the [`latency`]
 /// histogram is measurement noise by nature, so two stat blocks with the
@@ -415,27 +345,65 @@ enum Mode {
     },
 }
 
-/// Pre-registered observability handles for the robust layer. Built once
-/// in [`RobustScorer::with_obs`], so the hot path pays one `Option`
-/// branch plus relaxed atomic increments — never a registry lookup.
-struct RobustObsHooks {
-    obs: Arc<dlr_obs::Obs>,
-    deadline_misses: dlr_obs::Counter,
-    forecast_degrades: dlr_obs::Counter,
-    fallback_activations: dlr_obs::Counter,
-    recoveries: dlr_obs::Counter,
-    probes: dlr_obs::Counter,
-    panics_caught: dlr_obs::Counter,
-    rescued_outputs: dlr_obs::Counter,
+/// The scorer's counters, one cell per [`ServeStats`] field. Events
+/// increment these and nothing else.
+#[derive(Default)]
+struct RobustCells {
+    batches: Counter,
+    primary_batches: Counter,
+    fallback_batches: Counter,
+    deadline_misses: Counter,
+    forecast_degrades: Counter,
+    fallback_activations: Counter,
+    recoveries: Counter,
+    probes: Counter,
+    sanitized_rows: Counter,
+    rejected_batches: Counter,
+    panics_caught: Counter,
+    rescued_outputs: Counter,
+    latency_us: Histogram,
 }
 
-impl RobustObsHooks {
-    /// Record an instantaneous event span (`start == end == now`)
-    /// attributed to the trace the dispatcher is currently executing.
-    fn mark(&self, stage: dlr_obs::Stage) {
-        let now = self.obs.now_nanos();
-        self.obs
-            .record_span(self.obs.current_trace(), stage, None, now, now);
+impl RobustCells {
+    fn publish(&self, metrics: &dlr_obs::MetricsRegistry) {
+        for (name, cell) in [
+            ("robust_batches_total", &self.batches),
+            ("robust_primary_batches_total", &self.primary_batches),
+            ("robust_fallback_batches_total", &self.fallback_batches),
+            ("robust_deadline_misses_total", &self.deadline_misses),
+            ("robust_forecast_degrades_total", &self.forecast_degrades),
+            (
+                "robust_fallback_activations_total",
+                &self.fallback_activations,
+            ),
+            ("robust_recoveries_total", &self.recoveries),
+            ("robust_probes_total", &self.probes),
+            ("robust_sanitized_rows_total", &self.sanitized_rows),
+            ("robust_rejected_batches_total", &self.rejected_batches),
+            ("robust_panics_caught_total", &self.panics_caught),
+            ("robust_rescued_outputs_total", &self.rescued_outputs),
+        ] {
+            metrics.publish_counter(name, cell);
+        }
+        metrics.publish_histogram("robust_latency_us", &self.latency_us);
+    }
+
+    fn view(&self) -> ServeStats {
+        ServeStats {
+            batches: self.batches.get(),
+            primary_batches: self.primary_batches.get(),
+            fallback_batches: self.fallback_batches.get(),
+            deadline_misses: self.deadline_misses.get(),
+            forecast_degrades: self.forecast_degrades.get(),
+            fallback_activations: self.fallback_activations.get(),
+            recoveries: self.recoveries.get(),
+            probes: self.probes.get(),
+            sanitized_rows: self.sanitized_rows.get(),
+            rejected_batches: self.rejected_batches.get(),
+            panics_caught: self.panics_caught.get(),
+            rescued_outputs: self.rescued_outputs.get(),
+            latency: LatencyHistogram(self.latency_us.snapshot()),
+        }
     }
 }
 
@@ -450,10 +418,11 @@ pub struct RobustScorer<P, F> {
     deadline: Option<DeadlinePolicy>,
     forecaster: Option<Box<dyn LatencyForecaster + Send>>,
     mode: Mode,
-    stats: ServeStats,
+    cells: RobustCells,
     label: String,
     clean_rows: Vec<f32>,
-    obs: Option<RobustObsHooks>,
+    /// Where `degrade`/`rescue` event spans and drift pairs go.
+    obs: Option<Arc<dlr_obs::Obs>>,
 }
 
 impl<P: DocumentScorer, F: DocumentScorer> RobustScorer<P, F> {
@@ -483,7 +452,7 @@ impl<P: DocumentScorer, F: DocumentScorer> RobustScorer<P, F> {
             mode: Mode::Primary {
                 consecutive_misses: 0,
             },
-            stats: ServeStats::default(),
+            cells: RobustCells::default(),
             label: label.into(),
             clean_rows: Vec::new(),
             obs: None,
@@ -519,31 +488,27 @@ impl<P: DocumentScorer, F: DocumentScorer> RobustScorer<P, F> {
         self
     }
 
-    /// Publish degradation counters, `degrade`/`rescue` event spans, and
-    /// forecast-vs-actual drift samples into `obs`. Handles are resolved
-    /// once here; every hot-path hook is a branch plus a relaxed atomic.
+    /// Publish the counters as `robust_*` metrics of `obs`, and record
+    /// `degrade`/`rescue` event spans and forecast-vs-actual drift
+    /// samples into it.
     pub fn with_obs(mut self, obs: Arc<dlr_obs::Obs>) -> Self {
-        self.obs = Some(RobustObsHooks {
-            deadline_misses: obs.counter("robust_deadline_misses_total"),
-            forecast_degrades: obs.counter("robust_forecast_degrades_total"),
-            fallback_activations: obs.counter("robust_fallback_activations_total"),
-            recoveries: obs.counter("robust_recoveries_total"),
-            probes: obs.counter("robust_probes_total"),
-            panics_caught: obs.counter("robust_panics_caught_total"),
-            rescued_outputs: obs.counter("robust_rescued_outputs_total"),
-            obs,
-        });
+        self.cells.publish(obs.metrics());
+        self.obs = Some(obs);
         self
     }
 
     /// Counters accumulated so far.
-    pub fn stats(&self) -> &ServeStats {
-        &self.stats
+    pub fn stats(&self) -> ServeStats {
+        self.cells.view()
     }
 
-    /// Zero all counters (the degradation state is kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = ServeStats::default();
+    /// Record an instantaneous event span (`start == end == now`)
+    /// attributed to the trace the dispatcher is currently executing.
+    fn mark(&self, stage: dlr_obs::Stage) {
+        if let Some(obs) = &self.obs {
+            let now = obs.now_nanos();
+            obs.record_span(obs.current_trace(), stage, None, now, now);
+        }
     }
 
     /// Whether the scorer is currently degraded to the fallback.
@@ -586,7 +551,7 @@ impl<P: DocumentScorer, F: DocumentScorer> RobustScorer<P, F> {
         out: &mut [f32],
         deadline: Option<Duration>,
     ) -> Result<ServedBy, ScoreError> {
-        self.stats.batches += 1;
+        self.cells.batches.inc();
         let batch_started = Instant::now();
         let effective = match (self.deadline, deadline) {
             (Some(p), Some(d)) => Some(DeadlinePolicy {
@@ -600,7 +565,7 @@ impl<P: DocumentScorer, F: DocumentScorer> RobustScorer<P, F> {
         let rows = match self.validate_and_sanitize(rows, out.len()) {
             Ok(clean) => clean,
             Err(e) => {
-                self.stats.rejected_batches += 1;
+                self.cells.rejected_batches.inc();
                 return Err(e);
             }
         };
@@ -618,10 +583,7 @@ impl<P: DocumentScorer, F: DocumentScorer> RobustScorer<P, F> {
         let run_primary = match self.mode {
             Mode::Primary { .. } => {
                 if zero_budget || self.forecast_exceeds_deadline(n, effective) {
-                    self.stats.forecast_degrades += 1;
-                    if let Some(h) = &self.obs {
-                        h.forecast_degrades.inc();
-                    }
+                    self.cells.forecast_degrades.inc();
                     false
                 } else {
                     true
@@ -635,12 +597,9 @@ impl<P: DocumentScorer, F: DocumentScorer> RobustScorer<P, F> {
 
         let served_by = if run_primary {
             if let Mode::Degraded { .. } = self.mode {
-                self.stats.probes += 1;
-                if let Some(h) = &self.obs {
-                    h.probes.inc();
-                }
+                self.cells.probes.inc();
             }
-            self.stats.primary_batches += 1;
+            self.cells.primary_batches.inc();
             let started = Instant::now();
             let outcome = {
                 let rows: &[f32] = if use_scratch {
@@ -653,35 +612,24 @@ impl<P: DocumentScorer, F: DocumentScorer> RobustScorer<P, F> {
                 catch_unwind(AssertUnwindSafe(|| primary.score_batch(rows, out)))
             };
             let elapsed = started.elapsed();
-            if let (Some(h), Some(f)) = (&self.obs, &self.forecaster) {
+            if let (Some(obs), Some(f)) = (&self.obs, &self.forecaster) {
                 // Predicted (Eq. 3/5 cost model) vs. measured primary
                 // latency for this batch size feeds the drift tracker.
                 if let Some(predicted) = f.forecast(n) {
-                    h.obs.record_drift(
-                        predicted.as_nanos().min(u64::MAX as u128) as u64,
-                        elapsed.as_nanos().min(u64::MAX as u128) as u64,
-                    );
+                    obs.record_drift(nanos(predicted), nanos(elapsed));
                 }
             }
             let mut healthy = true;
             if outcome.is_err() {
-                self.stats.panics_caught += 1;
-                if let Some(h) = &self.obs {
-                    h.panics_caught.inc();
-                }
+                self.cells.panics_caught.inc();
                 healthy = false;
             } else if !out.iter().all(|s| s.is_finite()) {
                 // NaN scores or a short write left sentinel values behind.
-                self.stats.rescued_outputs += 1;
-                if let Some(h) = &self.obs {
-                    h.rescued_outputs.inc();
-                }
+                self.cells.rescued_outputs.inc();
                 healthy = false;
             }
             if !healthy {
-                if let Some(h) = &self.obs {
-                    h.mark(dlr_obs::Stage::Rescue);
-                }
+                self.mark(dlr_obs::Stage::Rescue);
                 self.run_fallback(rows.original, use_scratch, out);
             }
             self.note_primary_result(healthy, elapsed, effective);
@@ -701,7 +649,9 @@ impl<P: DocumentScorer, F: DocumentScorer> RobustScorer<P, F> {
             }
             ServedBy::Fallback
         };
-        self.stats.latency.record(batch_started.elapsed());
+        self.cells
+            .latency_us
+            .record(micros(batch_started.elapsed()));
         Ok(served_by)
     }
 
@@ -722,10 +672,7 @@ impl<P: DocumentScorer, F: DocumentScorer> RobustScorer<P, F> {
         // Count true overruns; panics also degrade but are already counted
         // under panics_caught.
         if elapsed > policy.deadline {
-            self.stats.deadline_misses += 1;
-            if let Some(h) = &self.obs {
-                h.deadline_misses.inc();
-            }
+            self.cells.deadline_misses.inc();
         }
         match &mut self.mode {
             Mode::Primary { consecutive_misses } => {
@@ -738,11 +685,8 @@ impl<P: DocumentScorer, F: DocumentScorer> RobustScorer<P, F> {
                             batches_until_probe: policy.probe_after,
                             probe_successes: 0,
                         };
-                        self.stats.fallback_activations += 1;
-                        if let Some(h) = &self.obs {
-                            h.fallback_activations.inc();
-                            h.mark(dlr_obs::Stage::Degrade);
-                        }
+                        self.cells.fallback_activations.inc();
+                        self.mark(dlr_obs::Stage::Degrade);
                     }
                 }
             }
@@ -756,10 +700,7 @@ impl<P: DocumentScorer, F: DocumentScorer> RobustScorer<P, F> {
                         self.mode = Mode::Primary {
                             consecutive_misses: 0,
                         };
-                        self.stats.recoveries += 1;
-                        if let Some(h) = &self.obs {
-                            h.recoveries.inc();
-                        }
+                        self.cells.recoveries.inc();
                     } else {
                         // Probe again on the next batch.
                         *batches_until_probe = 0;
@@ -775,7 +716,7 @@ impl<P: DocumentScorer, F: DocumentScorer> RobustScorer<P, F> {
     /// Serve one batch from the fallback, guaranteeing finite output even
     /// if the fallback itself panics or misbehaves.
     fn run_fallback(&mut self, original_rows: &[f32], use_scratch: bool, out: &mut [f32]) {
-        self.stats.fallback_batches += 1;
+        self.cells.fallback_batches.inc();
         let rows: &[f32] = if use_scratch {
             &self.clean_rows
         } else {
@@ -785,10 +726,7 @@ impl<P: DocumentScorer, F: DocumentScorer> RobustScorer<P, F> {
         let fallback = &mut self.fallback;
         let outcome = catch_unwind(AssertUnwindSafe(|| fallback.score_batch(rows, out)));
         if outcome.is_err() {
-            self.stats.panics_caught += 1;
-            if let Some(h) = &self.obs {
-                h.panics_caught.inc();
-            }
+            self.cells.panics_caught.inc();
         }
         // Last line of defense: whatever happened, emit finite scores.
         for s in out.iter_mut() {
@@ -867,7 +805,7 @@ impl<P: DocumentScorer, F: DocumentScorer> RobustScorer<P, F> {
                 }
             }
             if repaired {
-                self.stats.sanitized_rows += 1;
+                self.cells.sanitized_rows.inc();
             }
         }
     }
@@ -1224,34 +1162,6 @@ mod tests {
     }
 
     #[test]
-    fn latency_histogram_percentiles_bound_the_samples() {
-        let mut h = LatencyHistogram::default();
-        assert_eq!(h.p50_us(), None);
-        // 90 fast batches at ~10µs, 10 slow ones at ~1000µs.
-        for _ in 0..90 {
-            h.record(Duration::from_micros(10));
-        }
-        for _ in 0..10 {
-            h.record(Duration::from_micros(1000));
-        }
-        assert_eq!(h.count(), 100);
-        let p50 = h.p50_us().unwrap();
-        let p95 = h.p95_us().unwrap();
-        let p99 = h.p99_us().unwrap();
-        // Bucket upper bounds: 10µs → 15, 1000µs → 1023.
-        assert_eq!(p50, 15);
-        assert_eq!(p95, 1023);
-        assert_eq!(p99, 1023);
-        let p999 = h.p999_us().unwrap();
-        assert_eq!(p999, 1023);
-        assert!(p50 <= p95 && p95 <= p99 && p99 <= p999);
-        // Zero-duration batches land in the exact-zero bucket.
-        let mut z = LatencyHistogram::default();
-        z.record(Duration::ZERO);
-        assert_eq!(z.p99_us(), Some(0));
-    }
-
-    #[test]
     fn zero_budget_takes_fallback_without_calling_primary() {
         /// Panics if ever called — proves the primary was skipped.
         struct MustNotRun;
@@ -1281,7 +1191,7 @@ mod tests {
             forecast_degrades: 1,
             ..ServeStats::default()
         };
-        assert_eq!(r.stats(), &expected);
+        assert_eq!(r.stats(), expected);
     }
 
     #[test]
@@ -1315,30 +1225,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_matches_recording_into_one() {
-        let mut a = LatencyHistogram::default();
-        let mut b = LatencyHistogram::default();
-        let mut combined = LatencyHistogram::default();
-        for us in [3u64, 10, 100, 1000] {
-            a.record(Duration::from_micros(us));
-            combined.record(Duration::from_micros(us));
-        }
-        for us in [5u64, 50, 5000] {
-            b.record(Duration::from_micros(us));
-            combined.record(Duration::from_micros(us));
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), combined.count());
-        for p in [0.5, 0.95, 0.99, 0.999] {
-            assert_eq!(a.percentile_us(p), combined.percentile_us(p));
-        }
-        // Merging an empty histogram is a no-op.
-        let before = a.count();
-        a.merge(&LatencyHistogram::default());
-        assert_eq!(a.count(), before);
-    }
-
-    #[test]
     fn served_batches_record_latency_but_equality_ignores_it() {
         let mut r = RobustScorer::new(Stub::new(1, 0.0), Stub::new(1, 0.0), "r");
         let mut out = [0.0f32; 2];
@@ -1355,7 +1241,7 @@ mod tests {
             rejected_batches: 1,
             ..ServeStats::default()
         };
-        assert_eq!(r.stats(), &expected);
+        assert_eq!(r.stats(), expected);
         let text = r.stats().to_string();
         assert!(text.contains("batch latency us"), "got: {text}");
     }

@@ -213,23 +213,19 @@ mod tests {
     use crate::Obs;
     use std::sync::Arc;
 
-    struct Frozen;
-    impl crate::NanoClock for Frozen {
-        fn now_nanos(&self) -> u64 {
-            0
-        }
-    }
-
     fn obs() -> Obs {
-        Obs::new(Arc::new(Frozen))
+        Obs::new(Arc::new(crate::ManualClock::default()))
     }
 
     #[test]
     fn prometheus_text_covers_every_family() {
         let o = obs();
         o.counter("serve_batches_total").add(3);
-        o.gauge("serve_queue_depth_max").set(7);
-        o.histogram("serve_execute_us").record(100);
+        let (depth, execute) = (crate::Gauge::default(), crate::Histogram::default());
+        o.metrics().publish_gauge("serve_queue_depth_max", &depth);
+        o.metrics().publish_histogram("serve_execute_us", &execute);
+        depth.record_max(7);
+        execute.record(100);
         o.record_drift(10, 20);
         o.record_span(1, Stage::Dispatch, None, 0, 50);
         let text = prometheus_text(&o);
@@ -248,7 +244,9 @@ mod tests {
     fn json_text_is_balanced_and_complete() {
         let o = obs();
         o.counter("c_total").inc();
-        o.histogram("h_us").record(5);
+        let h = crate::Histogram::default();
+        o.metrics().publish_histogram("h_us", &h);
+        h.record(5);
         let json = json_text(&o);
         assert_eq!(
             json.matches('{').count(),

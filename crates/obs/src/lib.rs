@@ -5,14 +5,14 @@
 //!
 //! * a [`TraceSink`] of per-stage [`Span`]s (fixed capacity,
 //!   overwrite-oldest, sharded by trace id),
-//! * a [`MetricsRegistry`] of named counters / gauges / log2 histograms
-//!   recorded through relaxed atomics,
+//! * a [`MetricsRegistry`] exporting the counter / gauge / log2
+//!   histogram cells that serving components own and publish,
 //! * a [`DriftTracker`] comparing forecast batch latency (the paper's
 //!   Eq. 3/5 cost model) against measured latency.
 //!
-//! Time is injected: spans carry *server nanos* from a [`NanoClock`],
-//! which the serving layer backs with its own `Clock` — monotonic in
-//! production, manual in tests — so whole traces are bit-reproducible
+//! Time is injected: spans carry *server nanos* from the [`NanoClock`]
+//! the whole serving stack runs on ([`MonotonicClock`] in production,
+//! [`ManualClock`] in tests), so whole traces are bit-reproducible
 //! under a deterministic clock. The crate has no dependencies, and the
 //! recording paths never allocate, panic, or touch ambient time.
 //!
@@ -29,7 +29,7 @@ pub mod metrics;
 pub mod sink;
 mod sync;
 
-pub use clock::{NanoClock, WallClock};
+pub use clock::{ManualClock, MonotonicClock, NanoClock};
 pub use drift::{DriftSummary, DriftTracker};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry};
 pub use sink::{Span, Stage, TraceSink};
@@ -91,11 +91,6 @@ impl Obs {
         }
     }
 
-    /// Convenience: a default-sized plane on the wall clock.
-    pub fn wall() -> Obs {
-        Obs::new(Arc::new(WallClock::default()))
-    }
-
     /// Current server nanos from the injected clock.
     pub fn now_nanos(&self) -> u64 {
         self.clock.now_nanos()
@@ -116,19 +111,9 @@ impl Obs {
         &self.drift
     }
 
-    /// Counter handle (see [`MetricsRegistry::counter`]).
+    /// Shared counter by name (see [`MetricsRegistry::counter`]).
     pub fn counter(&self, name: &str) -> Counter {
         self.metrics.counter(name)
-    }
-
-    /// Gauge handle (see [`MetricsRegistry::gauge`]).
-    pub fn gauge(&self, name: &str) -> Gauge {
-        self.metrics.gauge(name)
-    }
-
-    /// Histogram handle (see [`MetricsRegistry::histogram`]).
-    pub fn histogram(&self, name: &str) -> Histogram {
-        self.metrics.histogram(name)
     }
 
     /// Record one span with caller-supplied server nanos.
@@ -227,22 +212,14 @@ impl Drop for ScopeGuard<'_> {
 mod tests {
     use super::*;
 
-    /// Deterministic test clock: manually advanced nanos.
-    struct Step(AtomicU64);
-    impl NanoClock for Step {
-        fn now_nanos(&self) -> u64 {
-            self.0.load(Ordering::SeqCst)
-        }
-    }
-
     #[test]
     fn scope_guard_attributes_to_the_current_trace() {
-        let clock = Arc::new(Step(AtomicU64::new(100)));
+        let clock = Arc::new(ManualClock::at(100));
         let obs = Obs::new(Arc::clone(&clock) as Arc<dyn NanoClock>);
         obs.set_current_trace(42);
         {
             let _g = obs.scope(Stage::KernelGemm);
-            clock.0.store(175, Ordering::SeqCst);
+            clock.advance(75);
         }
         let spans = obs.spans();
         assert_eq!(
@@ -260,7 +237,7 @@ mod tests {
 
     #[test]
     fn handles_share_cells_across_clones() {
-        let obs = Obs::wall();
+        let obs = Obs::new(Arc::new(ManualClock::default()));
         let c = obs.counter("x_total");
         obs.counter("x_total").add(2);
         c.inc();
@@ -269,9 +246,8 @@ mod tests {
 
     #[test]
     fn books_balance_across_ring_wrap() {
-        let clock = Arc::new(Step(AtomicU64::new(0)));
         let obs = Obs::with_config(
-            clock,
+            Arc::new(ManualClock::default()),
             ObsConfig {
                 shards: 1,
                 spans_per_shard: 4,

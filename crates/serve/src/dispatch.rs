@@ -16,12 +16,12 @@
 //! `panic_any` and every slice access is checked.
 
 use crate::batch::{assemble, batch_budget, split_expired, BatchConfig};
-use crate::clock::Clock;
 use crate::engine::{BatchEngine, RequestMeta};
 use crate::queue::{AdmissionQueue, Admitted, Ready};
 use crate::request::{Delivery, Response};
-use crate::stats::ServerStats;
-use crate::sync::{Mutex, MutexGuard};
+use crate::stats::{version_mut, ServerCells, ServerStats, VersionStats};
+use crate::sync::Mutex;
+use crate::Clock;
 use dlr_core::fault::{ServerFault, ServerFaultPlan};
 use dlr_core::serve::{LatencyForecaster, ServedBy};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -29,58 +29,15 @@ use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, PoisonError};
 use std::time::Duration;
 
-/// Pre-registered observability handles: one registry lookup per name at
-/// server start, then every hot-path hook is an `Option` branch plus a
-/// relaxed atomic. `None` on [`Shared::obs`] makes the whole plane a
-/// branch-cheap no-op.
-pub(crate) struct ObsHooks {
-    pub(crate) obs: Arc<dlr_obs::Obs>,
-    pub(crate) submitted: dlr_obs::Counter,
-    pub(crate) admitted: dlr_obs::Counter,
-    pub(crate) rejected_full: dlr_obs::Counter,
-    pub(crate) shed: dlr_obs::Counter,
-    pub(crate) rejected_shutdown: dlr_obs::Counter,
-    pub(crate) malformed: dlr_obs::Counter,
-    pub(crate) batches: dlr_obs::Counter,
-    pub(crate) batch_panics: dlr_obs::Counter,
-    pub(crate) scored_primary: dlr_obs::Counter,
-    pub(crate) scored_fallback: dlr_obs::Counter,
-    pub(crate) expired: dlr_obs::Counter,
-    pub(crate) failed: dlr_obs::Counter,
-    pub(crate) queue_depth_max: dlr_obs::Gauge,
-    pub(crate) queue_wait_us: dlr_obs::Histogram,
-    pub(crate) execute_us: dlr_obs::Histogram,
-}
-
-impl ObsHooks {
-    pub(crate) fn new(obs: Arc<dlr_obs::Obs>) -> ObsHooks {
-        ObsHooks {
-            submitted: obs.counter("serve_submitted_total"),
-            admitted: obs.counter("serve_admitted_total"),
-            rejected_full: obs.counter("serve_rejected_full_total"),
-            shed: obs.counter("serve_shed_total"),
-            rejected_shutdown: obs.counter("serve_rejected_shutdown_total"),
-            malformed: obs.counter("serve_malformed_total"),
-            batches: obs.counter("serve_batches_total"),
-            batch_panics: obs.counter("serve_batch_panics_total"),
-            scored_primary: obs.counter("serve_scored_primary_total"),
-            scored_fallback: obs.counter("serve_scored_fallback_total"),
-            expired: obs.counter("serve_expired_total"),
-            failed: obs.counter("serve_failed_total"),
-            queue_depth_max: obs.gauge("serve_queue_depth_max"),
-            queue_wait_us: obs.histogram("serve_queue_wait_us"),
-            execute_us: obs.histogram("serve_execute_us"),
-            obs,
-        }
-    }
-}
-
 /// State shared between the submitting front-end and the dispatcher.
 pub(crate) struct Shared {
     /// The bounded admission queue.
     pub(crate) queue: AdmissionQueue,
     /// Lifetime counters; the dispatcher and submitters both write here.
-    pub(crate) stats: Mutex<ServerStats>,
+    pub(crate) cells: ServerCells,
+    /// Per-version rows: written by the dispatcher alone, and only when
+    /// the engine serves versioned models.
+    pub(crate) per_version: Mutex<Vec<VersionStats>>,
     /// The server's one clock (all other modules see only its nanos).
     pub(crate) clock: Arc<dyn Clock>,
     /// Admission-control forecaster, shared with the dispatcher so it can
@@ -89,14 +46,20 @@ pub(crate) struct Shared {
     pub(crate) admission: Option<Box<dyn LatencyForecaster + Send + Sync>>,
     /// Trace-id source for admitted requests (1-based; 0 is synthetic).
     pub(crate) next_id: AtomicU64,
-    /// The observability plane, when enabled.
-    pub(crate) obs: Option<ObsHooks>,
+    /// Where spans and drift pairs go, when enabled.
+    pub(crate) obs: Option<Arc<dlr_obs::Obs>>,
 }
 
-/// Lock the stats, recovering from poison: counters are plain integers,
-/// always consistent, and the dispatcher must keep serving.
-pub(crate) fn lock_stats(shared: &Shared) -> MutexGuard<'_, ServerStats> {
-    shared.stats.lock().unwrap_or_else(PoisonError::into_inner)
+impl Shared {
+    /// The counters so far, as a [`ServerStats`].
+    pub(crate) fn stats(&self) -> ServerStats {
+        // Rows are pushed and bumped whole; recover from poison.
+        let rows = self
+            .per_version
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        self.cells.view(rows.clone())
+    }
 }
 
 /// The dispatcher loop. Runs until the queue is closed *and* fully
@@ -167,46 +130,35 @@ fn execute<E: BatchEngine>(
     if let ServerFault::TracePressure { spans } = fault {
         // Injected: a synthetic span burst forces the trace ring to wrap
         // mid-dispatch, proving overwrite-oldest never blocks this loop.
-        if let Some(h) = &shared.obs {
+        if let Some(obs) = &shared.obs {
             for _ in 0..spans {
-                h.obs
-                    .record_span(0, dlr_obs::Stage::Synthetic, None, now, now);
+                obs.record_span(0, dlr_obs::Stage::Synthetic, None, now, now);
             }
         }
     }
+    let cells = &shared.cells;
     let (live, expired) = split_expired(items, now);
-    if !expired.is_empty() {
-        let mut stats = lock_stats(shared);
-        for item in &expired {
-            stats.expired += 1;
-            let waited = now.saturating_sub(item.queued_nanos);
-            stats.record_latency(waited);
-            stats.record_queue_wait(waited);
+    for item in &expired {
+        let waited = now.saturating_sub(item.queued_nanos);
+        cells.expired.inc();
+        cells.latency_us.record(waited / 1_000);
+        cells.queue_wait_us.record(waited / 1_000);
+        if let Some(obs) = &shared.obs {
+            obs.record_span(
+                item.id,
+                dlr_obs::Stage::QueueWait,
+                None,
+                item.queued_nanos,
+                now,
+            );
+            obs.record_span(item.id, dlr_obs::Stage::Expired, None, now, now);
         }
-        drop(stats);
-        if let Some(h) = &shared.obs {
-            for item in &expired {
-                let waited = now.saturating_sub(item.queued_nanos);
-                h.expired.inc();
-                h.queue_wait_us.record(waited / 1_000);
-                h.obs.record_span(
-                    item.id,
-                    dlr_obs::Stage::QueueWait,
-                    None,
-                    item.queued_nanos,
-                    now,
-                );
-                h.obs
-                    .record_span(item.id, dlr_obs::Stage::Expired, None, now, now);
-            }
-        }
-        for item in expired {
-            let latency_nanos = now.saturating_sub(item.queued_nanos);
-            item.slot.deliver(Delivery {
-                response: Response::Expired,
-                latency_nanos,
-            });
-        }
+    }
+    for item in expired {
+        item.slot.deliver(Delivery {
+            response: Response::Expired,
+            latency_nanos: now.saturating_sub(item.queued_nanos),
+        });
     }
     if live.is_empty() {
         return;
@@ -232,11 +184,10 @@ fn execute<E: BatchEngine>(
     // Batch-formation timestamp: only read when the plane is on — the
     // disabled path pays zero extra clock reads.
     let assembled = match &shared.obs {
-        Some(h) => {
+        Some(obs) => {
             // Kernel scope guards deep in the engine attribute to the
             // batch's lead request.
-            h.obs
-                .set_current_trace(live.first().map_or(0, |item| item.id));
+            obs.set_current_trace(live.first().map_or(0, |item| item.id));
             shared.clock.now_nanos()
         }
         None => now,
@@ -254,77 +205,65 @@ fn execute<E: BatchEngine>(
     }
     let done = shared.clock.now_nanos();
     // Which model version answered, when the engine serves versioned
-    // models (a registry): read outside the stats lock, only meaningful
-    // after a successful score.
+    // models (a registry): only meaningful after a successful score.
     let version = match &result {
         Ok(Ok(_)) => engine.served_version(),
         _ => None,
     };
 
-    let mut stats = lock_stats(shared);
-    stats.batches += 1;
-    stats.batched_docs += docs as u64;
+    // Every count, span and drift pair lands before any delivery, so a
+    // caller that observed a response sees that request fully accounted.
+    let requests = live.len() as u64;
+    cells.batches.inc();
+    cells.batched_docs.add(docs as u64);
     match &result {
-        Ok(Ok(ServedBy::Primary)) => stats.scored_primary += live.len() as u64,
-        Ok(Ok(ServedBy::Fallback)) => stats.scored_fallback += live.len() as u64,
-        Ok(Err(_)) => stats.failed += live.len() as u64,
+        Ok(Ok(ServedBy::Primary)) => cells.scored_primary.add(requests),
+        Ok(Ok(ServedBy::Fallback)) => cells.scored_fallback.add(requests),
+        Ok(Err(_)) => cells.failed.add(requests),
         Err(_) => {
-            stats.batch_panics += 1;
-            stats.failed += live.len() as u64;
+            cells.batch_panics.inc();
+            cells.failed.add(requests);
         }
     }
     for item in &live {
-        stats.record_queue_wait(now.saturating_sub(item.queued_nanos));
-        stats.record_execute(done.saturating_sub(now));
+        cells
+            .queue_wait_us
+            .record(now.saturating_sub(item.queued_nanos) / 1_000);
+        cells.execute_us.record(done.saturating_sub(now) / 1_000);
+        cells
+            .latency_us
+            .record(done.saturating_sub(item.queued_nanos) / 1_000);
     }
     if let (Some(version), Ok(Ok(served_by))) = (&version, &result) {
-        let row = stats.version_mut(version);
+        let mut rows = shared
+            .per_version
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let row = version_mut(&mut rows, version);
         row.batches += 1;
         row.docs += docs as u64;
         match served_by {
-            ServedBy::Primary => row.scored_primary += live.len() as u64,
-            ServedBy::Fallback => row.scored_fallback += live.len() as u64,
+            ServedBy::Primary => row.scored_primary += requests,
+            ServedBy::Fallback => row.scored_fallback += requests,
         }
-    }
-    for item in &live {
-        stats.record_latency(done.saturating_sub(item.queued_nanos));
-        if let Some(version) = &version {
-            stats
-                .version_mut(version)
-                .latency
+        for item in &live {
+            row.latency
                 .record(Duration::from_nanos(done.saturating_sub(item.queued_nanos)));
         }
     }
-    drop(stats);
 
-    if let Some(h) = &shared.obs {
-        // All spans and drift land before any delivery, so a test that
-        // observed a response sees the full waterfall of that request.
-        h.batches.inc();
-        match &result {
-            Ok(Ok(ServedBy::Primary)) => h.scored_primary.add(live.len() as u64),
-            Ok(Ok(ServedBy::Fallback)) => h.scored_fallback.add(live.len() as u64),
-            Ok(Err(_)) => h.failed.add(live.len() as u64),
-            Err(_) => {
-                h.batch_panics.inc();
-                h.failed.add(live.len() as u64);
-            }
-        }
+    if let Some(obs) = &shared.obs {
         let failed = !matches!(&result, Ok(Ok(_)));
         for item in &live {
-            h.queue_wait_us
-                .record(now.saturating_sub(item.queued_nanos) / 1_000);
-            h.execute_us.record(done.saturating_sub(now) / 1_000);
-            h.obs.record_span(
+            obs.record_span(
                 item.id,
                 dlr_obs::Stage::QueueWait,
                 None,
                 item.queued_nanos,
                 now,
             );
-            h.obs
-                .record_span(item.id, dlr_obs::Stage::Batch, None, now, assembled);
-            h.obs.record_span(
+            obs.record_span(item.id, dlr_obs::Stage::Batch, None, now, assembled);
+            obs.record_span(
                 item.id,
                 dlr_obs::Stage::Dispatch,
                 version.clone(),
@@ -332,15 +271,14 @@ fn execute<E: BatchEngine>(
                 done,
             );
             if failed {
-                h.obs
-                    .record_span(item.id, dlr_obs::Stage::Failed, None, done, done);
+                obs.record_span(item.id, dlr_obs::Stage::Failed, None, done, done);
             }
         }
         if let Some(forecaster) = &shared.admission {
             // Predicted (Eq. 3/5 cost model) vs. measured dispatch time
             // for this batch size: the drift the future auto-tuner reads.
             if let Some(predicted) = forecaster.forecast(docs) {
-                h.obs.record_drift(
+                obs.record_drift(
                     u64::try_from(predicted.as_nanos()).unwrap_or(u64::MAX),
                     done.saturating_sub(assembled),
                 );

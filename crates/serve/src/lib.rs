@@ -53,7 +53,6 @@
 #![forbid(unsafe_code)]
 
 pub mod batch;
-pub mod clock;
 mod dispatch;
 pub mod engine;
 pub mod queue;
@@ -64,7 +63,7 @@ pub mod stats;
 mod sync;
 
 pub use batch::BatchConfig;
-pub use clock::{Clock, ManualClock, MonotonicClock};
+pub use dlr_obs::{ManualClock, MonotonicClock, NanoClock as Clock};
 pub use engine::{BatchEngine, PlainEngine, RequestMeta};
 pub use queue::Backpressure;
 pub use registry::{

@@ -55,9 +55,9 @@
 //! [`ServerStats`]: crate::stats::ServerStats
 //! [`VersionStats`]: crate::stats::VersionStats
 
-use crate::clock::Clock;
 use crate::engine::{BatchEngine, RequestMeta};
 use crate::sync::{Mutex, MutexGuard};
+use crate::Clock;
 use dlr_core::scoring::DocumentScorer;
 use dlr_core::serve::{LatencyHistogram, ScoreError, ServedBy};
 use dlr_metrics::{ndcg_at, promotion_gate, GateConfig, GateDecision, NdcgConfig};
@@ -1288,7 +1288,7 @@ impl BatchEngine for RegistryEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::ManualClock;
+    use crate::ManualClock;
 
     struct Constant {
         value: f32,

@@ -9,15 +9,14 @@
 //! responses).
 
 use crate::batch::shed_verdict;
-use crate::clock::{Clock, MonotonicClock};
-use crate::dispatch::{self, lock_stats, ObsHooks, Shared};
+use crate::dispatch::{self, Shared};
 use crate::engine::BatchEngine;
 use crate::queue::{AdmissionQueue, Admitted, Backpressure};
 use crate::request::{ResponseHandle, ScoreRequest, Slot, SubmitError};
-use crate::stats::ServerStats;
+use crate::stats::{ServerCells, ServerStats};
 use crate::sync::thread::JoinHandle;
 use crate::sync::{thread, Mutex};
-use crate::BatchConfig;
+use crate::{BatchConfig, Clock, MonotonicClock};
 use dlr_core::fault::ServerFaultPlan;
 use dlr_core::serve::LatencyForecaster;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,10 +43,11 @@ pub struct ServerConfig {
     /// tests inject a [`ManualClock`](crate::ManualClock) to drive the
     /// queue, batcher, and every trace span deterministically.
     pub clock: Option<Arc<dyn Clock>>,
-    /// The observability plane. `None` (production default until opted
-    /// in) makes every hook a branch-cheap no-op; share the same `Arc`
-    /// with the engine's `with_obs` builders to get kernel spans in the
-    /// same traces.
+    /// The observability plane: the server's counters are published as
+    /// its `serve_*` metrics, and spans and drift pairs are recorded
+    /// into it. `None` (production default until opted in) records no
+    /// spans; share the same `Arc` with the engine's `with_obs` builders
+    /// to get kernel spans in the same traces.
     pub obs: Option<Arc<dlr_obs::Obs>>,
 }
 
@@ -78,15 +78,20 @@ impl<E: BatchEngine + 'static> Server<E> {
     /// until [`shutdown`](Self::shutdown) returns it.
     pub fn start(mut engine: E, config: ServerConfig) -> Server<E> {
         let num_features = engine.num_features().max(1);
+        let cells = ServerCells::default();
+        if let Some(obs) = &config.obs {
+            cells.publish(obs.metrics());
+        }
         let shared = Arc::new(Shared {
             queue: AdmissionQueue::new(config.queue_capacity),
-            stats: Mutex::new(ServerStats::default()),
+            cells,
+            per_version: Mutex::new(Vec::new()),
             clock: config
                 .clock
                 .unwrap_or_else(|| Arc::new(MonotonicClock::default())),
             admission: config.admission,
             next_id: AtomicU64::new(1),
-            obs: config.obs.map(ObsHooks::new),
+            obs: config.obs,
         });
         let batch = config.batch;
         let faults = config.faults;
@@ -120,16 +125,11 @@ impl<E: BatchEngine + 'static> Server<E> {
     /// miss; [`SubmitError::QueueFull`] / [`SubmitError::ShuttingDown`]
     /// per queue state.
     pub fn submit(&self, request: ScoreRequest) -> Result<ResponseHandle, SubmitError> {
-        lock_stats(&self.shared).submitted += 1;
-        if let Some(h) = &self.shared.obs {
-            h.submitted.inc();
-        }
+        let cells = &self.shared.cells;
+        cells.submitted.inc();
         let len = request.features.len();
         if len == 0 || !len.is_multiple_of(self.num_features) {
-            lock_stats(&self.shared).malformed += 1;
-            if let Some(h) = &self.shared.obs {
-                h.malformed.inc();
-            }
+            cells.malformed.inc();
             return Err(SubmitError::BadShape {
                 num_features: self.num_features,
                 features_len: len,
@@ -159,50 +159,37 @@ impl<E: BatchEngine + 'static> Server<E> {
         });
         match outcome {
             Ok((depth, queued_docs)) => {
-                let mut stats = lock_stats(&self.shared);
-                stats.admitted += 1;
-                stats.max_queue_depth = stats.max_queue_depth.max(depth as u64);
-                stats.max_queued_docs = stats.max_queued_docs.max(queued_docs as u64);
-                drop(stats);
-                if let Some(h) = &self.shared.obs {
-                    h.admitted.inc();
-                    h.queue_depth_max.record_max(depth as u64);
-                }
+                cells.admitted.inc();
+                cells.max_queue_depth.record_max(depth as u64);
+                cells.max_queued_docs.record_max(queued_docs as u64);
                 Ok(handle)
             }
             Err(err) => {
-                let mut stats = lock_stats(&self.shared);
                 match &err {
-                    SubmitError::QueueFull => stats.rejected_full += 1,
-                    SubmitError::Shed { .. } => stats.shed += 1,
-                    SubmitError::ShuttingDown => stats.rejected_shutdown += 1,
-                    SubmitError::BadShape { .. } => stats.malformed += 1,
-                }
-                drop(stats);
-                if let Some(h) = &self.shared.obs {
-                    match &err {
-                        SubmitError::QueueFull => h.rejected_full.inc(),
-                        SubmitError::Shed { .. } => {
-                            h.shed.inc();
-                            // A shed request has exactly one span: the
-                            // refusal itself, at submit time.
-                            h.obs.record_span(id, dlr_obs::Stage::Shed, None, now, now);
+                    SubmitError::QueueFull => cells.rejected_full.inc(),
+                    SubmitError::Shed { .. } => {
+                        cells.shed.inc();
+                        // A shed request has exactly one span: the
+                        // refusal itself, at submit time.
+                        if let Some(obs) = &self.shared.obs {
+                            obs.record_span(id, dlr_obs::Stage::Shed, None, now, now);
                         }
-                        SubmitError::ShuttingDown => h.rejected_shutdown.inc(),
-                        SubmitError::BadShape { .. } => h.malformed.inc(),
                     }
+                    SubmitError::ShuttingDown => cells.rejected_shutdown.inc(),
+                    SubmitError::BadShape { .. } => cells.malformed.inc(),
                 }
                 Err(err)
             }
         }
     }
 
-    /// Snapshot of the lifetime counters. Mid-flight submissions may make
-    /// a live snapshot transiently unbalanced; after
-    /// [`shutdown`](Self::shutdown) the accounting identities hold
-    /// exactly.
+    /// The lifetime counters so far. Requests in flight may make a live
+    /// view transiently unbalanced; it is exact for the caller's own
+    /// submissions and every response the caller has waited for, and
+    /// after [`shutdown`](Self::shutdown) the accounting identities
+    /// hold exactly.
     pub fn stats(&self) -> ServerStats {
-        lock_stats(&self.shared).clone()
+        self.shared.stats()
     }
 
     /// Live queue depth: (queued requests, queued documents).
@@ -234,8 +221,8 @@ impl<E: BatchEngine + 'static> Server<E> {
             // been taken by `Drop`, which cannot run before this.
             None => unreachable!("dispatcher already joined"),
         };
-        let stats = lock_stats(&self.shared).clone();
-        (engine, stats)
+        // Joining the dispatcher ordered its every count before this read.
+        (engine, self.shared.stats())
     }
 }
 

@@ -1,10 +1,17 @@
 //! Counters and gauges for everything the serving front-end did.
 //!
-//! [`ServerStats`] is the server-level counterpart of
-//! [`dlr_core::serve::ServeStats`]: every admission decision, batch, and
-//! terminal response outcome increments exactly one counter, so the
-//! overload-path tests can assert the whole block by equality. After a
-//! drain, the books must balance:
+//! The server counts in `ServerCells`: one `dlr-obs` cell per
+//! counter, gauge and histogram, owned by the server instance and
+//! incremented once per event by the submitters and the dispatcher.
+//! [`ServerStats`] is a view of those cells, built on request; it is the
+//! server-level counterpart of [`dlr_core::serve::ServeStats`]: every
+//! admission decision, batch, and terminal response outcome increments
+//! exactly one counter, so the overload-path tests can assert the whole
+//! block by equality. The cells are relaxed atomics, so a view is exact
+//! for everything that happened-before it: the caller's own `submit`s,
+//! every response the caller waited for, and — after
+//! [`Server::shutdown`](crate::Server::shutdown) joined the dispatcher —
+//! everything. After a drain, the books must balance:
 //!
 //! ```text
 //! admitted == scored_primary + scored_fallback + expired + failed
@@ -15,6 +22,7 @@
 //! only — the latency histogram is measurement noise by nature.
 
 use dlr_core::serve::LatencyHistogram;
+use dlr_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
 /// Per-model-version slice of the server's accounting, maintained only
 /// when the engine serves versioned models (a [`ModelRegistry`] engine).
@@ -58,8 +66,8 @@ impl PartialEq for VersionStats {
 
 impl Eq for VersionStats {}
 
-/// Counters for one server's lifetime. See the module docs for the
-/// accounting identities.
+/// Counters for one server's lifetime: a point-in-time view of the
+/// server's cells. See the module docs for the accounting identities.
 #[derive(Debug, Clone, Default)]
 pub struct ServerStats {
     /// Submission attempts, admitted or not.
@@ -128,36 +136,100 @@ impl ServerStats {
     pub fn version(&self, version: &str) -> Option<&VersionStats> {
         self.per_version.iter().find(|v| v.version == version)
     }
+}
 
-    /// Record a response delivery's latency.
-    pub(crate) fn record_latency(&mut self, nanos: u64) {
-        self.latency.record(std::time::Duration::from_nanos(nanos));
+/// The row for `version`, created at the back on first sight.
+pub(crate) fn version_mut<'a>(
+    rows: &'a mut Vec<VersionStats>,
+    version: &str,
+) -> &'a mut VersionStats {
+    let idx = match rows.iter().position(|v| v.version == version) {
+        Some(i) => i,
+        None => {
+            rows.push(VersionStats {
+                version: version.to_string(),
+                ..VersionStats::default()
+            });
+            rows.len() - 1
+        }
+    };
+    &mut rows[idx]
+}
+
+/// One server's cells, one per [`ServerStats`] counter, gauge and
+/// histogram. Histograms are in whole microseconds.
+#[derive(Default)]
+pub(crate) struct ServerCells {
+    pub(crate) submitted: Counter,
+    pub(crate) admitted: Counter,
+    pub(crate) rejected_full: Counter,
+    pub(crate) shed: Counter,
+    pub(crate) rejected_shutdown: Counter,
+    pub(crate) malformed: Counter,
+    pub(crate) batches: Counter,
+    pub(crate) batched_docs: Counter,
+    pub(crate) scored_primary: Counter,
+    pub(crate) scored_fallback: Counter,
+    pub(crate) expired: Counter,
+    pub(crate) failed: Counter,
+    pub(crate) batch_panics: Counter,
+    pub(crate) max_queue_depth: Gauge,
+    pub(crate) max_queued_docs: Gauge,
+    pub(crate) latency_us: Histogram,
+    pub(crate) queue_wait_us: Histogram,
+    pub(crate) execute_us: Histogram,
+}
+
+impl ServerCells {
+    /// Export every cell under its `serve_*` metric name.
+    pub(crate) fn publish(&self, metrics: &MetricsRegistry) {
+        for (name, cell) in [
+            ("serve_submitted_total", &self.submitted),
+            ("serve_admitted_total", &self.admitted),
+            ("serve_rejected_full_total", &self.rejected_full),
+            ("serve_shed_total", &self.shed),
+            ("serve_rejected_shutdown_total", &self.rejected_shutdown),
+            ("serve_malformed_total", &self.malformed),
+            ("serve_batches_total", &self.batches),
+            ("serve_batched_docs_total", &self.batched_docs),
+            ("serve_scored_primary_total", &self.scored_primary),
+            ("serve_scored_fallback_total", &self.scored_fallback),
+            ("serve_expired_total", &self.expired),
+            ("serve_failed_total", &self.failed),
+            ("serve_batch_panics_total", &self.batch_panics),
+        ] {
+            metrics.publish_counter(name, cell);
+        }
+        metrics.publish_gauge("serve_queue_depth_max", &self.max_queue_depth);
+        metrics.publish_gauge("serve_queued_docs_max", &self.max_queued_docs);
+        metrics.publish_histogram("serve_latency_us", &self.latency_us);
+        metrics.publish_histogram("serve_queue_wait_us", &self.queue_wait_us);
+        metrics.publish_histogram("serve_execute_us", &self.execute_us);
     }
 
-    /// Record the queue-wait slice of a request's latency.
-    pub(crate) fn record_queue_wait(&mut self, nanos: u64) {
-        self.queue_wait
-            .record(std::time::Duration::from_nanos(nanos));
-    }
-
-    /// Record the batch-execute slice of a request's latency.
-    pub(crate) fn record_execute(&mut self, nanos: u64) {
-        self.execute.record(std::time::Duration::from_nanos(nanos));
-    }
-
-    /// The row for `version`, created at the back on first sight.
-    pub(crate) fn version_mut(&mut self, version: &str) -> &mut VersionStats {
-        let idx = match self.per_version.iter().position(|v| v.version == version) {
-            Some(i) => i,
-            None => {
-                self.per_version.push(VersionStats {
-                    version: version.to_string(),
-                    ..VersionStats::default()
-                });
-                self.per_version.len() - 1
-            }
-        };
-        &mut self.per_version[idx]
+    /// Read the cells into a [`ServerStats`] carrying `per_version`.
+    pub(crate) fn view(&self, per_version: Vec<VersionStats>) -> ServerStats {
+        ServerStats {
+            submitted: self.submitted.get(),
+            admitted: self.admitted.get(),
+            rejected_full: self.rejected_full.get(),
+            shed: self.shed.get(),
+            rejected_shutdown: self.rejected_shutdown.get(),
+            malformed: self.malformed.get(),
+            batches: self.batches.get(),
+            batched_docs: self.batched_docs.get(),
+            scored_primary: self.scored_primary.get(),
+            scored_fallback: self.scored_fallback.get(),
+            expired: self.expired.get(),
+            failed: self.failed.get(),
+            batch_panics: self.batch_panics.get(),
+            max_queue_depth: self.max_queue_depth.get(),
+            max_queued_docs: self.max_queued_docs.get(),
+            latency: LatencyHistogram(self.latency_us.snapshot()),
+            queue_wait: LatencyHistogram(self.queue_wait_us.snapshot()),
+            execute: LatencyHistogram(self.execute_us.snapshot()),
+            per_version,
+        }
     }
 }
 
@@ -250,6 +322,7 @@ impl std::fmt::Display for ServerStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn accounting_helpers_sum_their_parts() {
@@ -278,7 +351,7 @@ mod tests {
             admitted: 3,
             ..ServerStats::default()
         };
-        a.record_latency(1_000);
+        a.latency.record(Duration::from_micros(1));
         let b = ServerStats {
             admitted: 3,
             ..ServerStats::default()
@@ -291,14 +364,14 @@ mod tests {
     fn per_version_rows_compare_exactly_but_ignore_latency() {
         let mut a = ServerStats::default();
         {
-            let row = a.version_mut("v1");
+            let row = version_mut(&mut a.per_version, "v1");
             row.batches = 2;
             row.scored_primary = 5;
-            row.latency.record(std::time::Duration::from_micros(3));
+            row.latency.record(Duration::from_micros(3));
         }
         let mut b = ServerStats::default();
         {
-            let row = b.version_mut("v1");
+            let row = version_mut(&mut b.per_version, "v1");
             row.batches = 2;
             row.scored_primary = 5;
         }
@@ -306,85 +379,11 @@ mod tests {
         assert_eq!(a.version("v1").map(|v| v.scored_primary), Some(5));
         assert_eq!(a.version("v2"), None);
         // A diverging counter or an extra version row breaks equality.
-        b.version_mut("v1").scored_fallback = 1;
+        version_mut(&mut b.per_version, "v1").scored_fallback = 1;
         assert_ne!(a, b);
-        b.version_mut("v1").scored_fallback = 0;
-        b.version_mut("v2");
+        version_mut(&mut b.per_version, "v1").scored_fallback = 0;
+        version_mut(&mut b.per_version, "v2");
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn merging_an_empty_histogram_changes_nothing_exactly() {
-        let mut h = LatencyHistogram::default();
-        h.record(std::time::Duration::from_micros(10));
-        h.record(std::time::Duration::from_micros(100));
-        let empty = LatencyHistogram::default();
-        let before = (h.count(), h.sum_us(), h.p50_us(), h.p99_us(), h.p999_us());
-        h.merge(&empty);
-        assert_eq!(
-            (h.count(), h.sum_us(), h.p50_us(), h.p99_us(), h.p999_us()),
-            before
-        );
-        // And the mirror: an empty histogram absorbing a populated one
-        // equals the populated one exactly.
-        let mut absorbed = LatencyHistogram::default();
-        absorbed.merge(&h);
-        assert_eq!(absorbed.count(), 2);
-        assert_eq!(absorbed.sum_us(), 110);
-        assert_eq!(absorbed.p50_us(), Some(15));
-        assert_eq!(absorbed.p999_us(), Some(127));
-        // Merging empty into empty stays empty (percentiles stay None).
-        let mut e2 = LatencyHistogram::default();
-        e2.merge(&LatencyHistogram::default());
-        assert_eq!(e2.count(), 0);
-        assert_eq!(e2.p999_us(), None);
-        assert_eq!(e2.mean_us(), None);
-    }
-
-    #[test]
-    fn single_sample_pins_every_percentile_to_its_bucket() {
-        let mut h = LatencyHistogram::default();
-        h.record(std::time::Duration::from_micros(10));
-        // One sample: every quantile, including p999, resolves to the
-        // sample's own bucket bound (10µs → 4-bit bucket → bound 15).
-        assert_eq!(h.p50_us(), Some(15));
-        assert_eq!(h.p95_us(), Some(15));
-        assert_eq!(h.p99_us(), Some(15));
-        assert_eq!(h.p999_us(), Some(15));
-        assert_eq!(h.mean_us(), Some(10.0));
-        // A zero-latency sample lives in bucket 0 with bound exactly 0.
-        let mut z = LatencyHistogram::default();
-        z.record(std::time::Duration::ZERO);
-        assert_eq!(z.p999_us(), Some(0));
-    }
-
-    #[test]
-    fn saturated_counts_stay_sane_instead_of_wrapping() {
-        let mut h = LatencyHistogram::default();
-        h.record(std::time::Duration::from_micros(10));
-        h.record(std::time::Duration::from_micros(1000));
-        // Self-merge doubles every cell; 63 rounds saturate the total at
-        // u64::MAX while the per-bucket counts are still exact, which
-        // must pin at the max instead of wrapping to small values.
-        for _ in 0..63 {
-            let snapshot = h.clone();
-            h.merge(&snapshot);
-        }
-        assert_eq!(h.count(), u64::MAX);
-        assert_eq!(h.sum_us(), u64::MAX);
-        // Percentile queries on the saturated histogram still answer
-        // with real bucket bounds, never None and never a wrapped rank.
-        assert_eq!(h.p50_us(), Some(15));
-        assert_eq!(h.p999_us(), Some(1023));
-        assert!(h.mean_us().is_some());
-        // One more round saturates the buckets themselves; queries keep
-        // answering (mass pins to the lowest saturated bucket — a
-        // conservative answer, not a wrap or a None).
-        let snapshot = h.clone();
-        h.merge(&snapshot);
-        assert_eq!(h.count(), u64::MAX);
-        assert_eq!(h.p50_us(), Some(15));
-        assert!(h.p999_us().is_some());
     }
 
     #[test]
@@ -395,7 +394,7 @@ mod tests {
             max_queue_depth: 4,
             ..ServerStats::default()
         };
-        s.record_latency(2_000);
+        s.latency.record(Duration::from_micros(2));
         let text = s.to_string();
         assert!(text.contains("queue high-water: 4 requests"), "{text}");
         assert!(text.contains("p999"), "{text}");

@@ -18,8 +18,8 @@ use dlr_core::scoring::DocumentScorer;
 use dlr_core::serve::{RobustScorer, ServedBy};
 use dlr_obs::{Obs, ObsConfig};
 use dlr_serve::{
-    Backpressure, BatchConfig, ManualClock, PlainEngine, Response, ScoreRequest, Server,
-    ServerConfig, ServerStats, SubmitError,
+    Backpressure, BatchConfig, BatchEngine, ManualClock, PlainEngine, Response, ScoreRequest,
+    Server, ServerConfig, ServerStats, SubmitError,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -423,16 +423,8 @@ fn stages_of(obs: &Obs, id: u64) -> Vec<dlr_obs::Stage> {
         .collect()
 }
 
-/// Every refusal and failure path leaves a correctly-tagged trace: shed
-/// requests get exactly one `Shed` span at the door, expired requests a
-/// `QueueWait` + `Expired` pair, panicked batches a full waterfall
-/// capped with `Failed` — and the sink's conservation law
-/// (`spans_opened == spans_resident + spans_dropped`) holds throughout.
-#[test]
-fn overload_paths_produce_correctly_tagged_spans() {
-    use dlr_obs::Stage::{Batch, Dispatch, Expired, Failed, QueueWait, Shed};
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
+/// A frozen clock and a 64-slot single-shard plane over it.
+fn frozen_obs() -> (Arc<ManualClock>, Arc<Obs>) {
     let clock = Arc::new(ManualClock::at(0));
     let obs = Arc::new(Obs::with_config(
         Arc::clone(&clock) as Arc<dyn dlr_obs::NanoClock>,
@@ -442,11 +434,23 @@ fn overload_paths_produce_correctly_tagged_spans() {
             drift_window: 16,
         },
     ));
+    (clock, obs)
+}
+
+/// One request down each path, in trace-id order: 1 shed, 2 expired,
+/// 3 failed by an injected batch panic, 4 scored.
+fn shed_expire_panic_score<E: BatchEngine + 'static>(
+    engine: E,
+    clock: &Arc<ManualClock>,
+    obs: &Arc<Obs>,
+) -> Server<E> {
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
     // Batch #1 is the expired request (a taken batch even though nothing
     // is scored), batch #2 the panic victim, batch #3 the healthy one.
     let plan = ServerFaultPlan::from_schedule(vec![ServerFault::None, ServerFault::BatchPanic]);
     let server = Server::start(
-        PlainEngine::new(Tagged),
+        engine,
         ServerConfig {
             batch: one_doc_batches(),
             // Forecasts only multi-doc requests, so the one-doc expiry
@@ -455,8 +459,8 @@ fn overload_paths_produce_correctly_tagged_spans() {
                 (docs >= 2).then(|| Duration::from_secs(10))
             })),
             faults: Some(plan),
-            clock: Some(Arc::clone(&clock) as Arc<dyn dlr_serve::Clock>),
-            obs: Some(Arc::clone(&obs)),
+            clock: Some(Arc::clone(clock) as Arc<dyn dlr_serve::Clock>),
+            obs: Some(Arc::clone(obs)),
             ..ServerConfig::default()
         },
     );
@@ -480,16 +484,12 @@ fn overload_paths_produce_correctly_tagged_spans() {
     let scored = server.submit(req(2)).expect("admitted").wait();
     std::panic::set_hook(prev);
     assert_eq!(scored.response.scores(), Some(&[2000.0][..]));
+    server
+}
 
-    assert_eq!(stages_of(&obs, 1), vec![Shed]);
-    assert_eq!(stages_of(&obs, 2), vec![QueueWait, Expired]);
-    assert_eq!(stages_of(&obs, 3), vec![QueueWait, Batch, Dispatch, Failed]);
-    assert_eq!(stages_of(&obs, 4), vec![QueueWait, Batch, Dispatch]);
-    assert!(obs.books_balance(), "span accounting must balance");
-    assert_eq!(obs.sink().spans_dropped(), 0, "ring never wrapped");
-
-    let (_engine, stats) = server.shutdown();
-    let expected = ServerStats {
+/// What [`shed_expire_panic_score`] must leave in the server's books.
+fn shed_expire_panic_score_books() -> ServerStats {
+    ServerStats {
         submitted: 4,
         admitted: 3,
         shed: 1,
@@ -502,19 +502,99 @@ fn overload_paths_produce_correctly_tagged_spans() {
         max_queue_depth: 1,
         max_queued_docs: 1,
         ..ServerStats::default()
+    }
+}
+
+/// Every refusal and failure path leaves a correctly-tagged trace: shed
+/// requests get exactly one `Shed` span at the door, expired requests a
+/// `QueueWait` + `Expired` pair, panicked batches a full waterfall
+/// capped with `Failed` — and the sink's conservation law
+/// (`spans_opened == spans_resident + spans_dropped`) holds throughout.
+#[test]
+fn overload_paths_produce_correctly_tagged_spans() {
+    use dlr_obs::Stage::{Batch, Dispatch, Expired, Failed, QueueWait, Shed};
+    let (clock, obs) = frozen_obs();
+    let server = shed_expire_panic_score(PlainEngine::new(Tagged), &clock, &obs);
+
+    assert_eq!(stages_of(&obs, 1), vec![Shed]);
+    assert_eq!(stages_of(&obs, 2), vec![QueueWait, Expired]);
+    assert_eq!(stages_of(&obs, 3), vec![QueueWait, Batch, Dispatch, Failed]);
+    assert_eq!(stages_of(&obs, 4), vec![QueueWait, Batch, Dispatch]);
+    assert!(obs.books_balance(), "span accounting must balance");
+    assert_eq!(obs.sink().spans_dropped(), 0, "ring never wrapped");
+
+    let (_engine, stats) = server.shutdown();
+    assert_books(&stats, &shed_expire_panic_score_books());
+}
+
+/// The export is the stats, field for field: after the same scenario
+/// over a [`RobustScorer`], every counter, gauge and histogram of
+/// [`ServerStats`] and `ServeStats` is exported under its metric name
+/// with the view's value, and nothing else is exported.
+#[test]
+fn every_stats_field_is_exported_under_its_metric_name() {
+    let (clock, obs) = frozen_obs();
+    let engine = RobustScorer::new(Tagged, Const(-1.0), "robust").with_obs(Arc::clone(&obs));
+    let server = shed_expire_panic_score(engine, &clock, &obs);
+    let (engine, s) = server.shutdown();
+    assert_books(&s, &shed_expire_panic_score_books());
+    // The panicked batch never reached the engine.
+    let r = engine.stats();
+    assert_eq!((r.batches, r.primary_batches), (1, 1));
+
+    // In publication order: the engine's cells, then the server's.
+    let counters = [
+        ("robust_batches_total", r.batches),
+        ("robust_primary_batches_total", r.primary_batches),
+        ("robust_fallback_batches_total", r.fallback_batches),
+        ("robust_deadline_misses_total", r.deadline_misses),
+        ("robust_forecast_degrades_total", r.forecast_degrades),
+        ("robust_fallback_activations_total", r.fallback_activations),
+        ("robust_recoveries_total", r.recoveries),
+        ("robust_probes_total", r.probes),
+        ("robust_sanitized_rows_total", r.sanitized_rows),
+        ("robust_rejected_batches_total", r.rejected_batches),
+        ("robust_panics_caught_total", r.panics_caught),
+        ("robust_rescued_outputs_total", r.rescued_outputs),
+        ("serve_submitted_total", s.submitted),
+        ("serve_admitted_total", s.admitted),
+        ("serve_rejected_full_total", s.rejected_full),
+        ("serve_shed_total", s.shed),
+        ("serve_rejected_shutdown_total", s.rejected_shutdown),
+        ("serve_malformed_total", s.malformed),
+        ("serve_batches_total", s.batches),
+        ("serve_batched_docs_total", s.batched_docs),
+        ("serve_scored_primary_total", s.scored_primary),
+        ("serve_scored_fallback_total", s.scored_fallback),
+        ("serve_expired_total", s.expired),
+        ("serve_failed_total", s.failed),
+        ("serve_batch_panics_total", s.batch_panics),
+    ];
+    let gauges = [
+        ("serve_queue_depth_max", s.max_queue_depth),
+        ("serve_queued_docs_max", s.max_queued_docs),
+    ];
+    let histograms = [
+        ("robust_latency_us", &r.latency),
+        ("serve_latency_us", &s.latency),
+        ("serve_queue_wait_us", &s.queue_wait),
+        ("serve_execute_us", &s.execute),
+    ];
+    let named = |rows: &[(&str, u64)]| -> Vec<(String, u64)> {
+        rows.iter().map(|&(n, v)| (n.to_string(), v)).collect()
     };
-    assert_books(&stats, &expected);
-    // The obs counters mirror the authoritative ServerStats exactly.
-    for (name, want) in [
-        ("serve_submitted_total", 4),
-        ("serve_shed_total", 1),
-        ("serve_expired_total", 1),
-        ("serve_failed_total", 1),
-        ("serve_batch_panics_total", 1),
-        ("serve_scored_primary_total", 1),
-        ("serve_batches_total", 2),
-    ] {
-        assert_eq!(obs.counter(name).get(), want, "{name}");
+    let snap = obs.metrics().snapshot();
+    assert_eq!(snap.counters, named(&counters));
+    assert_eq!(snap.gauges, named(&gauges));
+    assert_eq!(snap.histograms.len(), histograms.len());
+    for ((name, exported), (want_name, want)) in snap.histograms.iter().zip(histograms) {
+        assert_eq!(name, want_name);
+        assert_eq!(exported, &want.0, "{name}");
+        assert!(want.count() > 0, "{name} recorded nothing");
+    }
+    let prom = obs.snapshot_prometheus();
+    for (name, value) in counters.iter().chain(&gauges) {
+        assert!(prom.contains(&format!("\n{name} {value}\n")), "{name}");
     }
 }
 

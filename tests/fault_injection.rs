@@ -116,7 +116,7 @@ fn panics_nans_and_short_writes_are_absorbed_with_exact_counts() {
         rescued_outputs: 4, // 2 NaN batches + 2 short writes
         ..ServeStats::default()
     };
-    assert_eq!(robust.stats(), &expected);
+    assert_eq!(robust.stats(), expected);
 }
 
 #[test]
@@ -172,7 +172,7 @@ fn deadline_hysteresis_degrades_and_recovers() {
         probes: 2,
         ..ServeStats::default()
     };
-    assert_eq!(robust.stats(), &expected);
+    assert_eq!(robust.stats(), expected);
 }
 
 #[test]
