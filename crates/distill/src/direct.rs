@@ -13,7 +13,7 @@
 
 use dlr_data::{Dataset, Normalizer};
 use dlr_nn::train::SgdTrainer;
-use dlr_nn::{Mlp, StepLr};
+use dlr_nn::{LayerMasks, LoopState, Mlp, ResilienceConfig, Rows, StepLr};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -84,7 +84,9 @@ impl DirectModel {
 /// Train `hidden` directly on `train`'s labels.
 ///
 /// # Panics
-/// Panics on an empty dataset.
+/// Panics on an empty dataset, and — pointwise objective, which runs the
+/// guarded epoch loop — with the `TrainError::Diverged` text when an epoch
+/// stays non-finite through the default rollback budget.
 pub fn train_direct(train: &Dataset, hidden: &[usize], cfg: &DirectConfig) -> DirectModel {
     assert!(train.num_docs() > 0, "cannot train on an empty dataset");
     let normalizer = Normalizer::fit(train).expect("non-empty training set");
@@ -93,34 +95,33 @@ pub fn train_direct(train: &Dataset, hidden: &[usize], cfg: &DirectConfig) -> Di
     let mut mlp = Mlp::from_hidden(train.num_features(), hidden, cfg.seed ^ 0xd1ec7);
     let mut trainer = SgdTrainer::new(&mlp, cfg.dropout, cfg.seed ^ 0x7ea1);
     let f = train.num_features();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut epoch_loss = Vec::with_capacity(cfg.epochs);
 
-    match cfg.objective {
+    let epoch_loss = match cfg.objective {
         DirectObjective::PointwiseMse => {
-            let labels = train.labels();
-            let mut order: Vec<usize> = (0..train.num_docs()).collect();
-            let mut batch_rows = Vec::new();
-            let mut batch_targets = Vec::new();
-            for epoch in 0..cfg.epochs {
-                order.shuffle(&mut rng);
-                let lr = cfg.schedule.lr(epoch);
-                let mut sum = 0.0;
-                let mut batches = 0usize;
-                for chunk in order.chunks(cfg.batch_size.max(1)) {
-                    batch_rows.clear();
-                    batch_targets.clear();
-                    for &d in chunk {
-                        batch_rows.extend_from_slice(&rows[d * f..(d + 1) * f]);
-                        batch_targets.push(labels[d]);
-                    }
-                    sum += trainer.train_batch(&mut mlp, &batch_rows, &batch_targets, lr, None);
-                    batches += 1;
-                }
-                epoch_loss.push(sum / batches.max(1) as f64);
-            }
+            let masks = LayerMasks::none(mlp.layers().len());
+            let mut st = LoopState::new("direct", trainer, masks, train.num_docs(), cfg.seed);
+            let mut source = Rows {
+                rows: &rows,
+                targets: train.labels(),
+                batch_size: cfg.batch_size,
+            };
+            dlr_nn::run_epochs(
+                &mut mlp,
+                &mut st,
+                &mut source,
+                &cfg.schedule,
+                cfg.epochs,
+                &ResilienceConfig::default(),
+                None,
+                None,
+                &mut |_, _| {},
+            )
+            .map(|report| report.epoch_loss)
+            .unwrap_or_else(|e| panic!("{e}"))
         }
         DirectObjective::RankNet { sigma } => {
+            let mut rng = StdRng::seed_from_u64(cfg.seed);
+            let mut epoch_loss = Vec::with_capacity(cfg.epochs);
             let mut query_order: Vec<usize> = (0..train.num_queries()).collect();
             for epoch in 0..cfg.epochs {
                 query_order.shuffle(&mut rng);
@@ -144,8 +145,9 @@ pub fn train_direct(train: &Dataset, hidden: &[usize], cfg: &DirectConfig) -> Di
                 }
                 epoch_loss.push(sum / batches.max(1) as f64);
             }
+            epoch_loss
         }
-    }
+    };
     DirectModel {
         mlp,
         normalizer,

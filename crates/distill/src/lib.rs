@@ -14,20 +14,23 @@
 //!   sampled coordinate-wise from these lists so the student sees the
 //!   whole cell decomposition the teacher induces over feature space.
 //!
-//! [`hyper`] records the Table 9 hyperparameters verbatim. The
-//! [`DistillSession`] type exposes epoch-level control so `dlr-prune` can
-//! run the same loop with sparsity masks during prune/fine-tune phases.
+//! [`hyper`] records the Table 9 hyperparameters verbatim. A
+//! [`DistillSession`] trains through the workspace's one epoch loop
+//! (`dlr_nn::run_epochs`): [`DistillSession::train_student`] and
+//! [`DistillSession::run_epochs`] for a plain run,
+//! [`DistillSession::run_epochs_resilient`] for one that checkpoints and
+//! resumes — same weights either way — and [`DistillSession::batches`] so
+//! `dlr-prune` can run its prune/fine-tune schedule on the same batches.
 
 pub mod augment;
 pub mod direct;
 pub mod hyper;
-pub mod resilient;
 pub mod teacher;
 pub mod trainer;
 
 pub use augment::MidpointSampler;
 pub use direct::{train_direct, DirectConfig, DirectModel, DirectObjective};
+pub use dlr_nn::{ResilienceConfig, ResilientReport};
 pub use hyper::DistillHyper;
-pub use resilient::{EpochPrep, ResilienceConfig, ResilientReport};
 pub use teacher::Teacher;
-pub use trainer::{DistillConfig, DistillSession, DistilledModel};
+pub use trainer::{DistillConfig, DistillSession, DistilledModel, SessionBatches};

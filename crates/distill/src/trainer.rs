@@ -8,19 +8,21 @@
 //!
 //! [`DistillSession`] holds everything reusable across students (teacher
 //! scores, normalizer, sampler), so designing many candidate architectures
-//! (§5.2) pays the preprocessing once. Epoch-level entry points accept
-//! sparsity masks, which is how `dlr-prune` runs the Table 9 prune/
-//! fine-tune phases with the identical loop.
+//! (§5.2) pays the preprocessing once. It is a batch source
+//! ([`DistillSession::batches`]) for the one epoch loop, [`run_epochs`],
+//! which is also how `dlr-prune` runs Table 9's prune/fine-tune phases.
 
 use crate::augment::MidpointSampler;
 use crate::hyper::DistillHyper;
 use crate::teacher::Teacher;
 use dlr_data::{Dataset, FeatureStats, Normalizer};
 use dlr_gbdt::Ensemble;
-use dlr_nn::{LayerMasks, Mlp, StepLr};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use dlr_nn::train::SgdTrainer;
+use dlr_nn::{
+    run_epochs, BatchSource, FaultInjector, LayerMasks, LoopState, Mlp, ResilienceConfig,
+    ResilientReport, StepLr, TrainError,
+};
+use std::path::Path;
 
 /// Distillation configuration (see [`DistillHyper`] for the Table 9
 /// schedules; this adds the knobs the paper leaves implicit).
@@ -70,15 +72,15 @@ impl DistilledModel {
 
 /// Reusable distillation state for one (teacher, training set) pair.
 pub struct DistillSession<'a> {
-    pub(crate) teacher: &'a dyn Teacher,
-    pub(crate) cfg: DistillConfig,
-    pub(crate) normalizer: Normalizer,
-    pub(crate) sampler: MidpointSampler,
+    teacher: &'a dyn Teacher,
+    cfg: DistillConfig,
+    normalizer: Normalizer,
+    sampler: MidpointSampler,
     /// Normalized real training rows, row-major.
-    pub(crate) real_rows: Vec<f32>,
+    real_rows: Vec<f32>,
     /// Teacher scores of the real rows.
-    pub(crate) real_targets: Vec<f32>,
-    pub(crate) num_features: usize,
+    real_targets: Vec<f32>,
+    num_features: usize,
 }
 
 impl<'a> DistillSession<'a> {
@@ -133,6 +135,9 @@ impl<'a> DistillSession<'a> {
 
     /// Train a fresh student of the given hidden sizes for the full
     /// `E_t` epochs of the schedule.
+    ///
+    /// # Panics
+    /// As [`Self::run_epochs`].
     pub fn train_student(&self, hidden: &[usize]) -> DistilledModel {
         let mut mlp = Mlp::from_hidden(self.num_features, hidden, self.cfg.seed ^ 0xabcd);
         let h = &self.cfg.hyper;
@@ -146,8 +151,14 @@ impl<'a> DistillSession<'a> {
     }
 
     /// Run epochs `range` of the distillation loop on an existing student,
-    /// optionally under sparsity masks (the prune/fine-tune phases).
-    /// Returns the mean minibatch loss per epoch.
+    /// optionally under sparsity masks. Returns the mean minibatch loss per
+    /// epoch. Each call starts a fresh optimizer and freshly seeded data
+    /// streams; `range` only positions the learning-rate schedule.
+    ///
+    /// # Panics
+    /// Panics with the [`TrainError::Diverged`] text when an epoch keeps
+    /// producing non-finite losses or gradients through the whole rollback
+    /// budget of the default [`ResilienceConfig`].
     pub fn run_epochs(
         &self,
         mlp: &mut Mlp,
@@ -155,66 +166,121 @@ impl<'a> DistillSession<'a> {
         range: std::ops::Range<usize>,
         masks: Option<&LayerMasks>,
     ) -> Vec<f64> {
-        let mut trainer =
-            dlr_nn::train::SgdTrainer::new(mlp, self.cfg.hyper.dropout, self.cfg.seed ^ 0x7e57);
-        self.run_epochs_with(mlp, &mut trainer, schedule, range, masks)
+        let mut st = self.loop_state(mlp, masks, range.start);
+        run_epochs(
+            mlp,
+            &mut st,
+            &mut self.batches(),
+            schedule,
+            range.end,
+            &ResilienceConfig::default(),
+            None,
+            None,
+            &mut |_, _| {},
+        )
+        .map(|report| report.epoch_loss)
+        .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Like [`Self::run_epochs`] but with a caller-owned trainer so Adam
-    /// state persists across separate phase calls (train → prune → tune).
-    pub fn run_epochs_with(
+    /// [`Self::run_epochs`] from epoch 0 to `total_epochs` with
+    /// checkpoints in `ckpt_dir` (see [`dlr_nn::run_epochs`]): invoked
+    /// again after an interruption it finishes on the bits of an
+    /// uninterrupted run, which are the bits [`Self::run_epochs`] produces.
+    /// `injector`, when armed, drives a deterministic fault plan (tests).
+    ///
+    /// # Errors
+    /// See [`dlr_nn::run_epochs`].
+    pub fn run_epochs_resilient(
         &self,
         mlp: &mut Mlp,
-        trainer: &mut dlr_nn::train::SgdTrainer,
         schedule: &StepLr,
-        range: std::ops::Range<usize>,
-        masks: Option<&LayerMasks>,
-    ) -> Vec<f64> {
-        let f = self.num_features;
-        let n_real = self.real_targets.len();
+        total_epochs: usize,
+        res: &ResilienceConfig,
+        ckpt_dir: &Path,
+        injector: Option<&mut FaultInjector>,
+    ) -> Result<ResilientReport, TrainError> {
+        let mut st = self.loop_state(mlp, None, 0);
+        run_epochs(
+            mlp,
+            &mut st,
+            &mut self.batches(),
+            schedule,
+            total_epochs,
+            res,
+            Some(ckpt_dir),
+            injector,
+            &mut |_, _| {},
+        )
+    }
+
+    /// State of a `distill` run opening at `epoch`: fresh optimizer under
+    /// the session's trainer seed, streams seeded from the session seed.
+    fn loop_state(&self, mlp: &Mlp, masks: Option<&LayerMasks>, epoch: usize) -> LoopState {
+        let trainer = SgdTrainer::new(mlp, self.cfg.hyper.dropout, self.cfg.seed ^ 0x7e57);
+        let masks = masks.map_or_else(|| LayerMasks::none(mlp.layers().len()), Clone::clone);
+        let n = self.real_targets.len();
+        let mut st = LoopState::new("distill", trainer, masks, n, self.cfg.seed);
+        st.epoch = epoch;
+        st
+    }
+
+    /// This session's batches as a source for [`dlr_nn::run_epochs`]:
+    /// each a chunk of real documents plus freshly sampled, teacher-scored
+    /// midpoint points (§3).
+    pub fn batches(&self) -> SessionBatches<'_, 'a> {
         let bs = self.cfg.batch_size.max(2);
-        let synth_per_batch = ((bs as f32 * self.cfg.synthetic_fraction) as usize).min(bs - 1);
-        let real_per_batch = bs - synth_per_batch;
-
-        let mut order: Vec<usize> = (0..n_real).collect();
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-        let mut batch_rows: Vec<f32> = Vec::with_capacity(bs * f);
-        let mut batch_targets: Vec<f32> = Vec::with_capacity(bs);
-        let mut synth_raw: Vec<f32> = Vec::new();
-        let mut synth_scores: Vec<f32> = Vec::new();
-        let mut losses = Vec::new();
-        let mut synth_seed = self.cfg.seed ^ 0x51_17;
-
-        for epoch in range {
-            order.shuffle(&mut rng);
-            let lr = schedule.lr(epoch);
-            let mut epoch_loss = 0.0f64;
-            let mut batches = 0usize;
-            for chunk in order.chunks(real_per_batch) {
-                batch_rows.clear();
-                batch_targets.clear();
-                for &d in chunk {
-                    batch_rows.extend_from_slice(&self.real_rows[d * f..(d + 1) * f]);
-                    batch_targets.push(self.real_targets[d]);
-                }
-                // Synthetic half: sample raw, teacher-score raw, normalize.
-                if synth_per_batch > 0 {
-                    synth_raw.clear();
-                    synth_seed = synth_seed.wrapping_add(0x9e3779b97f4a7c15);
-                    self.sampler
-                        .sample_batch(synth_per_batch, synth_seed, &mut synth_raw);
-                    synth_scores.resize(synth_per_batch, 0.0);
-                    self.teacher.score_batch(&synth_raw, &mut synth_scores);
-                    self.normalizer.apply_matrix(&mut synth_raw);
-                    batch_rows.extend_from_slice(&synth_raw);
-                    batch_targets.extend_from_slice(&synth_scores);
-                }
-                epoch_loss += trainer.train_batch(mlp, &batch_rows, &batch_targets, lr, masks);
-                batches += 1;
-            }
-            losses.push(epoch_loss / batches.max(1) as f64);
+        SessionBatches {
+            session: self,
+            synth_per_batch: ((bs as f32 * self.cfg.synthetic_fraction) as usize).min(bs - 1),
+            synth_raw: Vec::new(),
+            synth_scores: Vec::new(),
         }
-        losses
+    }
+}
+
+/// [`DistillSession::batches`]: the real-plus-synthetic batch assembly.
+pub struct SessionBatches<'s, 'a> {
+    session: &'s DistillSession<'a>,
+    synth_per_batch: usize,
+    synth_raw: Vec<f32>,
+    synth_scores: Vec<f32>,
+}
+
+impl BatchSource for SessionBatches<'_, '_> {
+    fn num_docs(&self) -> usize {
+        self.session.real_targets.len()
+    }
+
+    fn docs_per_batch(&self) -> usize {
+        self.session.cfg.batch_size.max(2) - self.synth_per_batch
+    }
+
+    fn gather(
+        &mut self,
+        docs: &[usize],
+        seed: &mut u64,
+        rows: &mut Vec<f32>,
+        targets: &mut Vec<f32>,
+    ) {
+        let s = self.session;
+        let f = s.num_features;
+        for &d in docs {
+            rows.extend_from_slice(&s.real_rows[d * f..(d + 1) * f]);
+            targets.push(s.real_targets[d]);
+        }
+        // Synthetic half: sample raw, teacher-score raw, normalize.
+        if self.synth_per_batch > 0 {
+            self.synth_raw.clear();
+            *seed = seed.wrapping_add(0x9e3779b97f4a7c15);
+            s.sampler
+                .sample_batch(self.synth_per_batch, *seed, &mut self.synth_raw);
+            self.synth_scores.resize(self.synth_per_batch, 0.0);
+            s.teacher
+                .score_batch(&self.synth_raw, &mut self.synth_scores);
+            s.normalizer.apply_matrix(&mut self.synth_raw);
+            rows.extend_from_slice(&self.synth_raw);
+            targets.extend_from_slice(&self.synth_scores);
+        }
     }
 }
 

@@ -3,7 +3,7 @@
 
 /// Serializable snapshot of one tensor's Adam state — what a training
 /// checkpoint persists so a resumed run continues bit-exactly.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AdamState {
     /// First-moment estimate.
     pub m: Vec<f32>,
@@ -79,11 +79,16 @@ impl Adam {
 
     /// Snapshot the optimizer state for checkpointing.
     pub fn state(&self) -> AdamState {
-        AdamState {
-            m: self.m.clone(),
-            v: self.v.clone(),
-            t: self.t,
-        }
+        let mut out = AdamState::default();
+        self.state_into(&mut out);
+        out
+    }
+
+    /// [`Self::state`] into an existing snapshot, reusing its buffers.
+    pub fn state_into(&self, out: &mut AdamState) {
+        out.m.clone_from(&self.m);
+        out.v.clone_from(&self.v);
+        out.t = self.t;
     }
 
     /// Restore a snapshot taken by [`Adam::state`].

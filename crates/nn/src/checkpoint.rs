@@ -1,20 +1,25 @@
 //! Crash-safe training checkpoints.
 //!
-//! A [`Checkpoint`] captures *everything* the training loops mutate, so a
+//! A [`Checkpoint`] captures *everything* the epoch loop mutates, so a
 //! run resumed from one is bit-identical to a run that was never
 //! interrupted: the student weights, per-tensor Adam moments with their
-//! step counters, the scheduler position (next epoch), the data-order and
-//! dropout RNG streams, the pruning masks, the divergence-guard LR scale,
-//! and the frozen Distiller threshold of an in-flight prune schedule.
+//! step counters, the scheduler position (next epoch), the document order
+//! with the shuffle RNG that permutes it further, the dropout RNG stream,
+//! the pruning masks, the divergence-guard LR scale, and the frozen
+//! Distiller threshold of an in-flight prune schedule — under the tag of
+//! the schedule that wrote it, so another schedule cannot adopt it.
 //!
-//! Format (text, versioned, checksummed):
+//! Format (text, versioned, checksummed; checkpoints are scratch of one
+//! run, so older versions are not read):
 //!
 //! ```text
-//! dlr-ckpt v1 crc32 <8-hex> len <payload bytes>
+//! dlr-ckpt v2 crc32 <8-hex> len <payload bytes>
+//! tag <run tag>
 //! epoch <next epoch>
 //! lr-scale <f32>
 //! synth-seed <u64>
 //! shuffle-rng <u64> <u64> <u64> <u64>
+//! order <n> <a permutation of 0..n>
 //! threshold <f32|none>
 //! masks <num layers>
 //! mask <i> none              (or: mask <i> <len> <0/1 string>)
@@ -37,7 +42,8 @@
 use crate::checksum::crc32;
 use crate::mlp::Mlp;
 use crate::serialize::{read_mlp_bytes, write_mlp, MlpParseError};
-use crate::train::{LayerMasks, TrainerState};
+use crate::train::{LayerMasks, LoopState, TrainerState};
+use rand::rngs::StdRng;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -112,6 +118,9 @@ impl From<MlpParseError> for CheckpointError {
 /// A complete, resumable snapshot of a training run at an epoch boundary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
+    /// The schedule that wrote it (`distill`, `prune`, …): one token, no
+    /// whitespace.
+    pub tag: String,
     /// Next epoch to execute (epochs `0..epoch` are already applied).
     pub epoch: usize,
     /// Divergence-guard learning-rate scale carried across epochs.
@@ -120,6 +129,9 @@ pub struct Checkpoint {
     pub synth_seed: u64,
     /// Data-order (shuffle) RNG state at the boundary.
     pub shuffle_rng: [u64; 4],
+    /// The document order at the boundary — the shuffle is cumulative, so
+    /// the RNG state alone does not give the next epoch's order.
+    pub order: Vec<usize>,
     /// Frozen Distiller prune threshold, when a prune schedule is live.
     pub threshold: Option<f32>,
     /// Pruning masks in force (all-`none` outside a prune schedule).
@@ -131,17 +143,85 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
+    /// A checkpoint of the epoch loop's `st` and `mlp`.
+    pub(crate) fn of(st: &LoopState, mlp: &Mlp) -> Checkpoint {
+        Checkpoint {
+            tag: st.tag.to_string(),
+            epoch: st.epoch,
+            lr_scale: st.lr_scale,
+            synth_seed: st.synth_seed,
+            shuffle_rng: st.shuffle_rng.state(),
+            order: st.order.clone(),
+            threshold: st.threshold,
+            masks: st.masks.clone(),
+            trainer: st.trainer.export_state(),
+            mlp: mlp.clone(),
+        }
+    }
+
+    /// [`Self::of`] over a checkpoint taken earlier in the same run,
+    /// reusing its buffers.
+    pub(crate) fn capture(&mut self, st: &LoopState, mlp: &Mlp) {
+        self.epoch = st.epoch;
+        self.lr_scale = st.lr_scale;
+        self.synth_seed = st.synth_seed;
+        self.shuffle_rng = st.shuffle_rng.state();
+        self.order.clone_from(&st.order);
+        self.threshold = st.threshold;
+        self.masks.masks.clone_from(&st.masks.masks);
+        st.trainer.export_state_into(&mut self.trainer);
+        copy_params(&mut self.mlp, mlp);
+    }
+
+    /// Put this checkpoint back into `st` and `mlp` — how a rollback
+    /// returns to the last good epoch boundary and how a resumed run picks
+    /// up a stored one. The Adam state of a checkpoint fits its own model
+    /// (checked when it is parsed), so one that fits `st.trainer` holds
+    /// the architecture that trainer was built for.
+    ///
+    /// # Errors
+    /// Names the mismatch when the checkpoint does not fit the trainer or
+    /// orders another number of documents; `mlp` is not touched then.
+    pub(crate) fn restore(&self, st: &mut LoopState, mlp: &mut Mlp) -> Result<(), String> {
+        if self.order.len() != st.order.len() {
+            return Err(format!(
+                "checkpoint orders {} documents, the run has {}",
+                self.order.len(),
+                st.order.len()
+            ));
+        }
+        st.trainer.import_state(&self.trainer)?;
+        copy_params(mlp, &self.mlp);
+        st.epoch = self.epoch;
+        st.lr_scale = self.lr_scale;
+        st.synth_seed = self.synth_seed;
+        st.shuffle_rng = StdRng::from_state(self.shuffle_rng);
+        st.order.clone_from(&self.order);
+        st.threshold = self.threshold;
+        st.masks.masks.clone_from(&self.masks.masks);
+        Ok(())
+    }
+
     /// Serialize into `w` (header + checksummed payload).
     ///
     /// # Errors
-    /// Propagates I/O failures.
+    /// Propagates I/O failures; rejects a tag that is not one token.
     pub fn write_to<W: Write>(&self, mut w: W) -> Result<(), CheckpointError> {
+        if !is_token(&self.tag) {
+            return Err(bad(2, "tag must be one non-empty token".into()));
+        }
         let mut p = Vec::new();
+        writeln!(p, "tag {}", self.tag)?;
         writeln!(p, "epoch {}", self.epoch)?;
         writeln!(p, "lr-scale {}", self.lr_scale)?;
         writeln!(p, "synth-seed {}", self.synth_seed)?;
         let s = self.shuffle_rng;
         writeln!(p, "shuffle-rng {} {} {} {}", s[0], s[1], s[2], s[3])?;
+        write!(p, "order {}", self.order.len())?;
+        for d in &self.order {
+            write!(p, " {d}")?;
+        }
+        writeln!(p)?;
         match self.threshold {
             Some(t) => writeln!(p, "threshold {t}")?,
             None => writeln!(p, "threshold none")?,
@@ -183,7 +263,7 @@ impl Checkpoint {
         }
         writeln!(p, "mlp")?;
         write_mlp(&self.mlp, &mut p)?;
-        writeln!(w, "dlr-ckpt v1 crc32 {:08x} len {}", crc32(&p), p.len())?;
+        writeln!(w, "dlr-ckpt v2 crc32 {:08x} len {}", crc32(&p), p.len())?;
         w.write_all(&p)?;
         Ok(())
     }
@@ -201,7 +281,7 @@ impl Checkpoint {
             .ok_or(CheckpointError::BadHeader)?;
         let header = std::str::from_utf8(&bytes[..nl]).map_err(|_| CheckpointError::BadHeader)?;
         let rest = header
-            .strip_prefix("dlr-ckpt v1 crc32 ")
+            .strip_prefix("dlr-ckpt v2 crc32 ")
             .ok_or(CheckpointError::BadHeader)?;
         let (crc_hex, len_part) = rest.split_once(" len ").ok_or(CheckpointError::BadHeader)?;
         let expected = u32::from_str_radix(crc_hex, 16).map_err(|_| CheckpointError::BadHeader)?;
@@ -250,6 +330,16 @@ impl Checkpoint {
     }
 }
 
+/// Copy weights and biases between two models of one architecture.
+fn copy_params(dst: &mut Mlp, src: &Mlp) {
+    for (d, s) in dst.layers_mut().iter_mut().zip(src.layers()) {
+        d.weights
+            .as_mut_slice()
+            .copy_from_slice(s.weights.as_slice());
+        d.bias.copy_from_slice(&s.bias);
+    }
+}
+
 /// Line cursor over the structural head of the payload; tracks 1-based
 /// file line numbers (the checkpoint header is line 1) for error context.
 struct Cursor<'a> {
@@ -273,6 +363,11 @@ impl<'a> Cursor<'a> {
 
 fn bad(line: usize, message: String) -> CheckpointError {
     CheckpointError::Malformed { line, message }
+}
+
+/// Whether `tag` fits on the `tag` line: non-empty, no whitespace.
+fn is_token(tag: &str) -> bool {
+    !tag.is_empty() && !tag.contains(char::is_whitespace)
 }
 
 /// Parse exactly `n` u64 values after `prefix`.
@@ -307,6 +402,28 @@ fn parse_floats(
         return Err(bad(at, format!("value {} is not finite", i + 1)));
     }
     Ok(vals)
+}
+
+/// Parse `order <n> <n indices>`; the indices must be a permutation of
+/// `0..n`, or a resumed run would skip some documents and repeat others.
+fn parse_order(line: &str, at: usize) -> Result<Vec<usize>, CheckpointError> {
+    let mut fields = line
+        .strip_prefix("order ")
+        .ok_or_else(|| bad(at, "expected `order <n> ...`".into()))?
+        .split_whitespace();
+    let n: usize = fields
+        .next()
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| bad(at, "bad order length".into()))?;
+    let order: Vec<usize> = fields
+        .map(|v| v.parse().ok().filter(|&d| d < n))
+        .collect::<Option<_>>()
+        .ok_or_else(|| bad(at, "order entries must be integers below its length".into()))?;
+    let mut seen = vec![false; order.len()];
+    if order.len() != n || order.iter().any(|&d| std::mem::replace(&mut seen[d], true)) {
+        return Err(bad(at, format!("order is not a permutation of 0..{n}")));
+    }
+    Ok(order)
 }
 
 /// Parse one per-layer Adam block (`adam-w` or `adam-b`), shape-checked
@@ -363,6 +480,12 @@ fn parse_payload(payload: &[u8]) -> Result<Checkpoint, CheckpointError> {
     };
 
     let (line, at) = cur.next()?;
+    let tag = line
+        .strip_prefix("tag ")
+        .filter(|t| is_token(t))
+        .ok_or_else(|| bad(at, "expected `tag <token>`".into()))?
+        .to_string();
+    let (line, at) = cur.next()?;
     let epoch: usize = line
         .strip_prefix("epoch ")
         .and_then(|v| v.parse().ok())
@@ -374,6 +497,8 @@ fn parse_payload(payload: &[u8]) -> Result<Checkpoint, CheckpointError> {
     let (line, at) = cur.next()?;
     let sr = parse_u64s(line, "shuffle-rng", 4, at)?;
     let shuffle_rng = [sr[0], sr[1], sr[2], sr[3]];
+    let (line, at) = cur.next()?;
+    let order = parse_order(line, at)?;
     let (line, at) = cur.next()?;
     let threshold = match line
         .strip_prefix("threshold ")
@@ -455,10 +580,12 @@ fn parse_payload(payload: &[u8]) -> Result<Checkpoint, CheckpointError> {
     let adam_b = read_adam(&mut cur, "adam-b", &mlp, true)?;
 
     Ok(Checkpoint {
+        tag,
         epoch,
         lr_scale,
         synth_seed,
         shuffle_rng,
+        order,
         threshold,
         masks,
         trainer: TrainerState {
@@ -603,10 +730,12 @@ mod tests {
                 .collect(),
         );
         Checkpoint {
+            tag: "prune".into(),
             epoch: 5,
             lr_scale: 0.25,
             synth_seed: 0xDEAD_BEEF,
             shuffle_rng: [1, 2, 3, u64::MAX],
+            order: vec![2, 0, 3, 1],
             threshold: Some(0.037),
             masks,
             trainer: trainer.export_state(),
@@ -684,10 +813,13 @@ mod tests {
     #[test]
     fn trainer_state_restores_into_a_fresh_trainer() {
         let ck = sample_checkpoint();
-        let restored = SgdTrainer::from_state(&ck.mlp, &ck.trainer).unwrap();
+        let mut restored = SgdTrainer::new(&ck.mlp, 0.0, 0);
+        restored.import_state(&ck.trainer).unwrap();
         assert_eq!(restored.export_state(), ck.trainer);
         // Shape mismatch is a typed failure, not a panic.
         let other = Mlp::from_hidden(4, &[6, 3], 1);
-        assert!(SgdTrainer::from_state(&other, &ck.trainer).is_err());
+        assert!(SgdTrainer::new(&other, 0.0, 0)
+            .import_state(&ck.trainer)
+            .is_err());
     }
 }

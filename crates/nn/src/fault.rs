@@ -3,7 +3,7 @@
 //! The training-side sibling of `dlr-core::fault`'s serving injector: a
 //! scripted plan of faults — NaN losses at chosen batch steps, a simulated
 //! crash after a chosen epoch, on-disk corruption of a just-written
-//! checkpoint — that the self-healing training drivers consult at
+//! checkpoint — that the epoch loop (`train::run_epochs`) consults at
 //! well-defined points. Every fault is counted when it fires, so the
 //! integration suite can assert that detection and recovery statistics
 //! match the injected plan *exactly*.

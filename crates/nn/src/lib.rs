@@ -50,6 +50,6 @@ pub use serialize::{
     MlpParseError,
 };
 pub use train::{
-    train_mse, train_mse_resilient, BatchAnomaly, GuardConfig, GuardStats, LayerMasks, TrainConfig,
-    TrainError, TrainReport, TrainerState,
+    run_epochs, BatchAnomaly, BatchSource, GuardConfig, GuardStats, LayerMasks, LoopState,
+    ResilienceConfig, ResilientReport, Rows, TrainError, TrainerState,
 };

@@ -12,9 +12,8 @@
 //! b <out floats>
 //! ```
 //!
-//! The checksum covers every byte after the header line. Legacy v1 files
-//! (no checksum line) are still accepted by [`read_mlp`]; [`write_mlp`]
-//! always emits v2.
+//! The checksum covers every byte after the header line; a file without
+//! one (the retired v1 header) is rejected as [`MlpParseError::BadHeader`].
 //!
 //! Loading also *validates* the model: non-finite weights or biases and
 //! layer shapes that do not chain are rejected with line/field context —
@@ -129,21 +128,15 @@ impl std::error::Error for MlpLoadError {
 }
 
 /// The format/version string an artifact's header line claims
-/// (`dlr-mlp v1` or `dlr-mlp v2`), or `None` when the first line is not
-/// a dlr-mlp header at all.
+/// (`dlr-mlp v2`), or `None` when the first line is not a readable
+/// dlr-mlp header.
 pub fn mlp_format_version(bytes: &[u8]) -> Option<&'static str> {
     let nl = bytes
         .iter()
         .position(|&b| b == b'\n')
         .unwrap_or(bytes.len());
     let header = std::str::from_utf8(bytes.get(..nl)?).ok()?;
-    if header == "dlr-mlp v1" {
-        Some("dlr-mlp v1")
-    } else if header.starts_with("dlr-mlp v2 ") {
-        Some("dlr-mlp v2")
-    } else {
-        None
-    }
+    header.starts_with("dlr-mlp v2 ").then_some("dlr-mlp v2")
 }
 
 /// [`read_mlp`] from a filesystem path, with failures annotated with the
@@ -221,8 +214,7 @@ pub fn write_mlp<W: Write>(mlp: &Mlp, mut w: W) -> Result<(), MlpParseError> {
     Ok(())
 }
 
-/// Read an MLP written by [`write_mlp`] (v2, checksummed) or by the
-/// legacy v1 writer (no checksum).
+/// Read an MLP written by [`write_mlp`].
 ///
 /// # Errors
 /// [`MlpParseError`] on any structural problem, checksum or length
@@ -244,33 +236,30 @@ pub fn read_mlp_bytes(bytes: &[u8]) -> Result<Mlp, MlpParseError> {
         .ok_or(MlpParseError::BadHeader)?;
     let header = std::str::from_utf8(&bytes[..nl]).map_err(|_| MlpParseError::BadHeader)?;
     let payload = &bytes[nl + 1..];
-    if header == "dlr-mlp v1" {
-        // Legacy: no checksum to verify.
-    } else if let Some(rest) = header.strip_prefix("dlr-mlp v2 crc32 ") {
-        let (crc_hex, len_part) = rest.split_once(" len ").ok_or(MlpParseError::BadHeader)?;
-        let expected = u32::from_str_radix(crc_hex, 16).map_err(|_| MlpParseError::BadHeader)?;
-        let expected_bytes: usize = len_part.parse().map_err(|_| MlpParseError::BadHeader)?;
-        if payload.len() != expected_bytes {
-            return Err(MlpParseError::Truncated {
-                expected_bytes,
-                actual_bytes: payload.len(),
-            });
-        }
-        let found = crc32(payload);
-        if found != expected {
-            return Err(MlpParseError::ChecksumMismatch { expected, found });
-        }
-    } else {
-        return Err(MlpParseError::BadHeader);
+    let rest = header
+        .strip_prefix("dlr-mlp v2 crc32 ")
+        .ok_or(MlpParseError::BadHeader)?;
+    let (crc_hex, len_part) = rest.split_once(" len ").ok_or(MlpParseError::BadHeader)?;
+    let expected = u32::from_str_radix(crc_hex, 16).map_err(|_| MlpParseError::BadHeader)?;
+    let expected_bytes: usize = len_part.parse().map_err(|_| MlpParseError::BadHeader)?;
+    if payload.len() != expected_bytes {
+        return Err(MlpParseError::Truncated {
+            expected_bytes,
+            actual_bytes: payload.len(),
+        });
+    }
+    let found = crc32(payload);
+    if found != expected {
+        return Err(MlpParseError::ChecksumMismatch { expected, found });
     }
     let text = std::str::from_utf8(payload)
         .map_err(|e| MlpParseError::Io(format!("payload is not valid UTF-8: {e}")))?;
     parse_mlp_body(text)
 }
 
-/// Parse the line-oriented body shared by v1 and v2 (everything after the
-/// header line). Line numbers in errors count from the start of the file,
-/// i.e. the first body line is line 2.
+/// Parse the line-oriented body (everything after the header line). Line
+/// numbers in errors count from the start of the file, i.e. the first
+/// body line is line 2.
 fn parse_mlp_body(text: &str) -> Result<Mlp, MlpParseError> {
     let mut lines = text.lines();
     let mut lineno = 1usize; // the header was line 1
@@ -362,6 +351,13 @@ mod tests {
     use super::*;
     use std::io::Cursor;
 
+    /// `body` under a valid v2 header: how the tests below hand the
+    /// parser a malformed body that passes the length and checksum gate.
+    fn sealed(body: &str) -> String {
+        let (crc, len) = (crc32(body.as_bytes()), body.len());
+        format!("dlr-mlp v2 crc32 {crc:08x} len {len}\n{body}")
+    }
+
     #[test]
     fn roundtrip_is_exact() {
         let mlp = Mlp::from_hidden(7, &[5, 3], 42);
@@ -397,17 +393,22 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_files_still_load() {
+    fn v1_is_rejected() {
         let mlp = Mlp::from_hidden(3, &[4], 9);
         let mut buf = Vec::new();
         write_mlp(&mlp, &mut buf).unwrap();
-        // Rebuild the file as a v1 writer would have: plain header, no
-        // checksum, identical body.
+        // The file as the retired v1 writer left it: plain header, no
+        // length or checksum, identical body. Nothing vouches for the
+        // body, so it does not load.
         let text = String::from_utf8(buf).unwrap();
         let body = text.split_once('\n').unwrap().1;
         let v1 = format!("dlr-mlp v1\n{body}");
-        let back = read_mlp(Cursor::new(v1.as_bytes())).unwrap();
-        assert_eq!(mlp, back);
+        assert_eq!(
+            read_mlp(Cursor::new(v1.as_bytes())).unwrap_err(),
+            MlpParseError::BadHeader
+        );
+        assert_eq!(mlp_format_version(v1.as_bytes()), None);
+        assert_eq!(read_mlp(Cursor::new(sealed(body))).unwrap(), mlp);
     }
 
     #[test]
@@ -453,8 +454,8 @@ mod tests {
         write_mlp(&mlp, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         let body = text.split_once('\n').unwrap().1;
-        // Poison the second value of the first weight row, keeping the
-        // header legacy so the checksum does not trip first.
+        // Poison the second value of the first weight row, re-sealed so
+        // the checksum does not trip first.
         let poisoned: Vec<String> = body
             .lines()
             .map(|l| {
@@ -467,8 +468,8 @@ mod tests {
                 }
             })
             .collect();
-        let v1 = format!("dlr-mlp v1\n{}\n", poisoned.join("\n"));
-        let err = read_mlp(Cursor::new(v1.as_bytes())).unwrap_err();
+        let file = sealed(&format!("{}\n", poisoned.join("\n")));
+        let err = read_mlp(Cursor::new(file)).unwrap_err();
         // Line 4 is the first weight row: header, `layers`, `layer`, `w`.
         assert_eq!(err, MlpParseError::NonFinite { line: 4, index: 2 });
     }
@@ -476,8 +477,8 @@ mod tests {
     #[test]
     fn unchained_layer_dims_rejected() {
         // layer 0 is 2→3 but layer 1 claims 4 inputs.
-        let text = "dlr-mlp v1\nlayers 2\nlayer 2 3 relu6\nw 1 2\nw 3 4\nw 5 6\nb 0 0 0\nlayer 4 1 identity\nw 1 2 3 4\nb 0\n";
-        let err = read_mlp(Cursor::new(text.as_bytes())).unwrap_err();
+        let text = sealed("layers 2\nlayer 2 3 relu6\nw 1 2\nw 3 4\nw 5 6\nb 0 0 0\nlayer 4 1 identity\nw 1 2 3 4\nb 0\n");
+        let err = read_mlp(Cursor::new(text)).unwrap_err();
         match err {
             MlpParseError::Malformed { line, message } => {
                 assert_eq!(line, 8);
@@ -494,7 +495,7 @@ mod tests {
         write_mlp(&mlp, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         let body = text.split_once('\n').unwrap().1;
-        // Drop one value from the first weight row (as a v1 file, so the
+        // Drop one value from the first weight row (re-sealed, so the
         // structural error is reached rather than the checksum).
         let corrupted: Vec<String> = body
             .lines()
@@ -508,8 +509,8 @@ mod tests {
                 }
             })
             .collect();
-        let v1 = format!("dlr-mlp v1\n{}", corrupted.join("\n"));
-        let err = read_mlp(Cursor::new(v1.as_bytes())).unwrap_err();
+        let file = sealed(&corrupted.join("\n"));
+        let err = read_mlp(Cursor::new(file)).unwrap_err();
         assert!(matches!(err, MlpParseError::Malformed { .. }));
     }
 
@@ -557,10 +558,7 @@ mod tests {
             mlp_format_version(b"dlr-mlp v2 crc32 00000000 len 0\n"),
             Some("dlr-mlp v2")
         );
-        assert_eq!(
-            mlp_format_version(b"dlr-mlp v1\nlayers 1\n"),
-            Some("dlr-mlp v1")
-        );
+        assert_eq!(mlp_format_version(b"dlr-mlp v1\nlayers 1\n"), None);
         assert_eq!(mlp_format_version(b"pytorch\n"), None);
         assert_eq!(mlp_format_version(b""), None);
     }

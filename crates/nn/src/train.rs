@@ -6,9 +6,13 @@
 //! first layer (Table 9), and optional per-layer binary *masks* that keep
 //! pruned weights at exactly zero through fine-tuning (the Distiller
 //! behaviour the paper relies on).
+//!
+//! [`run_epochs`] is the workspace's one epoch loop: distillation, the
+//! prune/fine-tune schedule and pointwise label training all drive it,
+//! each with its own [`BatchSource`] and caller-built [`LoopState`].
 
 use crate::adam::{Adam, AdamState};
-use crate::checkpoint::CheckpointError;
+use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointManager};
 use crate::fault::FaultInjector;
 use crate::mlp::{transpose_into, Mlp};
 use crate::scheduler::StepLr;
@@ -17,13 +21,14 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
+use std::path::Path;
 
 /// Binary keep-masks, one optional mask per layer's weight tensor
 /// (`1.0` = trainable, `0.0` = pruned). Layers without a mask train
 /// normally.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LayerMasks {
-    masks: Vec<Option<Vec<f32>>>,
+    pub(crate) masks: Vec<Option<Vec<f32>>>,
 }
 
 impl LayerMasks {
@@ -73,7 +78,7 @@ impl LayerMasks {
     }
 }
 
-/// Divergence-guard configuration for the self-healing training loops.
+/// Divergence-guard configuration of the epoch loop ([`run_epochs`]).
 #[derive(Debug, Clone, Copy)]
 pub struct GuardConfig {
     /// Per-layer gradient-norm clip over `[dW; db]` (`0` disables).
@@ -118,20 +123,12 @@ impl GuardStats {
             BatchAnomaly::NonFiniteGradient { .. } => self.nonfinite_gradients += 1,
         }
     }
-
-    /// Fold another stats block into this one.
-    pub fn merge(&mut self, other: &GuardStats) {
-        self.nonfinite_losses += other.nonfinite_losses;
-        self.nonfinite_gradients += other.nonfinite_gradients;
-        self.clipped_batches += other.clipped_batches;
-        self.rollbacks += other.rollbacks;
-    }
 }
 
 /// A numerical anomaly detected by the guard during one batch. After an
 /// anomaly the model may be *partially updated* (layers later in the
-/// backward pass stepped before the bad gradient surfaced) — the guarded
-/// drivers always roll the whole state back to the last good snapshot.
+/// backward pass stepped before the bad gradient surfaced) — the epoch
+/// loop always rolls the whole state back to the last good boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchAnomaly {
     /// The batch loss was NaN or infinite.
@@ -155,7 +152,7 @@ impl std::fmt::Display for BatchAnomaly {
     }
 }
 
-/// Terminal failures of the self-healing training loops.
+/// Terminal failures of the epoch loop ([`run_epochs`]).
 #[derive(Debug)]
 pub enum TrainError {
     /// The divergence guard exhausted its rollback budget for one epoch.
@@ -219,7 +216,7 @@ pub struct GuardedBatch {
 /// tensor plus the dropout RNG stream. Together with the model weights,
 /// the scheduler epoch and the data-order RNG this is everything needed
 /// to resume training bit-exactly.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TrainerState {
     /// Per-layer Adam state for the weight tensors.
     pub adam_w: Vec<AdamState>,
@@ -283,21 +280,29 @@ impl SgdTrainer {
         }
     }
 
-    /// The dropout probability this trainer was built with.
-    pub fn dropout(&self) -> f32 {
-        self.dropout
-    }
-
     /// Snapshot the optimizer + RNG state for checkpointing or in-memory
     /// rollback. Scratch buffers are not captured — they carry no
     /// information across batches.
     pub fn export_state(&self) -> TrainerState {
-        TrainerState {
-            adam_w: self.adam_w.iter().map(Adam::state).collect(),
-            adam_b: self.adam_b.iter().map(Adam::state).collect(),
-            dropout: self.dropout,
-            rng: self.rng.state(),
+        let mut out = TrainerState::default();
+        self.export_state_into(&mut out);
+        out
+    }
+
+    /// [`Self::export_state`] into an existing snapshot, reusing its
+    /// buffers — the epoch loop overwrites one snapshot per epoch.
+    pub fn export_state_into(&self, out: &mut TrainerState) {
+        for (opts, states) in [
+            (&self.adam_w, &mut out.adam_w),
+            (&self.adam_b, &mut out.adam_b),
+        ] {
+            states.resize_with(opts.len(), AdamState::default);
+            for (opt, state) in opts.iter().zip(states) {
+                opt.state_into(state);
+            }
         }
+        out.dropout = self.dropout;
+        out.rng = self.rng.state();
     }
 
     /// Restore a snapshot taken by [`Self::export_state`].
@@ -324,16 +329,6 @@ impl SgdTrainer {
         self.dropout = state.dropout;
         self.rng = StdRng::from_state(state.rng);
         Ok(())
-    }
-
-    /// Build a trainer for `mlp` and immediately restore `state` into it.
-    ///
-    /// # Errors
-    /// Rejects a state whose shapes do not match `mlp`.
-    pub fn from_state(mlp: &Mlp, state: &TrainerState) -> Result<SgdTrainer, String> {
-        let mut trainer = SgdTrainer::new(mlp, state.dropout, 0);
-        trainer.import_state(state)?;
-        Ok(trainer)
     }
 
     /// Apply pruning masks to both the weights *and* this trainer's Adam
@@ -369,15 +364,8 @@ impl SgdTrainer {
         lr: f32,
         masks: Option<&LayerMasks>,
     ) -> f64 {
-        let n = targets.len();
-        self.train_batch_custom(mlp, rows, n, lr, masks, |preds, grad| {
-            let mut loss = 0.0f64;
-            for ((&p, &t), g) in preds.iter().zip(targets).zip(grad.iter_mut()) {
-                let err = p - t;
-                loss += (err as f64) * (err as f64);
-                *g = 2.0 * err / n as f32;
-            }
-            loss / n as f64
+        self.train_batch_custom(mlp, rows, targets.len(), lr, masks, |preds, grad| {
+            mse_loss_grad(preds, targets, grad)
         })
     }
 
@@ -405,24 +393,15 @@ impl SgdTrainer {
         guard: &GuardConfig,
         poison: bool,
     ) -> Result<GuardedBatch, BatchAnomaly> {
-        let n = targets.len();
         self.train_batch_impl(
             mlp,
             rows,
-            n,
+            targets.len(),
             lr,
             masks,
             Some(guard),
             poison,
-            |preds, grad| {
-                let mut loss = 0.0f64;
-                for ((&p, &t), g) in preds.iter().zip(targets).zip(grad.iter_mut()) {
-                    let err = p - t;
-                    loss += (err as f64) * (err as f64);
-                    *g = 2.0 * err / n as f32;
-                }
-                loss / n as f64
-            },
+            |preds, grad| mse_loss_grad(preds, targets, grad),
         )
     }
 
@@ -647,163 +626,262 @@ impl SgdTrainer {
     }
 }
 
-/// Epoch-level training configuration for [`train_mse`].
-#[derive(Debug, Clone)]
-pub struct TrainConfig {
-    /// Number of passes over the data.
-    pub epochs: usize,
+/// Mean squared error of `preds` against `targets` and its gradient with
+/// respect to each prediction.
+fn mse_loss_grad(preds: &[f32], targets: &[f32], grad: &mut [f32]) -> f64 {
+    let n = targets.len();
+    let mut loss = 0.0f64;
+    for ((&p, &t), g) in preds.iter().zip(targets).zip(grad.iter_mut()) {
+        let err = p - t;
+        loss += (err as f64) * (err as f64);
+        *g = 2.0 * err / n as f32;
+    }
+    loss / n as f64
+}
+
+/// Where the epoch loop's batches come from. The loop owns the shuffled
+/// document order; a source turns one slice of it into a batch.
+pub trait BatchSource {
+    /// Documents the order ranges over.
+    fn num_docs(&self) -> usize;
+
+    /// Documents of the order consumed per batch.
+    fn docs_per_batch(&self) -> usize;
+
+    /// Append the batch for `docs` to `rows` (row-major) and `targets`;
+    /// both arrive empty. `seed` is [`LoopState::synth_seed`], the only
+    /// stream state a source may keep, so that rollback can rewind it.
+    fn gather(
+        &mut self,
+        docs: &[usize],
+        seed: &mut u64,
+        rows: &mut Vec<f32>,
+        targets: &mut Vec<f32>,
+    );
+}
+
+/// The plain source: an in-memory `(rows, targets)` pair, `rows` being
+/// row-major `targets.len() × input_dim`.
+#[derive(Debug, Clone, Copy)]
+pub struct Rows<'a> {
+    /// Feature rows.
+    pub rows: &'a [f32],
+    /// One target per row.
+    pub targets: &'a [f32],
     /// Minibatch size.
     pub batch_size: usize,
-    /// Learning-rate schedule (per epoch).
-    pub schedule: StepLr,
-    /// Dropout after the first layer (0 disables).
-    pub dropout: f32,
-    /// Shuffle seed; batches reshuffle every epoch.
-    pub seed: u64,
 }
 
-impl Default for TrainConfig {
+impl BatchSource for Rows<'_> {
+    fn num_docs(&self) -> usize {
+        self.targets.len()
+    }
+
+    fn docs_per_batch(&self) -> usize {
+        self.batch_size
+    }
+
+    fn gather(&mut self, docs: &[usize], _: &mut u64, rows: &mut Vec<f32>, targets: &mut Vec<f32>) {
+        let f = self.rows.len() / self.targets.len();
+        for &d in docs {
+            rows.extend_from_slice(&self.rows[d * f..(d + 1) * f]);
+            targets.push(self.targets[d]);
+        }
+    }
+}
+
+/// Every mutable piece of epoch-loop state — with the weights, exactly
+/// what a [`Checkpoint`] persists. The caller constructs it, so the
+/// trainer seed and the seeding of the streams stay the caller's decision.
+pub struct LoopState {
+    /// Names the schedule this run belongs to (`distill`, `prune`, …);
+    /// recovery refuses a checkpoint written under another tag.
+    pub tag: &'static str,
+    /// Next epoch to execute.
+    pub epoch: usize,
+    /// Divergence-guard learning-rate scale (1 until a rollback).
+    pub lr_scale: f32,
+    /// The document order, shuffled cumulatively: each epoch permutes
+    /// what the previous one left.
+    pub order: Vec<usize>,
+    /// RNG behind the shuffle.
+    pub shuffle_rng: StdRng,
+    /// Stream state of the batch source (the midpoint sampler's seed);
+    /// see [`BatchSource::gather`].
+    pub synth_seed: u64,
+    /// Frozen Distiller prune threshold, once a prune schedule set it.
+    pub threshold: Option<f32>,
+    /// Pruning masks in force.
+    pub masks: LayerMasks,
+    /// Optimizer and dropout stream.
+    pub trainer: SgdTrainer,
+}
+
+impl LoopState {
+    /// State at epoch 0 with no LR back-off and no threshold, the data
+    /// streams seeded by [`Self::seed_streams`] over `num_docs` documents.
+    pub fn new(
+        tag: &'static str,
+        trainer: SgdTrainer,
+        masks: LayerMasks,
+        num_docs: usize,
+        seed: u64,
+    ) -> LoopState {
+        let mut st = LoopState {
+            tag,
+            epoch: 0,
+            lr_scale: 1.0,
+            order: vec![0; num_docs],
+            shuffle_rng: StdRng::seed_from_u64(seed),
+            synth_seed: 0,
+            threshold: None,
+            masks,
+            trainer,
+        };
+        st.seed_streams(seed);
+        st
+    }
+
+    /// Restart the data streams from `seed`: identity order, shuffle RNG
+    /// seeded with it, the source's stream with `seed ^ 0x5117`.
+    pub fn seed_streams(&mut self, seed: u64) {
+        self.order.iter_mut().enumerate().for_each(|(i, o)| *o = i);
+        self.shuffle_rng = StdRng::seed_from_u64(seed);
+        self.synth_seed = seed ^ 0x51_17;
+    }
+}
+
+/// Robustness settings of a run.
+#[derive(Debug, Clone)]
+pub struct ResilienceConfig {
+    /// Divergence-guard settings (clipping, backoff, rollback budget).
+    pub guard: GuardConfig,
+    /// With a checkpoint directory: checkpoint every this many epochs
+    /// (values below 1 read as 1; the final epoch always checkpoints).
+    pub checkpoint_every: usize,
+    /// Checkpoints retained on disk (see [`CheckpointManager`]).
+    pub keep_last: usize,
+}
+
+impl Default for ResilienceConfig {
     fn default() -> Self {
-        TrainConfig {
-            epochs: 20,
-            batch_size: 256,
-            schedule: StepLr::constant(1e-3),
-            dropout: 0.0,
-            seed: 7,
+        ResilienceConfig {
+            guard: GuardConfig::default(),
+            checkpoint_every: 1,
+            keep_last: 3,
         }
     }
 }
 
-/// Per-epoch training losses.
+/// What a run did, beyond the trained weights.
 #[derive(Debug, Clone, Default)]
-pub struct TrainReport {
-    /// Mean minibatch MSE per epoch.
+pub struct ResilientReport {
+    /// Mean minibatch loss per epoch *executed in this invocation*.
     pub epoch_loss: Vec<f64>,
+    /// Epoch the run resumed from, when a checkpoint was recovered.
+    pub resumed_from: Option<usize>,
+    /// Guard statistics (anomalies, clips, rollbacks) for this invocation.
+    pub stats: GuardStats,
+    /// Corrupt/unreadable checkpoints skipped during recovery.
+    pub checkpoints_skipped: usize,
 }
 
-/// Train `mlp` to regress `targets` from row-major `rows`
-/// (`n × input_dim`) with minibatch Adam.
+/// The epoch loop: runs epochs `st.epoch..total_epochs` of minibatch Adam
+/// on `source`'s batches — shuffle the order, gather each batch, step
+/// under the divergence guard. An epoch that meets a non-finite loss or
+/// gradient is rolled back to its boundary (weights, Adam moments, order,
+/// RNG streams, masks) and retried with the learning rate scaled by
+/// `guard.lr_backoff`, compounding over consecutive retries and kept for
+/// the rest of the run.
 ///
-/// # Panics
-/// Panics on shape mismatches or an empty dataset.
-pub fn train_mse(
-    mlp: &mut Mlp,
-    rows: &[f32],
-    targets: &[f32],
-    cfg: &TrainConfig,
-    masks: Option<&LayerMasks>,
-) -> TrainReport {
-    let f = mlp.input_dim();
-    let n = targets.len();
-    assert!(n > 0, "empty training set");
-    assert_eq!(rows.len(), n * f, "rows must be n × input_dim");
-    let mut trainer = SgdTrainer::new(mlp, cfg.dropout, cfg.seed ^ 0x5eed);
-    let mut order: Vec<usize> = (0..n).collect();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut batch_rows = Vec::new();
-    let mut batch_targets = Vec::new();
-    let mut report = TrainReport::default();
-    for epoch in 0..cfg.epochs {
-        order.shuffle(&mut rng);
-        let lr = cfg.schedule.lr(epoch);
-        let mut epoch_loss = 0.0;
-        let mut batches = 0usize;
-        for chunk in order.chunks(cfg.batch_size.max(1)) {
-            batch_rows.clear();
-            batch_targets.clear();
-            for &d in chunk {
-                batch_rows.extend_from_slice(&rows[d * f..(d + 1) * f]);
-                batch_targets.push(targets[d]);
-            }
-            epoch_loss += trainer.train_batch(mlp, &batch_rows, &batch_targets, lr, masks);
-            batches += 1;
-        }
-        report.epoch_loss.push(epoch_loss / batches.max(1) as f64);
-    }
-    report
-}
-
-/// Self-healing variant of [`train_mse`]: every batch runs under the
-/// divergence guard, and an epoch that produces a non-finite loss or
-/// gradient is rolled back to its starting state (weights, Adam moments,
-/// shuffle order, RNG streams) and retried with the learning rate scaled
-/// by `guard.lr_backoff` — compounding across consecutive retries and
-/// persisting for the rest of the run. After `guard.max_rollbacks`
-/// rollbacks on a single epoch the run fails with
-/// [`TrainError::Diverged`].
+/// `hook` runs once per attempt of an epoch, before its shuffle and
+/// *inside* the rollback scope, so a retried epoch replays it on the
+/// restored state; the prune schedule derives its masks there.
 ///
-/// `injector`, when given, deterministically poisons the scheduled
-/// batches with NaN losses (see [`FaultInjector`]) so the guard paths can
-/// be exercised and counted exactly.
+/// With a `ckpt_dir`, the run first adopts the newest intact checkpoint
+/// there (corrupt files are skipped and counted), then writes one every
+/// `res.checkpoint_every` epochs and after the last. A checkpoint carries
+/// the whole [`LoopState`], so an interrupted and resumed run ends on the
+/// bits of an uninterrupted one, and checkpointing itself changes none.
+/// An armed `injector` (tests and drills) poisons scheduled batches with
+/// NaN and, at checkpoint boundaries, corrupts the file just written or
+/// stops the run with [`TrainError::InjectedCrash`].
 ///
 /// # Errors
-/// [`TrainError::Diverged`] when an epoch keeps diverging through the
-/// whole rollback budget.
+/// [`TrainError::Diverged`] when one epoch spends `guard.max_rollbacks`
+/// rollbacks and diverges again; [`TrainError::Checkpoint`] on checkpoint
+/// I/O; [`TrainError::Incompatible`] when the recovered checkpoint has
+/// another tag, lies past `total_epochs`, or does not fit model or source.
 ///
 /// # Panics
-/// Panics on shape mismatches or an empty dataset.
-pub fn train_mse_resilient(
+/// Panics when `mlp`, `st` and `source` do not fit one another.
+#[allow(clippy::too_many_arguments)]
+pub fn run_epochs<S: BatchSource>(
     mlp: &mut Mlp,
-    rows: &[f32],
-    targets: &[f32],
-    cfg: &TrainConfig,
-    masks: Option<&LayerMasks>,
-    guard: &GuardConfig,
+    st: &mut LoopState,
+    source: &mut S,
+    schedule: &StepLr,
+    total_epochs: usize,
+    res: &ResilienceConfig,
+    ckpt_dir: Option<&Path>,
     mut injector: Option<&mut FaultInjector>,
-) -> Result<(TrainReport, GuardStats), TrainError> {
-    let f = mlp.input_dim();
-    let n = targets.len();
-    assert!(n > 0, "empty training set");
-    assert_eq!(rows.len(), n * f, "rows must be n × input_dim");
-    let mut trainer = SgdTrainer::new(mlp, cfg.dropout, cfg.seed ^ 0x5eed);
-    let mut order: Vec<usize> = (0..n).collect();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut batch_rows = Vec::new();
-    let mut batch_targets = Vec::new();
-    let mut report = TrainReport::default();
-    let mut stats = GuardStats::default();
-    let mut lr_scale = 1.0f32;
+    hook: &mut dyn FnMut(&mut LoopState, &mut Mlp),
+) -> Result<ResilientReport, TrainError> {
+    assert_eq!(st.order.len(), source.num_docs(), "order/source mismatch");
+    let mut report = ResilientReport::default();
+    let manager = match ckpt_dir {
+        None => None,
+        Some(dir) => {
+            let manager = CheckpointManager::new(dir, res.keep_last)?;
+            let (found, skipped) = manager.load_latest_valid()?;
+            report.checkpoints_skipped = skipped.len();
+            if let Some(ck) = found {
+                if ck.tag != st.tag || ck.epoch > total_epochs {
+                    return Err(TrainError::Incompatible(format!(
+                        "{} holds a `{}` run at epoch {}; this is a `{}` run of {total_epochs}",
+                        dir.display(),
+                        ck.tag,
+                        ck.epoch,
+                        st.tag
+                    )));
+                }
+                ck.restore(st, mlp).map_err(TrainError::Incompatible)?;
+                report.resumed_from = Some(ck.epoch);
+            }
+            Some(manager)
+        }
+    };
+
+    // The last good epoch boundary: what a rollback restores and what a
+    // checkpoint writes. Allocated once, overwritten per epoch.
+    let mut boundary = Checkpoint::of(st, mlp);
+    let (mut rows, mut targets) = (Vec::new(), Vec::new());
     let mut global_step = 0u64;
-    for epoch in 0..cfg.epochs {
-        // Last-good snapshot for rollback: everything an epoch mutates.
-        let snap_mlp = mlp.clone();
-        let snap_trainer = trainer.export_state();
-        let snap_rng = rng.state();
-        let snap_order = order.clone();
-        let base_scale = lr_scale;
+    while st.epoch < total_epochs {
+        let epoch = st.epoch;
         let mut attempts = 0u32;
         let epoch_mean = loop {
-            order.shuffle(&mut rng);
-            let lr = cfg.schedule.lr(epoch) * lr_scale;
-            let mut epoch_loss = 0.0;
-            let mut batches = 0usize;
-            let mut anomaly = None;
-            for chunk in order.chunks(cfg.batch_size.max(1)) {
-                batch_rows.clear();
-                batch_targets.clear();
-                for &d in chunk {
-                    batch_rows.extend_from_slice(&rows[d * f..(d + 1) * f]);
-                    batch_targets.push(targets[d]);
-                }
+            hook(st, mlp);
+            st.order.shuffle(&mut st.shuffle_rng);
+            let lr = schedule.lr(epoch) * st.lr_scale;
+            let masks = (!st.masks.is_empty()).then_some(&st.masks);
+            let (mut loss_sum, mut batches, mut anomaly) = (0.0f64, 0usize, None);
+            for docs in st.order.chunks(source.docs_per_batch().max(1)) {
+                rows.clear();
+                targets.clear();
+                source.gather(docs, &mut st.synth_seed, &mut rows, &mut targets);
                 let poison = injector
                     .as_mut()
                     .is_some_and(|inj| inj.poison_step(global_step));
                 global_step += 1;
-                match trainer.train_batch_guarded(
-                    mlp,
-                    &batch_rows,
-                    &batch_targets,
-                    lr,
-                    masks,
-                    guard,
-                    poison,
-                ) {
+                match st
+                    .trainer
+                    .train_batch_guarded(mlp, &rows, &targets, lr, masks, &res.guard, poison)
+                {
                     Ok(b) => {
-                        epoch_loss += b.loss;
-                        if b.clipped {
-                            stats.clipped_batches += 1;
-                        }
+                        loss_sum += b.loss;
                         batches += 1;
+                        report.stats.clipped_batches += u64::from(b.clipped);
                     }
                     Err(a) => {
                         anomaly = Some(a);
@@ -811,32 +889,39 @@ pub fn train_mse_resilient(
                     }
                 }
             }
-            match anomaly {
-                None => break epoch_loss / batches.max(1) as f64,
-                Some(a) => {
-                    stats.record(&a);
-                    if attempts == guard.max_rollbacks {
-                        return Err(TrainError::Diverged {
-                            epoch,
-                            rollbacks: attempts,
-                            anomaly: a,
-                        });
-                    }
-                    attempts += 1;
-                    stats.rollbacks += 1;
-                    *mlp = snap_mlp.clone();
-                    trainer
-                        .import_state(&snap_trainer)
-                        .expect("snapshot matches trainer");
-                    rng = StdRng::from_state(snap_rng);
-                    order.copy_from_slice(&snap_order);
-                    lr_scale = base_scale * guard.lr_backoff.powi(attempts as i32);
-                }
+            let Some(anomaly) = anomaly else {
+                break loss_sum / batches.max(1) as f64;
+            };
+            report.stats.record(&anomaly);
+            if attempts == res.guard.max_rollbacks {
+                return Err(TrainError::Diverged {
+                    epoch,
+                    rollbacks: attempts,
+                    anomaly,
+                });
             }
+            attempts += 1;
+            report.stats.rollbacks += 1;
+            boundary.restore(st, mlp).expect("taken from this very run");
+            st.lr_scale = boundary.lr_scale * res.guard.lr_backoff.powi(attempts as i32);
         };
         report.epoch_loss.push(epoch_mean);
+        st.epoch = epoch + 1;
+        boundary.capture(st, mlp);
+
+        let Some(manager) = &manager else { continue };
+        if st.epoch.is_multiple_of(res.checkpoint_every.max(1)) || st.epoch == total_epochs {
+            let path = manager.save(&boundary)?;
+            if let Some(inj) = injector.as_mut() {
+                inj.corrupt_checkpoint(epoch, &path)
+                    .map_err(CheckpointError::from)?;
+                if inj.should_crash_after(epoch) {
+                    return Err(TrainError::InjectedCrash { epoch });
+                }
+            }
+        }
     }
-    Ok((report, stats))
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -846,6 +931,64 @@ mod tests {
     use crate::fault::FaultPlan;
     use crate::layer::Linear;
     use dlr_dense::Matrix;
+
+    /// Settings of a plain run of the one loop in these tests.
+    struct Fit {
+        epochs: usize,
+        batch_size: usize,
+        schedule: StepLr,
+        dropout: f32,
+        seed: u64,
+        guard: GuardConfig,
+    }
+
+    impl Default for Fit {
+        fn default() -> Self {
+            Fit {
+                epochs: 20,
+                batch_size: 256,
+                schedule: StepLr::constant(1e-3),
+                dropout: 0.0,
+                seed: 7,
+                guard: GuardConfig::default(),
+            }
+        }
+    }
+
+    /// Drive [`run_epochs`] over a plain `(rows, targets)` source, no
+    /// checkpoints, no hook.
+    fn fit(
+        mlp: &mut Mlp,
+        rows: &[f32],
+        targets: &[f32],
+        cfg: &Fit,
+        masks: Option<&LayerMasks>,
+        injector: Option<&mut FaultInjector>,
+    ) -> Result<ResilientReport, TrainError> {
+        let trainer = SgdTrainer::new(mlp, cfg.dropout, cfg.seed ^ 0x5eed);
+        let masks = masks.map_or_else(|| LayerMasks::none(mlp.layers().len()), Clone::clone);
+        let mut st = LoopState::new("test", trainer, masks, targets.len(), cfg.seed);
+        let mut source = Rows {
+            rows,
+            targets,
+            batch_size: cfg.batch_size,
+        };
+        let res = ResilienceConfig {
+            guard: cfg.guard,
+            ..Default::default()
+        };
+        run_epochs(
+            mlp,
+            &mut st,
+            &mut source,
+            &cfg.schedule,
+            cfg.epochs,
+            &res,
+            None,
+            injector,
+            &mut |_, _| {},
+        )
+    }
 
     /// Finite-difference gradient check on a tiny network: the definitive
     /// correctness test for the backward pass.
@@ -922,13 +1065,13 @@ mod tests {
             v += 0.31;
         }
         let mut mlp = Mlp::from_hidden(2, &[16], 3);
-        let cfg = TrainConfig {
+        let cfg = Fit {
             epochs: 200,
             batch_size: 64,
             schedule: StepLr::constant(5e-3),
             ..Default::default()
         };
-        let report = train_mse(&mut mlp, &rows, &targets, &cfg, None);
+        let report = fit(&mut mlp, &rows, &targets, &cfg, None, None).unwrap();
         let first = report.epoch_loss[0];
         let last = *report.epoch_loss.last().unwrap();
         assert!(last < first * 0.05, "loss {first} -> {last}");
@@ -950,12 +1093,12 @@ mod tests {
             .map(|i| ((i * 13) % 7) as f32 / 3.0 - 1.0)
             .collect();
         let targets: Vec<f32> = (0..64).map(|i| (i as f32 * 0.7).sin()).collect();
-        let cfg = TrainConfig {
+        let cfg = Fit {
             epochs: 5,
             batch_size: 16,
             ..Default::default()
         };
-        train_mse(&mut mlp, &rows, &targets, &cfg, Some(&masks));
+        fit(&mut mlp, &rows, &targets, &cfg, Some(&masks), None).unwrap();
         for (i, &w) in mlp.layers()[0].weights.as_slice().iter().enumerate() {
             if mask[i] == 0.0 {
                 assert_eq!(w, 0.0, "pruned weight {i} drifted to {w}");
@@ -971,14 +1114,14 @@ mod tests {
         let targets: Vec<f32> = (0..32).map(|i| (i as f32 * 0.11).cos()).collect();
         let mut with = Mlp::from_hidden(2, &[8, 4], 5);
         let mut without = with.clone();
-        let mk = |dropout| TrainConfig {
+        let mk = |dropout| Fit {
             epochs: 3,
             batch_size: 8,
             dropout,
             ..Default::default()
         };
-        train_mse(&mut with, &rows, &targets, &mk(0.5), None);
-        train_mse(&mut without, &rows, &targets, &mk(0.0), None);
+        fit(&mut with, &rows, &targets, &mk(0.5), None, None).unwrap();
+        fit(&mut without, &rows, &targets, &mk(0.0), None, None).unwrap();
         assert_ne!(with, without, "dropout must perturb training");
         // Inference is deterministic for a fixed model.
         let mut a = vec![0.0f32; 32];
@@ -1013,14 +1156,14 @@ mod tests {
         let rows: Vec<f32> = (0..2 * 16).map(|i| (i as f32).sin()).collect();
         let targets: Vec<f32> = (0..16).map(|i| (i as f32).cos()).collect();
         let mut mlp = Mlp::from_hidden(2, &[4], 11);
-        let cfg = TrainConfig {
+        let cfg = Fit {
             epochs: 1,
             batch_size: 16,
             schedule: StepLr::new(1e-3, 0.0, &[1]),
             seed: 3,
             ..Default::default()
         };
-        train_mse(&mut mlp, &rows, &targets, &cfg, None);
+        fit(&mut mlp, &rows, &targets, &cfg, None, None).unwrap();
         let after_one = mlp.clone();
         // Continue for epochs 1..5 at lr 0 (fresh call replays epoch 0 at
         // full lr; so instead check lr(≥1) = 0 directly through StepLr).
@@ -1132,7 +1275,8 @@ mod tests {
         }
         let state = ta.export_state();
         let mut b = a.clone();
-        let mut tb = SgdTrainer::from_state(&b, &state).unwrap();
+        let mut tb = SgdTrainer::new(&b, 0.0, 0);
+        tb.import_state(&state).unwrap();
         for _ in 0..3 {
             ta.train_batch(&mut a, &rows, &targets, 1e-3, None);
             tb.train_batch(&mut b, &rows, &targets, 1e-3, None);
@@ -1168,66 +1312,29 @@ mod tests {
     }
 
     #[test]
-    fn resilient_run_without_faults_matches_unscaled_trajectory() {
-        let (rows, targets) = toy_data(32, 2);
-        let cfg = TrainConfig {
-            epochs: 4,
-            batch_size: 8,
-            dropout: 0.2,
-            seed: 77,
-            ..Default::default()
-        };
-        let mut plain = Mlp::from_hidden(2, &[6], 1);
-        let mut resilient = plain.clone();
-        // The resilient driver consumes RNG identically when nothing
-        // fires, so the two public entry points agree bit-for-bit.
-        let rep_a = train_mse(&mut plain, &rows, &targets, &cfg, None);
-        let (rep_b, stats) = train_mse_resilient(
-            &mut resilient,
-            &rows,
-            &targets,
-            &cfg,
-            None,
-            &GuardConfig::default(),
-            None,
-        )
-        .unwrap();
-        assert_eq!(plain, resilient);
-        assert_eq!(rep_a.epoch_loss, rep_b.epoch_loss);
-        assert_eq!(stats, GuardStats::default());
-    }
-
-    #[test]
     fn injected_nan_rolls_back_and_recovers_bit_exactly() {
         let (rows, targets) = toy_data(32, 2);
-        let cfg = TrainConfig {
+        // lr_backoff = 1.0: the retry replays at the same lr, so after the
+        // rollback the trajectory must rejoin the clean run exactly.
+        let cfg = Fit {
             epochs: 4,
             batch_size: 8,
             dropout: 0.2,
             seed: 41,
-            ..Default::default()
-        };
-        // lr_backoff = 1.0: the retry replays at the same lr, so after the
-        // rollback the trajectory must rejoin the clean run exactly.
-        let guard = GuardConfig {
-            lr_backoff: 1.0,
+            guard: GuardConfig {
+                lr_backoff: 1.0,
+                ..Default::default()
+            },
             ..Default::default()
         };
         let mut clean = Mlp::from_hidden(2, &[6], 2);
         let mut faulted = clean.clone();
-        let (rep_clean, _) =
-            train_mse_resilient(&mut clean, &rows, &targets, &cfg, None, &guard, None).unwrap();
+        let rep_clean = fit(&mut clean, &rows, &targets, &cfg, None, None).unwrap();
+        // Step 5 is the second batch of epoch 1: the rollback must also
+        // return the cumulative order to what epoch 0 left.
         let mut inj = FaultInjector::new(FaultPlan::nan_at(&[5]));
-        let (rep_faulted, stats) = train_mse_resilient(
-            &mut faulted,
-            &rows,
-            &targets,
-            &cfg,
-            None,
-            &guard,
-            Some(&mut inj),
-        )
-        .unwrap();
+        let rep_faulted = fit(&mut faulted, &rows, &targets, &cfg, None, Some(&mut inj)).unwrap();
+        let stats = &rep_faulted.stats;
         assert_eq!(inj.counters.nan_injected, 1);
         assert_eq!(stats.nonfinite_losses, 1);
         assert_eq!(stats.rollbacks, 1);
@@ -1238,31 +1345,24 @@ mod tests {
     #[test]
     fn lr_backoff_compounds_and_persists() {
         let (rows, targets) = toy_data(32, 2);
-        let cfg = TrainConfig {
+        let cfg = Fit {
             epochs: 3,
             batch_size: 8,
             seed: 9,
-            ..Default::default()
-        };
-        let guard = GuardConfig {
-            lr_backoff: 0.5,
-            max_rollbacks: 3,
+            guard: GuardConfig {
+                lr_backoff: 0.5,
+                max_rollbacks: 3,
+                ..Default::default()
+            },
             ..Default::default()
         };
         // Two NaNs on consecutive attempts of epoch 0 (step 1, then the
         // first replayed batch which lands at global step 2).
         let mut inj = FaultInjector::new(FaultPlan::nan_at(&[1, 2]));
         let mut mlp = Mlp::from_hidden(2, &[4], 6);
-        let (_, stats) = train_mse_resilient(
-            &mut mlp,
-            &rows,
-            &targets,
-            &cfg,
-            None,
-            &guard,
-            Some(&mut inj),
-        )
-        .unwrap();
+        let stats = fit(&mut mlp, &rows, &targets, &cfg, None, Some(&mut inj))
+            .unwrap()
+            .stats;
         assert_eq!(stats.rollbacks, 2);
         assert_eq!(stats.nonfinite_losses, 2);
         assert_eq!(inj.counters.nan_injected, 2);
@@ -1271,14 +1371,14 @@ mod tests {
     #[test]
     fn rollback_budget_exhaustion_is_a_typed_error() {
         let (rows, targets) = toy_data(16, 2);
-        let cfg = TrainConfig {
+        let cfg = Fit {
             epochs: 2,
             batch_size: 8,
             seed: 4,
-            ..Default::default()
-        };
-        let guard = GuardConfig {
-            max_rollbacks: 2,
+            guard: GuardConfig {
+                max_rollbacks: 2,
+                ..Default::default()
+            },
             ..Default::default()
         };
         // Poison a dense run of steps so every retry of epoch 0 hits one:
@@ -1286,16 +1386,7 @@ mod tests {
         // step 2 — budget (2 rollbacks) exhausted.
         let mut inj = FaultInjector::new(FaultPlan::nan_at(&[0, 1, 2]));
         let mut mlp = Mlp::from_hidden(2, &[4], 6);
-        let err = train_mse_resilient(
-            &mut mlp,
-            &rows,
-            &targets,
-            &cfg,
-            None,
-            &guard,
-            Some(&mut inj),
-        )
-        .unwrap_err();
+        let err = fit(&mut mlp, &rows, &targets, &cfg, None, Some(&mut inj)).unwrap_err();
         match err {
             TrainError::Diverged {
                 epoch,

@@ -18,15 +18,16 @@
 //! sensitivity analysis (Figure 10), and [`schedule`] the full Table 9
 //! prune/fine-tune pipeline specialized to the paper's *early-layers
 //! efficiency-oriented pruning*: only the first layer is sparsified, and
-//! everything (its survivors plus all other layers) is fine-tuned.
+//! everything (its survivors plus all other layers) is fine-tuned. The
+//! schedule is one call of the workspace's epoch loop
+//! (`dlr_nn::run_epochs`) with the mask derivation as its per-epoch hook:
+//! [`prune_first_layer`] runs it plainly, [`prune_first_layer_resilient`]
+//! with checkpoints and resume — same weights either way.
 
 pub mod magnitude;
 pub mod schedule;
 pub mod sensitivity;
 
 pub use magnitude::{level_mask, threshold_mask, PruneMethod};
-pub use schedule::{
-    prune_first_layer, prune_first_layer_resilient, PruneConfig, PruneOutcome,
-    ResilientPruneOutcome,
-};
+pub use schedule::{prune_first_layer, prune_first_layer_resilient, PruneConfig, PruneOutcome};
 pub use sensitivity::{dynamic_sensitivity, static_sensitivity, SensitivityCurve};

@@ -11,9 +11,14 @@
 //! [`PruneMethod::Level`] — and is frozen for the fine-tuning phase.
 
 use crate::magnitude::{han_threshold, level_mask, mask_below, mask_sparsity, PruneMethod};
-use dlr_distill::{DistillSession, ResilienceConfig, ResilientReport};
+use dlr_distill::DistillSession;
 use dlr_nn::train::SgdTrainer;
-use dlr_nn::{FaultInjector, LayerMasks, Mlp, StepLr, TrainError};
+use dlr_nn::{
+    BatchSource, FaultInjector, GuardStats, LayerMasks, LoopState, Mlp, ResilienceConfig, StepLr,
+    TrainError,
+};
+use std::collections::BTreeMap;
+use std::path::Path;
 
 /// Configuration for [`prune_first_layer`].
 #[derive(Debug, Clone, Copy)]
@@ -42,7 +47,8 @@ impl PruneConfig {
     }
 }
 
-/// Result of a prune/fine-tune run.
+/// Result of a prune/fine-tune run. On a resumed run the per-epoch
+/// vectors cover the epochs *executed in this invocation*.
 #[derive(Debug, Clone)]
 pub struct PruneOutcome {
     /// Achieved sparsity of the pruned layer after the final mask.
@@ -51,109 +57,43 @@ pub struct PruneOutcome {
     pub epoch_loss: Vec<f64>,
     /// Sparsity after each pruning epoch (length `E_p`).
     pub sparsity_curve: Vec<f64>,
+    /// What the divergence guard caught and did.
+    pub stats: GuardStats,
+    /// Epoch the run resumed from, when a checkpoint was recovered.
+    pub resumed_from: Option<usize>,
+    /// Corrupt/unreadable checkpoints skipped during recovery.
+    pub checkpoints_skipped: usize,
 }
 
 /// Run the prune/fine-tune schedule on a distilled student, in place.
 ///
-/// `session` supplies the distillation loop (real + synthetic batches,
-/// teacher scores, normalizer); its `hyper` provides `E_p`, `E_ft`, the
-/// learning rate and the γ schedule. Adam state persists across both
-/// phases, as in a single Distiller run.
+/// `session` supplies the distillation batches (real + synthetic, teacher
+/// scores, normalizer); its `hyper` provides `E_p`, `E_ft`, the learning
+/// rate and the γ schedule. Adam state persists across both phases, as in
+/// a single Distiller run.
 ///
 /// # Panics
-/// Panics when `cfg.layer` is out of range for `mlp`.
+/// Panics when `cfg.layer` is out of range for `mlp`, and with the
+/// [`TrainError::Diverged`] text when an epoch keeps producing non-finite
+/// losses or gradients through the default rollback budget.
 pub fn prune_first_layer(
     session: &DistillSession<'_>,
     mlp: &mut Mlp,
     cfg: &PruneConfig,
 ) -> PruneOutcome {
-    assert!(
-        cfg.layer < mlp.layers().len(),
-        "layer {} out of range",
-        cfg.layer
-    );
-    let hyper = &session.config().hyper;
-    let schedule = StepLr::new(hyper.learning_rate, hyper.gamma, &hyper.gamma_steps);
-    let mut trainer = SgdTrainer::new(mlp, hyper.dropout, session.config().seed ^ 0x9121);
-    let mut masks = LayerMasks::none(mlp.layers().len());
-    let mut epoch_loss = Vec::new();
-    let mut sparsity_curve = Vec::new();
-
-    // The Distiller threshold is computed once, on the pre-pruning weights.
-    let fixed_threshold = match cfg.method {
-        PruneMethod::Threshold { sensitivity } => Some(han_threshold(
-            mlp.layers()[cfg.layer].weights.as_slice(),
-            sensitivity,
-        )),
-        PruneMethod::Level { .. } => None,
-    };
-
-    // Phase 1: E_p epochs of prune + fine-tune.
-    for e in 0..hyper.prune_epochs {
-        let weights = mlp.layers()[cfg.layer].weights.as_slice();
-        let mask = match cfg.method {
-            PruneMethod::Threshold { .. } => {
-                mask_below(weights, fixed_threshold.expect("set above"))
-            }
-            PruneMethod::Level { sparsity } => {
-                // Linear ramp to the target across the pruning phase.
-                let ramp = sparsity * (e + 1) as f64 / hyper.prune_epochs as f64;
-                level_mask(weights, ramp)
-            }
-        };
-        sparsity_curve.push(mask_sparsity(&mask));
-        masks.set(cfg.layer, mask);
-        // Zeroes the pruned weights AND their Adam moments — stale
-        // momentum must not resurrect a pruned weight on the next step.
-        trainer.apply_masks(mlp, &masks);
-        let losses = session.run_epochs_with(mlp, &mut trainer, &schedule, e..e + 1, Some(&masks));
-        epoch_loss.extend(losses);
-    }
-
-    // Phase 2: E_ft fine-tuning epochs under the frozen final mask.
-    let start = hyper.prune_epochs;
-    let losses = session.run_epochs_with(
-        mlp,
-        &mut trainer,
-        &schedule,
-        start..start + hyper.finetune_epochs,
-        Some(&masks),
-    );
-    epoch_loss.extend(losses);
-    masks.apply(mlp);
-
-    PruneOutcome {
-        final_sparsity: mlp.layers()[cfg.layer].sparsity(),
-        epoch_loss,
-        sparsity_curve,
-    }
+    run_schedule(session, mlp, cfg, &ResilienceConfig::default(), None, None)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Result of a crash-safe prune/fine-tune run.
-#[derive(Debug, Clone)]
-pub struct ResilientPruneOutcome {
-    /// Achieved sparsity of the pruned layer.
-    pub final_sparsity: f64,
-    /// Sparsity after each pruning epoch *executed in this invocation*.
-    pub sparsity_curve: Vec<f64>,
-    /// Losses, guard statistics and resume provenance.
-    pub report: ResilientReport,
-}
-
-/// Crash-safe variant of [`prune_first_layer`]: the same Table 9
-/// prune/fine-tune schedule, driven through
-/// [`DistillSession::run_epochs_resilient_with`] so every epoch boundary
-/// checkpoints (masks, the frozen Distiller threshold, Adam moments, RNG
-/// streams) and divergence rolls back instead of poisoning the weights.
-/// Invoke again with the same `ckpt_dir` after an interruption to resume
-/// bit-exactly.
-///
-/// The mask re-derivation runs as the epoch-preparation hook, *inside*
-/// the rollback scope: a retried epoch re-derives its mask from the
-/// restored weights, so recovery is deterministic.
+/// [`prune_first_layer`] with checkpoints in `ckpt_dir`, which carry the
+/// whole schedule state (masks and the frozen Distiller threshold
+/// included): invoked again after an interruption it finishes on the bits
+/// of an uninterrupted run, which are the bits [`prune_first_layer`]
+/// produces. Checkpoints are tagged `prune`; a directory holding another
+/// schedule's is refused.
 ///
 /// # Errors
-/// See [`DistillSession::run_epochs_resilient`].
+/// See [`dlr_nn::run_epochs`].
 ///
 /// # Panics
 /// Panics when `cfg.layer` is out of range for `mlp`.
@@ -162,60 +102,85 @@ pub fn prune_first_layer_resilient(
     mlp: &mut Mlp,
     cfg: &PruneConfig,
     res: &ResilienceConfig,
-    ckpt_dir: &std::path::Path,
+    ckpt_dir: &Path,
     injector: Option<&mut FaultInjector>,
-) -> Result<ResilientPruneOutcome, TrainError> {
-    assert!(
-        cfg.layer < mlp.layers().len(),
-        "layer {} out of range",
-        cfg.layer
-    );
-    let hyper = session.config().hyper.clone();
+) -> Result<PruneOutcome, TrainError> {
+    run_schedule(session, mlp, cfg, res, Some(ckpt_dir), injector)
+}
+
+/// The schedule: one [`dlr_nn::run_epochs`] call of `E_p + E_ft` epochs
+/// whose per-epoch hook derives the pruning-phase masks.
+fn run_schedule(
+    session: &DistillSession<'_>,
+    mlp: &mut Mlp,
+    cfg: &PruneConfig,
+    res: &ResilienceConfig,
+    ckpt_dir: Option<&Path>,
+    injector: Option<&mut FaultInjector>,
+) -> Result<PruneOutcome, TrainError> {
+    let PruneConfig { layer, method } = *cfg;
+    assert!(layer < mlp.layers().len(), "layer {layer} out of range");
+    let hyper = &session.config().hyper;
     let schedule = StepLr::new(hyper.learning_rate, hyper.gamma, &hyper.gamma_steps);
-    let total = hyper.prune_epochs + hyper.finetune_epochs;
-    let layer = cfg.layer;
-    let method = cfg.method;
-    // epoch → sparsity; a retried epoch's prep simply overwrites.
-    let mut curve: std::collections::BTreeMap<usize, f64> = std::collections::BTreeMap::new();
-    let mut prep = |epoch: usize,
-                    mlp: &mut Mlp,
-                    trainer: &mut SgdTrainer,
-                    masks: &mut LayerMasks,
-                    threshold: &mut Option<f32>| {
-        if epoch >= hyper.prune_epochs {
-            return; // fine-tune phase: the frozen mask rides in `masks`
+    let seed = session.config().seed;
+    let trainer = SgdTrainer::new(mlp, hyper.dropout, seed ^ 0x9121);
+    let masks = LayerMasks::none(mlp.layers().len());
+    let mut source = session.batches();
+    let mut st = LoopState::new("prune", trainer, masks, source.num_docs(), seed);
+    // epoch → sparsity; a retried epoch's hook simply overwrites.
+    let mut curve = BTreeMap::new();
+    // Runs inside the rollback scope: a retried or resumed epoch derives
+    // its mask again from the restored weights.
+    let mut hook = |st: &mut LoopState, mlp: &mut Mlp| {
+        // Every pruning epoch, and the fine-tune phase as a whole, starts
+        // from freshly seeded data streams (DESIGN.md, "Known deviations").
+        if st.epoch <= hyper.prune_epochs {
+            st.seed_streams(seed);
+        }
+        if st.epoch >= hyper.prune_epochs {
+            return; // fine-tuning: the mask stays as the last pruning epoch left it
         }
         let weights = mlp.layers()[layer].weights.as_slice();
         let mask = match method {
             PruneMethod::Threshold { sensitivity } => {
-                // Frozen on first use and persisted in every checkpoint,
-                // so resumed runs prune against the same bar.
-                let t = *threshold.get_or_insert_with(|| han_threshold(weights, sensitivity));
-                mask_below(weights, t)
+                // The Distiller threshold is computed once, on the
+                // pre-pruning weights, and rides in the checkpointed state
+                // so a resumed run prunes against the same bar.
+                let bar = st
+                    .threshold
+                    .get_or_insert_with(|| han_threshold(weights, sensitivity));
+                mask_below(weights, *bar)
             }
             PruneMethod::Level { sparsity } => {
-                let ramp = sparsity * (epoch + 1) as f64 / hyper.prune_epochs as f64;
+                // Linear ramp to the target across the pruning phase.
+                let ramp = sparsity * (st.epoch + 1) as f64 / hyper.prune_epochs as f64;
                 level_mask(weights, ramp)
             }
         };
-        curve.insert(epoch, mask_sparsity(&mask));
-        masks.set(layer, mask);
-        trainer.apply_masks(mlp, masks);
+        curve.insert(st.epoch, mask_sparsity(&mask));
+        st.masks.set(layer, mask);
+        // Zeroes the pruned weights AND their Adam moments — stale
+        // momentum must not resurrect a pruned weight on the next step.
+        st.trainer.apply_masks(mlp, &st.masks);
     };
-    let report = session.run_epochs_resilient_with(
+    let report = dlr_nn::run_epochs(
         mlp,
+        &mut st,
+        &mut source,
         &schedule,
-        total,
+        hyper.prune_epochs + hyper.finetune_epochs,
         res,
         ckpt_dir,
         injector,
-        Some(&mut prep),
+        &mut hook,
     )?;
-    let sparsity_curve = curve.into_values().collect();
-    Ok(ResilientPruneOutcome {
-        final_sparsity: mlp.layers()[cfg.layer].sparsity(),
-        sparsity_curve,
-        report,
+    Ok(PruneOutcome {
+        final_sparsity: mlp.layers()[layer].sparsity(),
+        epoch_loss: report.epoch_loss,
+        sparsity_curve: curve.into_values().collect(),
+        stats: report.stats,
+        resumed_from: report.resumed_from,
+        checkpoints_skipped: report.checkpoints_skipped,
     })
 }
 

@@ -857,9 +857,9 @@ impl ModelRegistry {
     }
 }
 
-/// Validate `artifact` as a `dlr-mlp v2` (or legacy v1) model and wrap
-/// it in a scorer. `expect_features` is the registry's dimension, when
-/// there is an incumbent to match.
+/// Validate `artifact` as a `dlr-mlp v2` model and wrap it in a scorer.
+/// `expect_features` is the registry's dimension, when there is an
+/// incumbent to match.
 fn parse_artifact(
     version: &str,
     artifact: &[u8],

@@ -1,11 +1,14 @@
 //! Crash-safe distillation demo: checkpoint, kill, resume, same weights.
 //!
 //! Runs a small deterministic distillation (synthetic MSN30K-shaped data,
-//! LambdaMART teacher, fixed seeds) under the resilient training driver.
-//! Every epoch boundary writes an atomic, checksummed checkpoint into
-//! `--ckpt-dir`; starting the program again with the same directory
-//! resumes from the newest intact checkpoint and produces **bit-identical**
-//! final weights to a run that was never interrupted.
+//! LambdaMART teacher, fixed seeds) through
+//! `DistillSession::run_epochs_resilient` — the one epoch loop
+//! (`dlr_nn::run_epochs`) given a checkpoint directory. Every epoch
+//! boundary writes an atomic, checksummed checkpoint into `--ckpt-dir`;
+//! starting the program again with the same directory resumes from the
+//! newest intact checkpoint and produces **bit-identical** final weights
+//! to a run that was never interrupted (and to `DistillSession::run_epochs`,
+//! which writes no checkpoint at all).
 //!
 //! ```sh
 //! # crash after epoch 3 (exits with code 42)...

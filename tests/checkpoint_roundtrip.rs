@@ -1,10 +1,11 @@
 //! Property tests for the checkpoint format: serialize → parse is the
 //! identity over the whole state space the training loops can produce —
-//! arbitrary architectures, RNG states (any `[u64; 4]`), Adam moments
-//! mid-trajectory, partial masks, and the optional frozen threshold.
+//! arbitrary architectures, run tags, RNG states (any `[u64; 4]`),
+//! document orders (any permutation), Adam moments mid-trajectory, partial
+//! masks, and the optional frozen threshold.
 
 use distilled_ltr::nn::train::{LayerMasks, SgdTrainer};
-use distilled_ltr::nn::{Checkpoint, CheckpointError, Mlp};
+use distilled_ltr::nn::{crc32, Checkpoint, CheckpointError, Mlp};
 use proptest::prelude::*;
 
 /// Architecture + trajectory parameters that generate a realistic
@@ -17,10 +18,13 @@ struct CheckpointCase {
     seed: u64,
     steps: usize,
     dropout: f32,
+    tag: &'static str,
     epoch: usize,
     lr_scale: f32,
     synth_seed: u64,
     shuffle_rng: [u64; 4],
+    /// Sort keys; their argsort is the document order.
+    order_keys: Vec<u64>,
     threshold: Option<f32>,
     mask_layer: Option<usize>,
 }
@@ -43,21 +47,25 @@ fn case_strategy() -> impl Strategy<Value = CheckpointCase> {
     );
     let state = (0usize..1000, 0usize..4, arb_u64(), rng_state());
     let extras = (0u8..2, 0.0f32..2.0, 0u8..2, 0usize..3);
-    (arch, state, extras).prop_map(
+    let run = (0usize..3, collection::vec(arb_u64(), 0..40));
+    (arch, state, extras, run).prop_map(
         |(
             (features, hidden, seed, steps, drop_i),
             (epoch, scale_i, synth_seed, shuffle_rng),
             (has_thr, thr, has_mask, mask_layer),
+            (tag_i, order_keys),
         )| CheckpointCase {
             features,
             hidden,
             seed,
             steps,
             dropout: [0.0f32, 0.25, 0.5][drop_i],
+            tag: ["distill", "prune", "x-1"][tag_i],
             epoch,
             lr_scale: [1.0f32, 0.5, 0.125, 0.0625][scale_i],
             synth_seed,
             shuffle_rng,
+            order_keys,
             threshold: (has_thr == 1).then_some(thr),
             mask_layer: (has_mask == 1).then_some(mask_layer),
         },
@@ -83,16 +91,72 @@ fn build_checkpoint(case: &CheckpointCase) -> Checkpoint {
         let nw = mlp.layers()[li].num_weights();
         masks.set(li, (0..nw).map(|i| f32::from(i % 2 == 0)).collect());
     }
+    let mut order: Vec<usize> = (0..case.order_keys.len()).collect();
+    order.sort_by_key(|&d| case.order_keys[d]);
     Checkpoint {
+        tag: case.tag.into(),
         epoch: case.epoch,
         lr_scale: case.lr_scale,
         synth_seed: case.synth_seed,
         shuffle_rng: case.shuffle_rng,
+        order,
         threshold: case.threshold,
         masks,
         trainer: trainer.export_state(),
         mlp,
     }
+}
+
+#[test]
+fn bad_tag_or_order_is_a_typed_error() {
+    let ck = build_checkpoint(&CheckpointCase {
+        features: 3,
+        hidden: vec![4],
+        seed: 5,
+        steps: 2,
+        dropout: 0.25,
+        tag: "prune",
+        epoch: 5,
+        lr_scale: 0.5,
+        synth_seed: 9,
+        shuffle_rng: [1, 2, 3, 4],
+        order_keys: vec![30, 10, 40, 20],
+        threshold: Some(0.037),
+        mask_layer: Some(0),
+    });
+    let mut bytes = Vec::new();
+    ck.write_to(&mut bytes).unwrap();
+    let text = String::from_utf8(bytes).unwrap();
+    let payload = text.split_once('\n').unwrap().1;
+    // Re-sealed under a valid header, so the structural checks are what
+    // rejects each edit: a repeated, an out-of-range and a missing
+    // document; a tag of two words and of none.
+    for (from, to) in [
+        ("order 4 1 3 0 2", "order 4 1 3 0 0"),
+        ("order 4 1 3 0 2", "order 4 1 3 0 7"),
+        ("order 4 1 3 0 2", "order 5 1 3 0 2"),
+        ("tag prune", "tag prune fine"),
+        ("tag prune", "tag "),
+    ] {
+        assert!(payload.contains(from), "{from}");
+        let edited = payload.replacen(from, to, 1);
+        let sealed = format!(
+            "dlr-ckpt v2 crc32 {:08x} len {}\n{edited}",
+            crc32(edited.as_bytes()),
+            edited.len()
+        );
+        let err = Checkpoint::read_from_bytes(sealed.as_bytes()).unwrap_err();
+        assert!(
+            matches!(err, CheckpointError::Malformed { .. }),
+            "{to}: {err:?}"
+        );
+    }
+    // The writer refuses what the reader would reject.
+    let spaced = Checkpoint {
+        tag: "two words".into(),
+        ..ck
+    };
+    assert!(spaced.write_to(Vec::new()).is_err());
 }
 
 proptest! {
@@ -113,7 +177,8 @@ proptest! {
         let mut bytes = Vec::new();
         ck.write_to(&mut bytes).unwrap();
         let back = Checkpoint::read_from_bytes(&bytes).unwrap();
-        let trainer = SgdTrainer::from_state(&back.mlp, &back.trainer).unwrap();
+        let mut trainer = SgdTrainer::new(&back.mlp, 0.0, 0);
+        trainer.import_state(&back.trainer).unwrap();
         prop_assert_eq!(trainer.export_state(), ck.trainer);
     }
 

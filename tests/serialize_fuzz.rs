@@ -10,7 +10,7 @@
 use distilled_ltr::gbdt::tree::leaf_ref;
 use distilled_ltr::gbdt::{read_ensemble, write_ensemble, Ensemble, RegressionTree};
 use distilled_ltr::nn::train::{LayerMasks, SgdTrainer};
-use distilled_ltr::nn::{read_mlp, write_mlp, Checkpoint, Mlp};
+use distilled_ltr::nn::{crc32, read_mlp, write_mlp, Checkpoint, Mlp};
 use proptest::prelude::*;
 use std::io::Cursor;
 
@@ -43,10 +43,12 @@ fn checkpoint_bytes() -> Vec<u8> {
     let mlp = Mlp::from_hidden(4, &[3], 17);
     let trainer = SgdTrainer::new(&mlp, 0.1, 3);
     let ck = Checkpoint {
+        tag: "distill".into(),
         epoch: 2,
         lr_scale: 1.0,
         synth_seed: 99,
         shuffle_rng: [5, 6, 7, 8],
+        order: vec![3, 0, 4, 1, 2],
         threshold: None,
         masks: LayerMasks::none(2),
         trainer: trainer.export_state(),
@@ -55,6 +57,14 @@ fn checkpoint_bytes() -> Vec<u8> {
     let mut buf = Vec::new();
     ck.write_to(&mut buf).unwrap();
     buf
+}
+
+/// `body` under a valid `<magic> crc32 … len …` header: arbitrary bytes
+/// that pass the length and checksum gate and reach the structural parser.
+fn sealed(magic: &str, body: &[u8]) -> Vec<u8> {
+    let mut bytes = format!("{magic} crc32 {:08x} len {}\n", crc32(body), body.len()).into_bytes();
+    bytes.extend_from_slice(body);
+    bytes
 }
 
 /// Both parsers must complete (Ok or Err) on these bytes. Reaching the
@@ -127,15 +137,20 @@ proptest! {
     #[test]
     fn header_survives_any_tail(tail in collection::vec(0u8..=255, 0..256)) {
         // A valid header followed by arbitrary bytes exercises the
-        // structural checks past the header fast-path.
-        for header in [
+        // structural checks past the header fast-path — for the
+        // checksummed formats, once with a header that does not vouch for
+        // the tail and once with one that does.
+        let mut cases: Vec<Vec<u8>> = [
             "dlr-ensemble v1\n",
-            "dlr-mlp v1\n",
             "dlr-mlp v2 crc32 deadbeef len 8\n",
-            "dlr-ckpt v1 crc32 deadbeef len 8\n",
-        ] {
-            let mut bytes = header.as_bytes().to_vec();
-            bytes.extend_from_slice(&tail);
+            "dlr-ckpt v2 crc32 deadbeef len 8\n",
+        ]
+        .iter()
+        .map(|header| [header.as_bytes(), &tail[..]].concat())
+        .collect();
+        cases.push(sealed("dlr-mlp v2", &tail));
+        cases.push(sealed("dlr-ckpt v2", &tail));
+        for bytes in cases {
             parsers_must_not_panic(&bytes);
             let _ = Checkpoint::read_from_bytes(&bytes);
         }

@@ -3,18 +3,18 @@
 //! The acceptance bar for the robustness layer: a distillation or
 //! prune/fine-tune run interrupted at an epoch boundary and resumed from
 //! its latest checkpoint must produce **bit-identical** final weights to
-//! a run that was never interrupted, and every injected fault must be
-//! detected and recovered with statistics that match the injected counts
-//! exactly. All faults here are scripted through `FaultInjector` — no
+//! a run that was never interrupted — and to a run that never wrote a
+//! checkpoint at all — and every injected fault must be detected and
+//! recovered with statistics that match the injected counts exactly. All faults here are scripted through `FaultInjector` — no
 //! real process is killed (the CI smoke job covers that path end to end).
 
 use distilled_ltr::data::{Dataset, SyntheticConfig};
 use distilled_ltr::distill::{DistillConfig, DistillHyper, DistillSession, ResilienceConfig};
 use distilled_ltr::gbdt::{Ensemble, GrowthParams, LambdaMartParams, LambdaMartTrainer};
 use distilled_ltr::nn::{
-    CorruptMode, FaultInjector, FaultPlan, GuardConfig, Mlp, StepLr, TrainError,
+    write_mlp, CorruptMode, FaultInjector, FaultPlan, GuardConfig, Mlp, StepLr, TrainError,
 };
-use distilled_ltr::prune::{prune_first_layer_resilient, PruneConfig};
+use distilled_ltr::prune::{prune_first_layer, prune_first_layer_resilient, PruneConfig};
 use std::path::PathBuf;
 
 fn small_setup() -> (Ensemble, Dataset) {
@@ -70,6 +70,58 @@ fn scratch(tag: &str) -> PathBuf {
 
 fn student(session_features: usize) -> Mlp {
     Mlp::from_hidden(session_features, &[16, 8], 0xD15_7111)
+}
+
+fn model_bytes(mlp: &Mlp) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    write_mlp(mlp, &mut bytes).unwrap();
+    bytes
+}
+
+#[test]
+fn checkpointing_changes_no_bit() {
+    // One loop, one trajectory: the plain entry points and the
+    // checkpointed ones must write the same model file, with dropout on.
+    let (teacher, data) = small_setup();
+    let cfg = distill_cfg(3, 3, 2);
+    let session = DistillSession::new(&teacher, &data, cfg.clone());
+    let schedule = schedule_of(&cfg);
+    let res = ResilienceConfig::default();
+
+    let mut plain = student(data.num_features());
+    let plain_loss = session.run_epochs(&mut plain, &schedule, 0..3, None);
+    let dir = scratch("onoff-distill");
+    let mut checkpointed = student(data.num_features());
+    let report = session
+        .run_epochs_resilient(&mut checkpointed, &schedule, 3, &res, &dir, None)
+        .unwrap();
+    assert_eq!(model_bytes(&plain), model_bytes(&checkpointed));
+    assert_eq!(plain_loss, report.epoch_loss);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    for (name, prune_cfg) in [
+        ("level", PruneConfig::first_layer_level(0.8)),
+        ("threshold", PruneConfig::first_layer_threshold(0.6)),
+    ] {
+        let mut off = plain.clone();
+        let off_out = prune_first_layer(&session, &mut off, &prune_cfg);
+        let dir = scratch(&format!("onoff-{name}"));
+        let mut on = plain.clone();
+        let on_out =
+            prune_first_layer_resilient(&session, &mut on, &prune_cfg, &res, &dir, None).unwrap();
+        assert_eq!(model_bytes(&off), model_bytes(&on), "{name} prune");
+        assert_eq!(off_out.epoch_loss, on_out.epoch_loss, "{name} prune");
+        assert_eq!(
+            off_out.sparsity_curve, on_out.sparsity_curve,
+            "{name} prune"
+        );
+        assert_eq!(
+            off_out.final_sparsity, on_out.final_sparsity,
+            "{name} prune"
+        );
+        assert_eq!(on_out.sparsity_curve.len(), 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
@@ -285,9 +337,10 @@ fn prune_finetune_resume_is_bit_identical() {
     assert_eq!(clean_out.sparsity_curve.len(), 4);
     assert!(clean_out.final_sparsity > 0.0);
 
-    // Crash mid-pruning (after epoch 1) and again mid-fine-tune would be
-    // ideal; the sweep covers boundaries 1 (prune phase) and 5 (tune).
-    for crash_epoch in [1usize, 5] {
+    // Every boundary: mid-pruning, the last pruning epoch (the resumed
+    // run opens on the first fine-tune epoch, where the data streams
+    // reseed), mid-fine-tune, and the final epoch.
+    for crash_epoch in 0..4 + 3 {
         let dir = scratch(&format!("prune-crash-{crash_epoch}"));
         let mut mlp = base.clone();
         let mut inj = FaultInjector::new(FaultPlan::default().with_crash_after(crash_epoch));
@@ -299,15 +352,58 @@ fn prune_finetune_resume_is_bit_identical() {
         let mut resumed = base.clone();
         let out = prune_first_layer_resilient(&session, &mut resumed, &prune_cfg, &res, &dir, None)
             .unwrap();
-        assert_eq!(out.report.resumed_from, Some(crash_epoch + 1));
+        assert_eq!(out.resumed_from, Some(crash_epoch + 1));
         assert_eq!(
             resumed, clean,
             "prune resume after epoch {crash_epoch} diverged"
         );
         assert_eq!(out.final_sparsity, clean_out.final_sparsity);
+        // This invocation derived masks for the pruning epochs left.
+        assert_eq!(
+            out.sparsity_curve.len(),
+            4usize.saturating_sub(crash_epoch + 1)
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
     let _ = std::fs::remove_dir_all(&clean_dir);
+}
+
+#[test]
+fn another_runs_checkpoint_is_rejected_on_resume() {
+    let (teacher, data) = small_setup();
+    // E_t = 6 ≥ E_p + E_ft = 3: adopting the distillation checkpoint
+    // would "resume" the prune schedule past its end and hand back an
+    // unpruned model as a success.
+    let cfg = distill_cfg(6, 2, 1);
+    let session = DistillSession::new(&teacher, &data, cfg.clone());
+    let schedule = schedule_of(&cfg);
+    let res = ResilienceConfig::default();
+
+    let dir = scratch("foreign");
+    let mut mlp = student(data.num_features());
+    session
+        .run_epochs_resilient(&mut mlp, &schedule, 6, &res, &dir, None)
+        .unwrap();
+
+    // The prune schedule pointed at the directory its distillation wrote.
+    let distilled = mlp.clone();
+    let prune_cfg = PruneConfig::first_layer_level(0.8);
+    let err =
+        prune_first_layer_resilient(&session, &mut mlp, &prune_cfg, &res, &dir, None).unwrap_err();
+    assert!(matches!(err, TrainError::Incompatible(_)), "{err:?}");
+    assert_eq!(
+        mlp, distilled,
+        "a refused checkpoint must not touch the model"
+    );
+
+    // A run asked for fewer epochs than the checkpoint holds.
+    let mut short = student(data.num_features());
+    let err = session
+        .run_epochs_resilient(&mut short, &schedule, 4, &res, &dir, None)
+        .unwrap_err();
+    assert!(matches!(err, TrainError::Incompatible(_)), "{err:?}");
+    assert_eq!(short, student(data.num_features()));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
