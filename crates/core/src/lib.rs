@@ -19,7 +19,6 @@
 //! The [`prelude`] re-exports the workspace's main types so downstream
 //! users need a single `use`.
 
-pub mod cascade;
 pub mod fault;
 pub mod parallel;
 pub mod pareto;
@@ -32,14 +31,11 @@ pub mod serve;
 mod sync;
 pub mod timing;
 
-pub use cascade::CascadeScorer;
 pub use fault::{
     corrupt_artifact, ArtifactCorruption, Fault, FaultConfig, FaultCounters, FaultInjectingScorer,
     ServerFault, ServerFaultConfig, ServerFaultCounters, ServerFaultPlan,
 };
-pub use parallel::{
-    measure_gemm_speedup, par_bwqs, par_gemm, par_gemm_into, par_spmm, SpeedupSample,
-};
+pub use parallel::{par_bwqs, par_gemm, par_gemm_into, par_spmm};
 pub use pareto::{pareto_frontier, ParetoPoint};
 pub use pipeline::{NeuralEngineering, PipelineConfig, PrunedStudent};
 pub use pool::{PoolError, WorkPool};

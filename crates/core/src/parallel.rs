@@ -1,6 +1,6 @@
 //! Parallel batch-scoring drivers: the three hot kernels of the paper —
 //! blocked GEMM (§4.1), LIBXSMM-style SpMM (§4.3) and BWQS (§2.2) —
-//! dispatched over a [`WorkPool`](crate::pool::WorkPool).
+//! dispatched over a [`WorkPool`].
 //!
 //! Each driver tiles the **output** into disjoint row/document ranges and
 //! runs the corresponding serial range kernel on each chunk:
@@ -161,154 +161,6 @@ pub fn par_bwqs(
     )
 }
 
-/// [`par_gemm`] recording a `kernel-gemm` span into `obs` (when given)
-/// for the duration of the product. A `None` obs is a branch-free
-/// passthrough, so callers can thread an optional plane unconditionally.
-///
-/// # Errors
-/// [`PoolError::WorkerPanicked`] if a worker panicked.
-///
-/// # Panics
-/// Panics when slice lengths disagree with `(m, pb.k(), pb.n())`.
-pub fn par_gemm_obs(
-    pool: &WorkPool,
-    m: usize,
-    a: &[f32],
-    pb: &PrepackedB,
-    c: &mut [f32],
-    obs: Option<&dlr_obs::Obs>,
-) -> Result<(), PoolError> {
-    let _scope = obs.map(|o| o.scope(dlr_obs::Stage::KernelGemm));
-    par_gemm(pool, m, a, pb, c)
-}
-
-/// [`par_spmm`] recording a `kernel-sdmm` span into `obs` (when given).
-///
-/// # Errors
-/// [`PoolError::WorkerPanicked`] if a worker panicked.
-///
-/// # Panics
-/// Panics when shapes disagree.
-pub fn par_spmm_obs(
-    pool: &WorkPool,
-    a: &CsrMatrix,
-    pb: &PackedB,
-    c: &mut [f32],
-    obs: Option<&dlr_obs::Obs>,
-) -> Result<(), PoolError> {
-    let _scope = obs.map(|o| o.scope(dlr_obs::Stage::KernelSdmm));
-    par_spmm(pool, a, pb, c)
-}
-
-/// [`par_bwqs`] recording a `kernel-vqs` span into `obs` (when given).
-///
-/// # Errors
-/// [`PoolError::WorkerPanicked`] if a worker panicked.
-///
-/// # Panics
-/// Panics on shape mismatches.
-pub fn par_bwqs_obs(
-    pool: &WorkPool,
-    bw: &BlockwiseQuickScorer,
-    features: &[f32],
-    out: &mut [f32],
-    obs: Option<&dlr_obs::Obs>,
-) -> Result<(), PoolError> {
-    let _scope = obs.map(|o| o.scope(dlr_obs::Stage::KernelVqs));
-    par_bwqs(pool, bw, features, out)
-}
-
-/// Median wall-clock seconds of `f` over `reps` runs (after one warm-up).
-fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warm-up
-    let mut times: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let t0 = std::time::Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
-}
-
-/// Measured serial-vs-parallel timing of one kernel at a thread count —
-/// the raw material for fitting the Amdahl serial fraction
-/// ([`dlr_predictor::calibrate::fit_serial_fraction`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SpeedupSample {
-    /// Workers used for the parallel run (including the caller).
-    pub threads: usize,
-    /// Median serial seconds per call.
-    pub serial_secs: f64,
-    /// Median parallel seconds per call.
-    pub parallel_secs: f64,
-}
-
-impl SpeedupSample {
-    /// Observed speedup (`serial / parallel`).
-    pub fn speedup(&self) -> f64 {
-        if self.parallel_secs > 0.0 {
-            self.serial_secs / self.parallel_secs
-        } else {
-            1.0
-        }
-    }
-
-    /// Amdahl serial fraction fitted from this sample, clamped to [0, 1].
-    pub fn serial_fraction(&self) -> f64 {
-        dlr_predictor::calibrate::fit_serial_fraction(
-            self.serial_secs,
-            self.parallel_secs,
-            self.threads,
-        )
-    }
-}
-
-/// Time the blocked GEMM serially and through a `threads`-worker pool on
-/// an `m×k · k×n` problem — the measurement half of the thread-aware
-/// Eq. 3 calibration (the fitting half is
-/// [`dlr_predictor::calibrate::fit_serial_fraction`]).
-///
-/// # Errors
-/// [`PoolError`] when a pool worker panics during the parallel timing
-/// passes (the serial measurement cannot fail).
-pub fn measure_gemm_speedup(
-    threads: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-    reps: usize,
-) -> Result<SpeedupSample, PoolError> {
-    let a = dlr_dense::Matrix::random(m, k, 1.0, 17);
-    let b = dlr_dense::Matrix::random(k, n, 1.0, 18);
-    let mut c = vec![0.0f32; m * n];
-    let params = GotoParams::default();
-
-    let mut ws = dlr_dense::GemmWorkspace::default();
-    let serial_secs = median_secs(reps, || {
-        dlr_dense::gemm_with(m, k, n, a.as_slice(), b.as_slice(), &mut c, params, &mut ws);
-    });
-
-    let pool = WorkPool::new(threads);
-    let pb = PrepackedB::pack(b.as_slice(), k, n, params);
-    let mut worker_err = None;
-    let parallel_secs = median_secs(reps, || {
-        if let Err(e) = par_gemm(&pool, m, a.as_slice(), &pb, &mut c) {
-            worker_err = Some(e);
-        }
-    });
-    if let Some(e) = worker_err {
-        return Err(e);
-    }
-
-    Ok(SpeedupSample {
-        threads: pool.threads(),
-        serial_secs,
-        parallel_secs,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -443,27 +295,5 @@ mod tests {
         let mut c = vec![5.0f32; 6];
         par_gemm_into(&pool, 2, 0, 3, &[], &[], &mut c, GotoParams::default()).unwrap();
         assert!(c.iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn speedup_sample_fits_sane_serial_fraction() {
-        let s = SpeedupSample {
-            threads: 4,
-            serial_secs: 1.0,
-            parallel_secs: 0.4, // 2.5× on 4 threads → s = 0.2
-        };
-        assert!((s.speedup() - 2.5).abs() < 1e-12);
-        let frac = s.serial_fraction();
-        assert!((frac - 0.2).abs() < 1e-9, "got {frac}");
-    }
-
-    #[test]
-    fn measure_gemm_speedup_produces_positive_times() {
-        let s = measure_gemm_speedup(2, 32, 16, 32, 2).expect("no worker panics");
-        assert_eq!(s.threads, 2);
-        assert!(s.serial_secs > 0.0);
-        assert!(s.parallel_secs > 0.0);
-        let frac = s.serial_fraction();
-        assert!((0.0..=1.0).contains(&frac));
     }
 }

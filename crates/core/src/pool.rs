@@ -165,14 +165,6 @@ impl WorkPool {
         }
     }
 
-    /// A pool sized to the host (`std::thread::available_parallelism`).
-    pub fn with_host_parallelism() -> WorkPool {
-        let threads = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        WorkPool::new(threads)
-    }
-
     /// Total workers, including the calling thread.
     #[inline]
     pub fn threads(&self) -> usize {

@@ -8,12 +8,11 @@
 //! assert_eq!(split.train.num_features(), 136);
 //! ```
 
-pub use crate::cascade::CascadeScorer;
 pub use crate::fault::{
     corrupt_artifact, ArtifactCorruption, Fault, FaultConfig, FaultCounters, FaultInjectingScorer,
     ServerFault, ServerFaultConfig, ServerFaultCounters, ServerFaultPlan,
 };
-pub use crate::parallel::{par_bwqs, par_gemm, par_gemm_into, par_spmm, SpeedupSample};
+pub use crate::parallel::{par_bwqs, par_gemm, par_gemm_into, par_spmm};
 pub use crate::pareto::{frontier_dominates, pareto_frontier, ParetoPoint};
 pub use crate::pipeline::{NeuralEngineering, PipelineConfig, PrunedStudent};
 pub use crate::pool::{PoolError, WorkPool};

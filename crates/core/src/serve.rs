@@ -3,9 +3,8 @@
 //! The paper's architecture exists to keep neural rankers inside a strict
 //! per-query latency budget; this module keeps the *service* inside it
 //! when reality misbehaves. [`RobustScorer`] wraps an expensive primary
-//! scorer and a cheap fallback (typically the stage-1 model of a
-//! [`crate::CascadeScorer`], or a QuickScorer forest) and guarantees that
-//! every batch returns a complete, finite score vector:
+//! scorer and a cheap fallback (typically a QuickScorer forest) and
+//! guarantees that every batch returns a complete, finite score vector:
 //!
 //! * **Input sanitation** — rows are validated for width and scanned for
 //!   NaN/Inf features. [`SanitizePolicy::Reject`] turns bad batches into a
@@ -410,7 +409,7 @@ impl RobustCells {
 /// A serving wrapper that never panics, never blows the budget twice in a
 /// row, and never returns a non-finite score. See the module docs.
 pub struct RobustScorer<P, F> {
-    /// The expensive scorer (e.g. the distilled network or a cascade).
+    /// The expensive scorer (e.g. the distilled network).
     pub primary: P,
     /// The cheap always-available scorer (e.g. a QuickScorer forest).
     pub fallback: F,

@@ -127,7 +127,7 @@ pub struct GemmWorkspace {
 /// Two call sites motivate this: the parallel row-panel driver packs B
 /// **once** and shares it read-only across workers, and a model whose B
 /// operand is fixed across calls packs at load time instead of inside
-/// every `score_batch`. Panels are packed by the same [`pack_b`] the
+/// every `score_batch`. Panels are packed by the same `pack_b` the
 /// serial path uses, so any GEMM built on them is bit-identical to
 /// [`gemm_with`].
 #[derive(Debug, Clone, Default)]
@@ -244,7 +244,7 @@ impl PrepackedB {
 /// An MLP's weight matrices sit in the A slot of every layer GEMM and
 /// never change between batches, yet the plain entry points re-pack them
 /// on every call; packing once at model-load removes that from the hot
-/// path. Uses the same [`pack_a`] as the serial kernel, so
+/// path. Uses the same `pack_a` as the serial kernel, so
 /// [`gemm_with_prepacked_a`] is bit-identical to [`gemm_with`].
 #[derive(Debug, Clone, Default)]
 pub struct PrepackedA {

@@ -30,7 +30,6 @@ pub mod hybrid;
 pub mod init;
 pub mod layer;
 pub mod mlp;
-pub mod quant;
 pub mod scheduler;
 pub mod serialize;
 pub mod train;
@@ -43,7 +42,6 @@ pub use fault::{CorruptMode, FaultCounters, FaultInjector, FaultPlan};
 pub use hybrid::HybridMlp;
 pub use layer::Linear;
 pub use mlp::{Mlp, MlpWorkspace};
-pub use quant::{QuantizedLinear, QuantizedMlp};
 pub use scheduler::StepLr;
 pub use serialize::{
     mlp_format_version, read_mlp, read_mlp_bytes, read_mlp_from_path, write_mlp, MlpLoadError,

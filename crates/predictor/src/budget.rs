@@ -20,7 +20,6 @@ pub struct BudgetForecast {
     hidden: Vec<usize>,
     safety_factor: f64,
     pruned_first_layer: bool,
-    threads: usize,
 }
 
 impl BudgetForecast {
@@ -32,7 +31,6 @@ impl BudgetForecast {
             hidden,
             safety_factor: 1.0,
             pruned_first_layer: false,
-            threads: 1,
         }
     }
 
@@ -58,46 +56,28 @@ impl BudgetForecast {
         self
     }
 
-    /// Forecast for a scoring engine running on `threads` pool workers:
-    /// predictions divide by the predictor's Amdahl
-    /// [`speedup`](DensePredictor::speedup). `threads` is clamped to ≥ 1;
-    /// the default is 1 (serial).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Pool workers this forecast assumes.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Predicted wall-clock seconds to score a batch of `num_docs`.
     pub fn forecast_batch_secs(&self, num_docs: usize) -> f64 {
         if num_docs == 0 {
             return 0.0;
         }
         let us_per_doc = if self.pruned_first_layer {
-            self.predictor.predict_pruned_us_per_doc_mt(
-                self.input_dim,
-                &self.hidden,
-                num_docs,
-                self.threads,
-            )
+            self.predictor
+                .predict_pruned_us_per_doc(self.input_dim, &self.hidden, num_docs)
         } else {
-            self.predictor.predict_forward_us_per_doc_mt(
-                self.input_dim,
-                &self.hidden,
-                num_docs,
-                self.threads,
-            )
+            self.predictor
+                .predict_forward_us_per_doc(self.input_dim, &self.hidden, num_docs)
         };
         us_per_doc * 1e-6 * num_docs as f64 * self.safety_factor
     }
 
-    /// Predicted wall-clock time to score a batch of `num_docs`.
+    /// Predicted wall-clock time to score a batch of `num_docs`,
+    /// saturating at `Duration::MAX`: serving calls this under the
+    /// admission-queue lock and on the dispatcher thread, where a
+    /// forecast must not panic.
     pub fn forecast_batch(&self, num_docs: usize) -> Duration {
-        Duration::from_secs_f64(self.forecast_batch_secs(num_docs).max(0.0))
+        Duration::try_from_secs_f64(self.forecast_batch_secs(num_docs).max(0.0))
+            .unwrap_or(Duration::MAX)
     }
 
     /// Predicted nanoseconds to score a batch of `num_docs`, saturating
@@ -172,25 +152,6 @@ mod tests {
     }
 
     #[test]
-    fn threads_shrink_the_forecast_by_the_amdahl_speedup() {
-        let serial = forecast();
-        let parallel = forecast().with_threads(4);
-        assert_eq!(parallel.threads(), 4);
-        let n = 512;
-        let speedup = DensePredictor::paper_i9_9900k().speedup(4);
-        let ratio = serial.forecast_batch_secs(n) / parallel.forecast_batch_secs(n);
-        assert!((ratio - speedup).abs() < 1e-9, "ratio {ratio} vs {speedup}");
-        // threads = 0 is clamped to serial.
-        assert_eq!(
-            forecast().with_threads(0).forecast_batch_secs(n),
-            serial.forecast_batch_secs(n)
-        );
-        // The forecaster closure keeps the thread term.
-        let hook = forecast().with_threads(4).into_forecaster();
-        assert_eq!(hook(n), Some(parallel.forecast_batch(n)));
-    }
-
-    #[test]
     fn nanos_forecast_matches_the_duration_forecast() {
         let f = forecast();
         let nanos = f.forecast_batch_nanos(100);
@@ -198,6 +159,10 @@ mod tests {
         let diff = nanos.abs_diff(dur);
         assert!(diff <= 1, "nanos {nanos} vs duration {dur}");
         assert_eq!(f.forecast_batch_nanos(0), 0);
+        // Past `Duration::MAX` both read their maximum; neither panics.
+        let huge = forecast().with_safety_factor(1e30);
+        assert_eq!(huge.forecast_batch(100), Duration::MAX);
+        assert_eq!(huge.forecast_batch_nanos(100), u64::MAX);
     }
 
     #[test]

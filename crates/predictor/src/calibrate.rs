@@ -228,32 +228,7 @@ pub fn calibrate_sparse(quick: bool) -> SparsePredictor {
     let la = mean(&las, paper.la);
     let lb = mean(&lbs, paper.lb);
     let lc = mean(&lcs, 2.0 * lb);
-    SparsePredictor {
-        la,
-        lb,
-        lc,
-        serial_fraction: paper.serial_fraction,
-    }
-}
-
-/// Fit the Amdahl serial fraction from one serial/parallel timing pair:
-/// solving `T(p) = T(1)·(s + (1 − s)/p)` for `s` gives
-/// `s = (p·T(p)/T(1) − 1) / (p − 1)`, clamped to `[0, 1]` (timer noise
-/// can push the raw estimate outside the physical range; a parallel run
-/// *slower* than serial clamps to a fully-serial 1.0).
-///
-/// The measurement half lives next to the parallel drivers
-/// (`dlr-core::parallel::measure_gemm_speedup`); this is the pure fitting
-/// step, usable with any externally-timed kernel. `threads <= 1` carries
-/// no information about scaling and returns the default fraction.
-pub fn fit_serial_fraction(serial_secs: f64, parallel_secs: f64, threads: usize) -> f64 {
-    let usable = |t: f64| t.is_finite() && t > 0.0;
-    if threads <= 1 || !usable(serial_secs) || !usable(parallel_secs) {
-        return crate::dense_pred::DEFAULT_SERIAL_FRACTION;
-    }
-    let p = threads as f64;
-    let ratio = parallel_secs / serial_secs;
-    ((p * ratio - 1.0) / (p - 1.0)).clamp(0.0, 1.0)
+    SparsePredictor { la, lb, lc }
 }
 
 #[cfg(test)]
@@ -315,28 +290,6 @@ mod tests {
             (0.2..5.0).contains(&ratio),
             "predicted {predicted:.2e}s vs measured {measured:.2e}s (ratio {ratio:.2})"
         );
-    }
-
-    #[test]
-    fn serial_fraction_fit_inverts_amdahl() {
-        // Perfect 4-thread scaling of the parallel 90% → s = 0.1 exactly.
-        let s = 0.1;
-        let t1 = 2.0;
-        let t4 = t1 * (s + (1.0 - s) / 4.0);
-        assert!((fit_serial_fraction(t1, t4, 4) - s).abs() < 1e-12);
-        // Embarrassingly parallel: T(p) = T(1)/p → s = 0.
-        assert_eq!(fit_serial_fraction(1.0, 0.25, 4), 0.0);
-        // No speedup at all → fully serial.
-        assert_eq!(fit_serial_fraction(1.0, 1.0, 4), 1.0);
-        // Slower than serial (noise) clamps instead of going above 1.
-        assert_eq!(fit_serial_fraction(1.0, 1.5, 4), 1.0);
-        // Superlinear (cache effects) clamps at 0.
-        assert_eq!(fit_serial_fraction(1.0, 0.1, 4), 0.0);
-        // Degenerate inputs fall back to the default.
-        let d = crate::dense_pred::DEFAULT_SERIAL_FRACTION;
-        assert_eq!(fit_serial_fraction(1.0, 0.5, 1), d);
-        assert_eq!(fit_serial_fraction(0.0, 0.5, 4), d);
-        assert_eq!(fit_serial_fraction(1.0, f64::NAN, 4), d);
     }
 
     /// `measure_forced` mutates the process-wide dispatch choice; the two

@@ -12,17 +12,7 @@ pub struct DensePredictor {
     /// `(k_upper_inclusive, gflops)` sorted by `k_upper_inclusive`
     /// ascending; the last entry must have `k_upper_inclusive == usize::MAX`.
     zones: Vec<(usize, f64)>,
-    /// Amdahl serial fraction of the parallel GEMM driver: the share of a
-    /// batch's time (packing B̃, dispatch, stragglers) that does not
-    /// shrink with more threads. Calibrated by
-    /// `calibrate::fit_serial_fraction`; see [`Self::speedup`].
-    serial_fraction: f64,
 }
-
-/// Default Amdahl serial fraction when no calibration has run: packing B̃
-/// plus dispatch overhead is a ~10% share on the mid-size batches the
-/// paper benchmarks.
-pub const DEFAULT_SERIAL_FRACTION: f64 = 0.1;
 
 impl DensePredictor {
     /// The paper's measured zones for the i9-9900K (Figure 6):
@@ -51,31 +41,7 @@ impl DensePredictor {
             usize::MAX,
             "last zone must cover all k"
         );
-        DensePredictor {
-            zones,
-            serial_fraction: DEFAULT_SERIAL_FRACTION,
-        }
-    }
-
-    /// Replace the Amdahl serial fraction (clamped to `[0, 1]`), usually
-    /// with a value fitted by `calibrate::fit_serial_fraction`.
-    pub fn with_serial_fraction(mut self, serial_fraction: f64) -> DensePredictor {
-        self.serial_fraction = serial_fraction.clamp(0.0, 1.0);
-        self
-    }
-
-    /// The Amdahl serial fraction used by the `_mt` predictions.
-    pub fn serial_fraction(&self) -> f64 {
-        self.serial_fraction
-    }
-
-    /// Predicted speedup at `threads` workers, Amdahl's law:
-    /// `1 / (s + (1 - s)/p)` with `s` the [serial
-    /// fraction](Self::serial_fraction).
-    pub fn speedup(&self, threads: usize) -> f64 {
-        let p = threads.max(1) as f64;
-        let s = self.serial_fraction;
-        1.0 / (s + (1.0 - s) / p)
+        DensePredictor { zones }
     }
 
     /// The zone table.
@@ -136,34 +102,6 @@ impl DensePredictor {
         let layers = self.predict_layers_secs(input_dim, hidden, n);
         let total: f64 = layers.iter().sum();
         (total - layers[0]) / n.max(1) as f64 * 1e6
-    }
-
-    /// [`Self::predict_matmul_secs`] on `threads` workers — the Eq. 3 time
-    /// divided by the Amdahl [`Self::speedup`].
-    pub fn predict_matmul_secs_mt(&self, m: usize, k: usize, n: usize, threads: usize) -> f64 {
-        self.predict_matmul_secs(m, k, n) / self.speedup(threads)
-    }
-
-    /// [`Self::predict_forward_us_per_doc`] on `threads` workers.
-    pub fn predict_forward_us_per_doc_mt(
-        &self,
-        input_dim: usize,
-        hidden: &[usize],
-        n: usize,
-        threads: usize,
-    ) -> f64 {
-        self.predict_forward_us_per_doc(input_dim, hidden, n) / self.speedup(threads)
-    }
-
-    /// [`Self::predict_pruned_us_per_doc`] on `threads` workers.
-    pub fn predict_pruned_us_per_doc_mt(
-        &self,
-        input_dim: usize,
-        hidden: &[usize],
-        n: usize,
-        threads: usize,
-    ) -> f64 {
-        self.predict_pruned_us_per_doc(input_dim, hidden, n) / self.speedup(threads)
     }
 }
 
@@ -244,36 +182,6 @@ mod tests {
         let f = fast.predict_forward_us_per_doc(136, &[400, 200], 512);
         let s = slow.predict_forward_us_per_doc(136, &[400, 200], 512);
         assert!((s / f - 4.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn amdahl_speedup_behaves() {
-        let p = DensePredictor::paper_i9_9900k();
-        // Defaults: s = 0.1 → speedup(1) = 1, speedup(4) = 1/(0.1+0.225).
-        assert!((p.speedup(1) - 1.0).abs() < 1e-12);
-        assert!((p.speedup(4) - 1.0 / 0.325).abs() < 1e-9);
-        // Monotone in threads, bounded by 1/s.
-        assert!(p.speedup(2) < p.speedup(4));
-        assert!(p.speedup(1_000_000) < 1.0 / p.serial_fraction() + 1e-9);
-        // Fully serial workload never speeds up.
-        let serial = p.clone().with_serial_fraction(1.0);
-        assert!((serial.speedup(64) - 1.0).abs() < 1e-12);
-        // Out-of-range fractions are clamped.
-        assert_eq!(
-            DensePredictor::paper_i9_9900k()
-                .with_serial_fraction(7.0)
-                .serial_fraction(),
-            1.0
-        );
-        // `_mt` predictions divide the serial time by the speedup.
-        let t1 = p.predict_forward_us_per_doc(136, &[200, 100], 1000);
-        let t4 = p.predict_forward_us_per_doc_mt(136, &[200, 100], 1000, 4);
-        assert!((t4 - t1 / p.speedup(4)).abs() < 1e-9);
-        let m1 = p.predict_matmul_secs(100, 200, 50);
-        assert!((p.predict_matmul_secs_mt(100, 200, 50, 1) - m1).abs() < 1e-15);
-        let pr1 = p.predict_pruned_us_per_doc(136, &[200, 100], 1000);
-        let pr4 = p.predict_pruned_us_per_doc_mt(136, &[200, 100], 1000, 4);
-        assert!(pr4 < pr1);
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod search;
 pub mod sparse_pred;
 
 pub use budget::BudgetForecast;
-pub use calibrate::{calibrate_dense, calibrate_sparse, fit_serial_fraction, HostCalibration};
-pub use dense_pred::{DensePredictor, DEFAULT_SERIAL_FRACTION};
+pub use calibrate::{calibrate_dense, calibrate_sparse, HostCalibration};
+pub use dense_pred::DensePredictor;
 pub use search::{design_architectures, ArchCandidate, SearchSpace};
 pub use sparse_pred::{CsrShapeStats, SparsePredictor};

@@ -19,10 +19,6 @@ pub struct SearchSpace {
     pub depths: Vec<usize>,
     /// Batch size the latency is evaluated at.
     pub batch: usize,
-    /// Pool workers the serving host scores with (1 = serial). Predicted
-    /// times divide by the predictor's Amdahl speedup at this count, so a
-    /// multi-core budget admits larger architectures.
-    pub threads: usize,
 }
 
 impl Default for SearchSpace {
@@ -33,7 +29,6 @@ impl Default for SearchSpace {
             ],
             depths: vec![2, 3, 4],
             batch: 1000,
-            threads: 1,
         }
     }
 }
@@ -62,23 +57,14 @@ pub fn design_architectures(
     space: &SearchSpace,
 ) -> Vec<ArchCandidate> {
     let mut out = Vec::new();
-    let threads = space.threads.max(1);
     for &depth in &space.depths {
         let mut stack: Vec<Vec<usize>> = vec![Vec::new()];
         while let Some(partial) = stack.pop() {
             if partial.len() == depth {
-                let dense_us = predictor.predict_forward_us_per_doc_mt(
-                    input_dim,
-                    &partial,
-                    space.batch,
-                    threads,
-                );
-                let pruned_us = predictor.predict_pruned_us_per_doc_mt(
-                    input_dim,
-                    &partial,
-                    space.batch,
-                    threads,
-                );
+                let dense_us =
+                    predictor.predict_forward_us_per_doc(input_dim, &partial, space.batch);
+                let pruned_us =
+                    predictor.predict_pruned_us_per_doc(input_dim, &partial, space.batch);
                 if pruned_us <= budget_us_per_doc {
                     let impact = if dense_us > 0.0 {
                         1.0 - pruned_us / dense_us
@@ -101,8 +87,7 @@ pub fn design_architectures(
                 // it already exceeds the budget.
                 let mut probe = partial.clone();
                 probe.push(w);
-                let lower =
-                    predictor.predict_pruned_us_per_doc_mt(input_dim, &probe, space.batch, threads);
+                let lower = predictor.predict_pruned_us_per_doc(input_dim, &probe, space.batch);
                 if lower <= budget_us_per_doc {
                     stack.push(probe);
                 }
@@ -132,7 +117,6 @@ mod tests {
             widths: vec![25, 50, 100, 200, 400],
             depths: vec![2, 3, 4],
             batch: 1000,
-            threads: 1,
         }
     }
 
@@ -192,7 +176,6 @@ mod tests {
             widths: vec![25, 50, 100, 200, 300],
             depths: vec![3, 4],
             batch: 1000,
-            threads: 1,
         };
         let c = design_architectures(&predictor(), 136, 1.0, &space);
         assert!(
@@ -200,37 +183,6 @@ mod tests {
             "expected 200×100×100×50 in {:?}",
             c.iter().map(|x| x.hidden.clone()).collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn more_threads_admit_larger_architectures() {
-        // The same budget on a 4-thread host must admit a superset of the
-        // serial candidates: every time is divided by the Amdahl speedup.
-        let serial = design_architectures(&predictor(), 136, 1.0, &small_space());
-        let mut mt_space = small_space();
-        mt_space.threads = 4;
-        let parallel = design_architectures(&predictor(), 136, 1.0, &mt_space);
-        assert!(parallel.len() > serial.len());
-        for s in &serial {
-            assert!(
-                parallel.iter().any(|p| p.hidden == s.hidden),
-                "{:?} lost when threads grew",
-                s.hidden
-            );
-        }
-        // Reported times carry the thread speedup.
-        let speedup = predictor().speedup(4);
-        let probe_hidden = &serial[0].hidden;
-        let p = parallel
-            .iter()
-            .find(|c| &c.hidden == probe_hidden)
-            .expect("superset");
-        assert!((serial[0].pruned_us / p.pruned_us - speedup).abs() < 1e-9);
-        // threads = 0 behaves like serial.
-        let mut zero = small_space();
-        zero.threads = 0;
-        let z = design_architectures(&predictor(), 136, 1.0, &zero);
-        assert_eq!(z.len(), serial.len());
     }
 
     #[test]

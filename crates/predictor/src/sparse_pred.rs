@@ -62,9 +62,6 @@ pub struct SparsePredictor {
     pub lb: f64,
     /// Per-active-row cost `l_c` (load + store ⇒ the paper's `L_c = 2·L_b`).
     pub lc: f64,
-    /// Amdahl serial fraction of the parallel SpMM driver (dispatch plus
-    /// the shared packed-B build), used by the `_mt` predictions.
-    pub serial_fraction: f64,
 }
 
 impl SparsePredictor {
@@ -75,23 +72,7 @@ impl SparsePredictor {
             la,
             lb,
             lc: 2.0 * lb,
-            serial_fraction: crate::dense_pred::DEFAULT_SERIAL_FRACTION,
         }
-    }
-
-    /// Replace the Amdahl serial fraction (clamped to `[0, 1]`), usually
-    /// with a value fitted by `calibrate::fit_serial_fraction`.
-    pub fn with_serial_fraction(mut self, serial_fraction: f64) -> SparsePredictor {
-        self.serial_fraction = serial_fraction.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Predicted speedup at `threads` workers, Amdahl's law:
-    /// `1 / (s + (1 - s)/p)`.
-    pub fn speedup(&self, threads: usize) -> f64 {
-        let p = threads.max(1) as f64;
-        let s = self.serial_fraction.clamp(0.0, 1.0);
-        1.0 / (s + (1.0 - s) / p)
     }
 
     /// Coefficients of the same order as the paper's i9-9900K
@@ -113,17 +94,6 @@ impl SparsePredictor {
     /// Predicted microseconds, the unit of Tables 3 and 4.
     pub fn predict_us(&self, stats: CsrShapeStats, n: usize) -> f64 {
         self.predict_secs(stats, n) * 1e6
-    }
-
-    /// [`Self::predict_secs`] on `threads` workers — the Eq. 5 time
-    /// divided by the Amdahl [`Self::speedup`].
-    pub fn predict_secs_mt(&self, stats: CsrShapeStats, n: usize, threads: usize) -> f64 {
-        self.predict_secs(stats, n) / self.speedup(threads)
-    }
-
-    /// [`Self::predict_us`] on `threads` workers.
-    pub fn predict_us_mt(&self, stats: CsrShapeStats, n: usize, threads: usize) -> f64 {
-        self.predict_secs_mt(stats, n, threads) * 1e6
     }
 
     /// Predicted speedup of sparse-at-`sparsity` over a dense multiply of
@@ -222,25 +192,6 @@ mod tests {
         assert!(s99 > s95);
         // Gains accelerate: the 95→99 jump beats the 90→95 jump.
         assert!(s99 - s95 > s95 - s90);
-    }
-
-    #[test]
-    fn mt_prediction_follows_amdahl() {
-        let p = SparsePredictor::paper_like().with_serial_fraction(0.25);
-        let s = CsrShapeStats::worst_case(400, 136, 0.98);
-        let t1 = p.predict_secs(s, 64);
-        assert!((p.predict_secs_mt(s, 64, 1) - t1).abs() < 1e-18);
-        let t4 = p.predict_secs_mt(s, 64, 4);
-        // 1/(0.25 + 0.75/4) = 2.2857…× speedup.
-        assert!((t1 / t4 - 1.0 / 0.4375).abs() < 1e-9);
-        assert!((p.predict_us_mt(s, 64, 4) - t4 * 1e6).abs() < 1e-12);
-        // Clamp out-of-range fractions.
-        assert_eq!(
-            SparsePredictor::paper_like()
-                .with_serial_fraction(-2.0)
-                .serial_fraction,
-            0.0
-        );
     }
 
     #[test]

@@ -8,12 +8,10 @@
 //! condition list stops only when *every* lane has hit its early-exit
 //! point — the vectorized analogue of the scalar break.
 //!
-//! The 8-lane comparison and conditional AND is `dlr-simd`'s
-//! runtime-dispatched mask step ([`dlr_simd::qs::mask_step`]): hand-written
-//! AVX2/SSE2 `std::arch` paths behind a safe wrapper, with a portable
-//! scalar fallback. The update is a float compare plus pure bitwise
-//! arithmetic (ordered compares match the scalar `>` on NaN), so every
-//! dispatch path produces **bit-identical** scores.
+//! The 8-lane comparison and conditional AND is `dlr-simd`'s mask step
+//! ([`dlr_simd::qs::mask_step`]): a lane loop the compiler vectorizes,
+//! the same code at every [`Isa`] level, so every level produces
+//! **bit-identical** scores.
 
 use crate::model::QuickScorer;
 use crate::QsError;
@@ -65,9 +63,10 @@ impl VectorizedQuickScorer {
         self.score_batch_with_isa(dlr_simd::active(), features, out);
     }
 
-    /// [`Self::score_batch`] with the mask-step ISA pinned by the caller —
-    /// exposed (doc-hidden) so the equivalence suite can exercise each
-    /// dispatch path without touching the process-wide state.
+    /// [`Self::score_batch`] with the ISA level handed to the mask step
+    /// chosen by the caller — exposed (doc-hidden) so the equivalence
+    /// suite and the benchmark can sweep the levels without touching the
+    /// process-wide state.
     #[doc(hidden)]
     pub fn score_batch_with_isa(&self, isa: Isa, features: &[f32], out: &mut [f32]) {
         let nf = self.inner.num_features();

@@ -17,12 +17,13 @@ use std::sync::atomic::{AtomicU8, Ordering};
 pub enum Isa {
     /// Portable safe-Rust kernels; always available on every target.
     Scalar = 0,
-    /// 128-bit SSE2 (the x86-64 baseline): mul-then-add, bit-identical to
-    /// scalar on all three kernels.
+    /// 128-bit SSE2 (the x86-64 baseline): a GEMM tile of its own
+    /// (mul-then-add, bit-identical to scalar); SDMM and QuickScorer run
+    /// their scalar paths at this level.
     Sse2 = 1,
-    /// 256-bit AVX2 with FMA: the oneDNN/LIBXSMM/vQS configuration the
-    /// paper benchmarks. GEMM uses fused multiply-add (ULP-bounded vs.
-    /// scalar); SDMM and QuickScorer stay bit-identical.
+    /// 256-bit AVX2 with FMA: the oneDNN/LIBXSMM configuration the paper
+    /// benchmarks. GEMM uses fused multiply-add (ULP-bounded vs. scalar);
+    /// SDMM stays bit-identical; QuickScorer runs its one lane loop.
     Avx2 = 2,
 }
 
@@ -135,22 +136,6 @@ pub fn force(isa: Isa) -> Result<Isa, Isa> {
     Ok(prev)
 }
 
-/// Host feature summary for benchmark reports: `(feature, detected)`.
-pub fn feature_summary() -> [(&'static str, bool); 3] {
-    #[cfg(target_arch = "x86_64")]
-    {
-        [
-            ("sse2", true),
-            ("avx2", is_x86_feature_detected!("avx2")),
-            ("fma", is_x86_feature_detected!("fma")),
-        ]
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        [("sse2", false), ("avx2", false), ("fma", false)]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,7 +185,5 @@ mod tests {
         assert_eq!(Isa::Scalar.name(), "scalar");
         assert_eq!(Isa::Sse2.to_string(), "sse2");
         assert_eq!(Isa::Avx2.name(), "avx2");
-        let features = feature_summary();
-        assert_eq!(features[0].0, "sse2");
     }
 }

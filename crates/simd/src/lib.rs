@@ -11,20 +11,25 @@
 //! `#![forbid(unsafe_code)]`; the `dlr-lint` `SIMD_TARGET_FEATURE` rule
 //! fences intrinsics to this crate).
 //!
-//! Three kernels, one dispatch discipline:
+//! Three kernels, one dispatch discipline. A level has a hand-written
+//! path only where the traced benchmark runs (`simd.*` in
+//! `results/benchmark/`) do not show it losing to the portable loop; a
+//! level without one runs scalar:
 //!
 //! * [`gemm::micro_kernel_8x8`] — the Goto micro-kernel: an 8×8 `f32`
 //!   register tile accumulated as `kcb` rank-1 updates over packed A/B
-//!   strips. The AVX2 path uses FMA, so its results differ from scalar by
-//!   bounded rounding (see the ULP policy below); the SSE2 path is
-//!   mul-then-add and bit-identical to scalar.
+//!   strips. Paths: scalar, SSE2, AVX2+FMA. The AVX2 path uses FMA, so
+//!   its results differ from scalar by bounded rounding (see the ULP
+//!   policy below); the SSE2 path is mul-then-add and bit-identical to
+//!   scalar.
 //! * [`sdmm::row_kernel`] — the LIBXSMM sparse-row kernel: broadcast one
-//!   non-zero, multiply-add against packed B rows. All paths use separate
-//!   multiply and add (never FMA) in the same per-lane order, so **every
-//!   path is bit-identical** to scalar.
+//!   non-zero, multiply-add against packed B rows. Paths: scalar, AVX2.
+//!   Both use separate multiply and add (never FMA) in the same per-lane
+//!   order, so **every level is bit-identical** to scalar.
 //! * [`qs::mask_step`] — the vQS lane update: compare 8 document lanes
 //!   against a threshold and AND the tree's bitvector mask into the lanes
-//!   that test false. Pure integer/compare ops: bit-identical everywhere.
+//!   that test false. One path: the auto-vectorized lane loop, at every
+//!   level.
 //!
 //! # Dispatch
 //!

@@ -2,153 +2,34 @@
 //! against one node threshold and AND the node's bitvector mask into the
 //! lanes whose test is *false* (branch-free lane select).
 //!
-//! The update is a float compare followed by pure bitwise arithmetic.
-//! The vector paths use *ordered* greater-than compares (`_CMP_GT_OQ` /
-//! `cmpgtps`), which evaluate to false on NaN — exactly the semantics of
-//! the scalar `>` — so **every path is bit-identical** and the equivalence
-//! suite asserts exact equality on the resulting scores.
+//! The update is a float compare followed by pure bitwise arithmetic, and
+//! it has one implementation: the lane loop below, which the compiler
+//! vectorizes for the build target. Intrinsics for the step read slower
+//! than this loop on the reference host (`simd.qs_mask_ns` in
+//! `results/benchmark/score-forest.txt`), so no [`Isa`] level has a
+//! kernel of its own and every level yields the same bits by
+//! construction.
 
-use crate::dispatch::{supported, Isa};
+use crate::dispatch::Isa;
 use crate::LANES;
 
 /// Apply one QuickScorer condition to the 8 traversal bitvectors:
 /// `dst[lane] &= if xf[lane] > threshold { mask } else { !0 }`.
 ///
-/// An unsupported `isa` falls back to scalar.
-pub fn mask_step(isa: Isa, xf: &[f32; LANES], threshold: f32, mask: u64, dst: &mut [u64; LANES]) {
-    let isa = if supported(isa) { isa } else { Isa::Scalar };
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => {
-            // SAFETY: AVX2 availability was checked by `supported` above;
-            // the kernel only touches the two fixed-size arrays passed by
-            // reference (8 f32 loads, 8 u64 load/stores), all in bounds by
-            // construction.
-            unsafe {
-                x86::mask_step_avx2(xf, threshold, mask, dst);
-            }
-        }
-        #[cfg(target_arch = "x86_64")]
-        Isa::Sse2 => {
-            // SAFETY: SSE2 is the x86-64 baseline (checked by `supported`);
-            // accesses are confined to the fixed-size arrays as above.
-            unsafe {
-                x86::mask_step_sse2(xf, threshold, mask, dst);
-            }
-        }
-        _ => mask_step_scalar(xf, threshold, mask, dst),
-    }
+/// Runs the lane loop at every `isa` level: no level has a kernel of its
+/// own, the argument is kept for the callers that sweep [`Isa::ALL`].
+/// This must stay a plain call so the loop inlines into vQS's condition
+/// loop.
+pub fn mask_step(_isa: Isa, xf: &[f32; LANES], threshold: f32, mask: u64, dst: &mut [u64; LANES]) {
+    mask_step_scalar(xf, threshold, mask, dst);
 }
 
-/// Portable fallback: the auto-vectorizable lane loop, kept as the
-/// semantic reference.
+/// The auto-vectorizable lane loop; `>` is false on NaN, so a NaN lane
+/// keeps its bits.
 fn mask_step_scalar(xf: &[f32; LANES], threshold: f32, mask: u64, dst: &mut [u64; LANES]) {
     for lane in 0..LANES {
         let keep = if xf[lane] > threshold { mask } else { u64::MAX };
         dst[lane] &= keep;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    //! Hand-written mask-step kernels. Private: callable only through the
-    //! dispatch wrapper above (enforced by dlr-lint's
-    //! `SIMD_TARGET_FEATURE` rule).
-
-    use super::LANES;
-    use core::arch::x86_64::*;
-
-    /// AVX2 mask step: one 8-lane ordered compare, widened to two 4×64-bit
-    /// keep-masks, ANDed into the bitvectors.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2 is available; the arrays are fixed-size
-    /// references so all loads/stores are in bounds.
-    #[target_feature(enable = "avx2")]
-    unsafe fn mask_step_avx2_impl(
-        xf: &[f32; LANES],
-        threshold: f32,
-        mask: u64,
-        dst: &mut [u64; LANES],
-    ) {
-        let x = _mm256_loadu_ps(xf.as_ptr());
-        let t = _mm256_set1_ps(threshold);
-        // Ordered quiet compare: false on NaN, matching the scalar `>`.
-        let gt = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_GT_OQ>(x, t));
-        let maskv = _mm256_set1_epi64x(mask as i64);
-        let ones = _mm256_set1_epi64x(-1);
-        let dp = dst.as_mut_ptr() as *mut __m256i;
-        // Sign-extend each 32-bit lane mask (all-ones or all-zeros) to 64
-        // bits, then select: (gt & mask) | (!gt & !0).
-        let lo = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(gt));
-        let keep_lo = _mm256_or_si256(_mm256_and_si256(lo, maskv), _mm256_andnot_si256(lo, ones));
-        _mm256_storeu_si256(dp, _mm256_and_si256(_mm256_loadu_si256(dp), keep_lo));
-        let hi = _mm256_cvtepi32_epi64(_mm256_extracti128_si256::<1>(gt));
-        let keep_hi = _mm256_or_si256(_mm256_and_si256(hi, maskv), _mm256_andnot_si256(hi, ones));
-        let dp1 = dp.add(1);
-        _mm256_storeu_si256(dp1, _mm256_and_si256(_mm256_loadu_si256(dp1), keep_hi));
-    }
-
-    /// Dispatch-table entry for the AVX2 mask step.
-    ///
-    /// # Safety
-    /// Same contract as [`mask_step_avx2_impl`].
-    #[allow(clippy::missing_safety_doc)]
-    pub(super) unsafe fn mask_step_avx2(
-        xf: &[f32; LANES],
-        threshold: f32,
-        mask: u64,
-        dst: &mut [u64; LANES],
-    ) {
-        // SAFETY: forwarded verbatim; the caller upholds the target
-        // feature contract.
-        unsafe { mask_step_avx2_impl(xf, threshold, mask, dst) }
-    }
-
-    /// SSE2 mask step: two 4-lane ordered compares, widened to 64-bit
-    /// keep-masks with `unpacklo/hi`, ANDed into the bitvectors.
-    ///
-    /// # Safety
-    /// The arrays are fixed-size references so all loads/stores are in
-    /// bounds (SSE2 itself is the x86-64 baseline).
-    #[target_feature(enable = "sse2")]
-    unsafe fn mask_step_sse2_impl(
-        xf: &[f32; LANES],
-        threshold: f32,
-        mask: u64,
-        dst: &mut [u64; LANES],
-    ) {
-        let t = _mm_set1_ps(threshold);
-        let maskv = _mm_set1_epi64x(mask as i64);
-        let ones = _mm_set1_epi64x(-1);
-        let dp = dst.as_mut_ptr() as *mut __m128i;
-        for half in 0..2 {
-            let x = _mm_loadu_ps(xf.as_ptr().add(half * 4));
-            // Ordered compare: false on NaN, matching the scalar `>`.
-            let gt = _mm_castps_si128(_mm_cmpgt_ps(x, t));
-            // Duplicate each 32-bit lane mask into a 64-bit mask.
-            let w = [_mm_unpacklo_epi32(gt, gt), _mm_unpackhi_epi32(gt, gt)];
-            for (pair, g) in w.into_iter().enumerate() {
-                let keep = _mm_or_si128(_mm_and_si128(g, maskv), _mm_andnot_si128(g, ones));
-                let p = dp.add(half * 2 + pair);
-                _mm_storeu_si128(p, _mm_and_si128(_mm_loadu_si128(p), keep));
-            }
-        }
-    }
-
-    /// Dispatch-table entry for the SSE2 mask step.
-    ///
-    /// # Safety
-    /// Same contract as [`mask_step_sse2_impl`].
-    #[allow(clippy::missing_safety_doc)]
-    pub(super) unsafe fn mask_step_sse2(
-        xf: &[f32; LANES],
-        threshold: f32,
-        mask: u64,
-        dst: &mut [u64; LANES],
-    ) {
-        // SAFETY: forwarded verbatim; SSE2 is the x86-64 baseline.
-        unsafe { mask_step_sse2_impl(xf, threshold, mask, dst) }
     }
 }
 

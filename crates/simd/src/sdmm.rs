@@ -2,7 +2,7 @@
 //! packed, zero-padded `B`, accumulators held in registers and stored to
 //! `C_i` exactly once.
 //!
-//! Per output element `C[i][j]` every path — scalar, SSE2, AVX2 — performs
+//! Per output element `C[i][j]` both paths — scalar and AVX2 — perform
 //! the identical chain of `acc += x * b` steps in non-zero order, using a
 //! *separate* multiply and add (never FMA). IEEE-754 arithmetic is
 //! performed per lane, so how the `j` axis is blocked into vectors cannot
@@ -10,6 +10,10 @@
 //! equivalence suite asserts exact equality. (Fusing the multiply-add
 //! would buy little here — the kernel is load-bound on `B` — and would
 //! forfeit the bit-exactness oracle.)
+//!
+//! Only AVX2 has a hand-written kernel. [`Isa::Sse2`] runs the scalar
+//! path: 128-bit intrinsics read slower than that loop in every traced
+//! run (`simd.sdmm_row_ns` in `results/benchmark/`).
 
 use crate::dispatch::{supported, Isa};
 use crate::LANES;
@@ -19,7 +23,8 @@ use crate::LANES;
 /// `width` (a multiple of [`LANES`], zero-padded past column `n`).
 ///
 /// `c_row` (`len == n`) is overwritten, not accumulated into; an empty
-/// non-zero list zeroes it. An unsupported `isa` falls back to scalar.
+/// non-zero list zeroes it. An `isa` that is unsupported here, or has no
+/// kernel of its own ([`Isa::Sse2`]), falls back to scalar.
 ///
 /// # Panics
 /// Panics when `cols`/`vals` lengths differ, `c_row.len() != n`, the
@@ -63,15 +68,6 @@ pub fn row_kernel(
             // bounds keep each vector load within `t + lanes <= n <= width`.
             unsafe {
                 x86::row_avx2(cols, vals, bdata.as_ptr(), width, n, c_row.as_mut_ptr());
-            }
-        }
-        #[cfg(target_arch = "x86_64")]
-        Isa::Sse2 => {
-            // SAFETY: SSE2 is the x86-64 baseline (checked by `supported`);
-            // in-bounds access follows from the same asserts as the AVX2
-            // arm.
-            unsafe {
-                x86::row_sse2(cols, vals, bdata.as_ptr(), width, n, c_row.as_mut_ptr());
             }
         }
         _ => row_scalar(cols, vals, bdata, width, n, c_row),
@@ -242,69 +238,7 @@ mod x86 {
         unsafe { row_avx2_impl(cols, vals, bdata, width, n, c_row) }
     }
 
-    /// SSE2 row kernel: 16-lane (4×xmm) main pass, 4-lane pass, scalar
-    /// tail. Separate `mul`/`add` — bit-identical to scalar.
-    ///
-    /// # Safety
-    /// Caller must ensure `bdata` is readable for `(ci+1)*width` floats
-    /// for every `ci` in `cols` with `n <= width`, and `c_row` is writable
-    /// for `n` floats (SSE2 itself is the x86-64 baseline).
-    #[target_feature(enable = "sse2")]
-    unsafe fn row_sse2_impl(
-        cols: &[u32],
-        vals: &[f32],
-        bdata: *const f32,
-        width: usize,
-        n: usize,
-        c_row: *mut f32,
-    ) {
-        let mut t = 0usize;
-        while t + 16 <= n {
-            let mut acc = [_mm_setzero_ps(); 4];
-            for (&ci, &x) in cols.iter().zip(vals) {
-                let base = bdata.add(ci as usize * width + t);
-                let xv = _mm_set1_ps(x);
-                for (u, a) in acc.iter_mut().enumerate() {
-                    let b = _mm_loadu_ps(base.add(u * 4));
-                    *a = _mm_add_ps(*a, _mm_mul_ps(xv, b));
-                }
-            }
-            for (u, &a) in acc.iter().enumerate() {
-                _mm_storeu_ps(c_row.add(t + u * 4), a);
-            }
-            t += 16;
-        }
-        while t + 4 <= n {
-            let mut acc = _mm_setzero_ps();
-            for (&ci, &x) in cols.iter().zip(vals) {
-                let b = _mm_loadu_ps(bdata.add(ci as usize * width + t));
-                acc = _mm_add_ps(acc, _mm_mul_ps(_mm_set1_ps(x), b));
-            }
-            _mm_storeu_ps(c_row.add(t), acc);
-            t += 4;
-        }
-        tail_scalar(cols, vals, bdata, width, t, n, c_row);
-    }
-
-    /// Dispatch-table entry for the SSE2 row kernel.
-    ///
-    /// # Safety
-    /// Same contract as [`row_sse2_impl`].
-    #[allow(clippy::missing_safety_doc)]
-    pub(super) unsafe fn row_sse2(
-        cols: &[u32],
-        vals: &[f32],
-        bdata: *const f32,
-        width: usize,
-        n: usize,
-        c_row: *mut f32,
-    ) {
-        // SAFETY: forwarded verbatim; the caller upholds the bounds
-        // contract and SSE2 is the x86-64 baseline.
-        unsafe { row_sse2_impl(cols, vals, bdata, width, n, c_row) }
-    }
-
-    /// Scalar ragged tail shared by both vector paths (lanes `t..n`).
+    /// Scalar ragged tail of the vector path (lanes `t..n`).
     ///
     /// # Safety
     /// Caller must ensure `bdata` is readable for `ci*width + n` floats

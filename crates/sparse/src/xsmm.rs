@@ -17,7 +17,7 @@
 //!
 //! LIBXSMM JIT-specializes this kernel per sparse matrix; we keep a
 //! generic kernel — `dlr-simd`'s runtime-dispatched row kernel
-//! ([`dlr_simd::sdmm::row_kernel`]: hand-written AVX2/SSE2 with a portable
+//! ([`dlr_simd::sdmm::row_kernel`]: hand-written AVX2 with a portable
 //! scalar fallback) — preserving the memory-access pattern the predictor
 //! models. Every dispatch path performs the identical per-lane
 //! multiply-then-add chain, so the output is **bit-identical** across
@@ -99,13 +99,6 @@ impl PackedB {
     #[inline]
     pub(crate) fn packed(&self) -> &[f32] {
         &self.data[self.offset..self.offset + self.k * self.blocks * SIMD_WIDTH]
-    }
-
-    /// Packed row `j` as `N_b` contiguous SIMD blocks.
-    #[inline]
-    #[allow(dead_code)]
-    fn row(&self, j: usize) -> &[f32] {
-        &self.packed()[j * self.blocks * SIMD_WIDTH..(j + 1) * self.blocks * SIMD_WIDTH]
     }
 
     /// Number of dense columns `n`.
@@ -330,9 +323,9 @@ mod tests {
         let p = PackedB::pack(b.as_slice(), 2, 3);
         assert_eq!(p.blocks(), 1);
         assert_eq!(p.n(), 3);
-        // Row 0 padded to SIMD width.
-        assert_eq!(&p.row(0)[..4], &[1., 2., 3., 0.]);
-        assert_eq!(&p.row(1)[..4], &[4., 5., 6., 0.]);
+        // Each row padded to SIMD width.
+        assert_eq!(&p.packed()[..4], &[1., 2., 3., 0.]);
+        assert_eq!(&p.packed()[SIMD_WIDTH..SIMD_WIDTH + 4], &[4., 5., 6., 0.]);
     }
 
     #[test]

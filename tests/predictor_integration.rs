@@ -94,7 +94,6 @@ fn architecture_search_candidates_respect_measured_budgets_in_order() {
         widths: vec![50, 100, 200, 400],
         depths: vec![2, 3],
         batch: 1000,
-        threads: 1,
     };
     let candidates = design_architectures(&p, 136, 3.0, &space);
     assert!(!candidates.is_empty());
@@ -102,5 +101,20 @@ fn architecture_search_candidates_respect_measured_budgets_in_order() {
         let again = p.predict_forward_us_per_doc(136, &c.hidden, 1000);
         assert!((again - c.dense_us).abs() < 1e-9);
         assert!(c.pruned_us <= 3.0);
+    }
+}
+
+#[test]
+fn admission_forecast_is_the_pruned_prediction_times_the_safety_factor() {
+    // The two shapes the benchmark serves, at its 64-document requests:
+    // the serve-time forecast is Eq. 3 minus the first layer, padded by
+    // the safety factor, and nothing else.
+    let p = DensePredictor::paper_i9_9900k();
+    for hidden in [vec![400, 200, 200, 100], vec![200, 100, 100, 50]] {
+        let want = 1.5 * 64.0 * p.predict_pruned_us_per_doc(136, &hidden, 64) * 1e-6;
+        let got = BudgetForecast::pruned(p.clone(), 136, hidden)
+            .with_safety_factor(1.5)
+            .forecast_batch_secs(64);
+        assert!((got - want).abs() <= want * 1e-12, "{got} vs {want}");
     }
 }
