@@ -155,11 +155,31 @@ impl DeadlinePolicy {
     }
 }
 
-/// Pre-run latency estimate consulted before the primary scorer runs.
+/// The serve-time cost model: how long scoring a batch is expected to
+/// take, asked *before* the batch runs.
 ///
 /// `dlr-predictor`'s `BudgetForecast` implements this from the paper's
 /// Equation 3 dense-time model, closing the loop between the *design-time*
-/// predictor and *serve-time* degradation.
+/// predictor and *serve-time* decisions. Three of those are taken from it:
+///
+/// * [`RobustScorer`] routes a batch to the fallback when the forecast
+///   for it exceeds the deadline budget;
+/// * `dlr-serve` sheds a deadlined request at admission when the
+///   forecast for everything queued plus the request exceeds its budget;
+/// * `dlr-serve`'s dispatcher, idle with `d` documents queued and `room`
+///   left in the batch, waits for company at most `forecast(d) +
+///   forecast(room) − forecast(d + room)` — the service time one batch
+///   instead of two would save (`BatchConfig::flush_deadline_nanos`). A
+///   forecast linear in `num_docs`, as Eq. 3 is, saves nothing and the
+///   dispatcher never waits; one with a fixed per-batch term waits at
+///   most that term.
+///
+/// The contract those callers rely on: `forecast` is a pure, cheap
+/// function of `num_docs` that never panics — it runs under the
+/// admission-queue lock and on the dispatcher thread, for any count from
+/// zero up. `None` abstains, and every caller then behaves as if it held
+/// no forecaster. Any `Duration` is a legal answer, `Duration::MAX`
+/// included; callers saturate.
 pub trait LatencyForecaster {
     /// Expected wall-clock time to score `num_docs` documents, or `None`
     /// when no estimate is available.

@@ -1,4 +1,4 @@
-//! Pure micro-batching arithmetic: flush deadlines, expiry, deadline
+//! Pure micro-batching arithmetic: the flush rule, expiry, deadline
 //! propagation, and the admission-control shed rule.
 //!
 //! Everything here is a function of its arguments — timestamps come in
@@ -6,20 +6,31 @@
 //! are unit-testable with hand-picked times and the module stays inside
 //! the `NONDETERMINISM` lint fence.
 
-use crate::queue::Admitted;
+use crate::queue::{tightest_deadline_nanos, Admitted};
 use crate::request::SubmitError;
 use dlr_core::serve::LatencyForecaster;
 use std::time::Duration;
 
-/// Micro-batch formation policy: flush on size or age, whichever first.
+/// A forecast saving below the resolution of every serving histogram
+/// (whole microseconds) is no saving. The three `f64` forecasts behind it
+/// round independently, so a linear cost model can read ±1 ns — and a
+/// timed wait that short costs a syscall plus the host's timer overshoot,
+/// and under a frozen test clock never ends.
+const MIN_SAVING_NANOS: u64 = 1_000;
+
+/// Micro-batch formation policy: a full batch flushes at once; a partial
+/// one waits for company no longer than `min(max_wait, forecast saving,
+/// deadline slack)` — the rule is
+/// [`flush_deadline_nanos`](BatchConfig::flush_deadline_nanos).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
     /// Flush as soon as this many documents are queued. A single request
     /// larger than this forms its own oversized batch.
     pub max_batch_docs: usize,
-    /// Flush when the oldest queued request has waited this long, even if
-    /// the batch is not full — the latency cost of coalescing is bounded
-    /// by this knob.
+    /// The ceiling on coalescing delay. The oldest queued request never
+    /// waits longer than this for the batch to fill, however much the
+    /// forecast says a fuller batch would save — and waits exactly this
+    /// long when the server holds no forecast to say otherwise.
     pub max_wait: Duration,
 }
 
@@ -33,11 +44,69 @@ impl Default for BatchConfig {
 }
 
 impl BatchConfig {
-    /// Server nanos at which a batch whose oldest request was admitted at
-    /// `oldest_queued_nanos` must flush regardless of fill.
-    pub(crate) fn flush_deadline_nanos(&self, oldest_queued_nanos: u64) -> u64 {
-        let wait = u64::try_from(self.max_wait.as_nanos()).unwrap_or(u64::MAX);
-        oldest_queued_nanos.saturating_add(wait)
+    /// The flush rule: the server nanos at which an idle dispatcher stops
+    /// waiting for a partial batch of `queued_docs` documents to fill.
+    ///
+    /// Waiting is worth at most the service time coalescing can still
+    /// save. With `f` the server's forecast and `room = max_batch_docs −
+    /// queued_docs` documents yet to come, scoring both in one batch
+    /// instead of two saves `saving = f(queued_docs) + f(room) −
+    /// f(max_batch_docs)`, and waiting must leave the tightest queued
+    /// deadline time to be met:
+    ///
+    /// ```text
+    /// flush_at = min(oldest_queued + min(max_wait, saving),
+    ///                tightest_deadline − f(queued_docs))
+    /// ```
+    ///
+    /// * A forecast linear in the batch (Eq. 3) saves nothing: no wait,
+    ///   the server is work-conserving, and batches are whatever queued
+    ///   while the engine was busy. A forecast with a fixed per-batch
+    ///   term `c` waits `min(c, max_wait)`.
+    /// * A saving under one microsecond is no wait: it is rounding in
+    ///   the forecasts, not a prediction.
+    /// * No forecaster, one that abstains on any of the three sizes, or
+    ///   a forecast that overflows `u64` nanoseconds (`Duration::MAX`)
+    ///   is no information. The wait is then `max_wait`, unless a queued
+    ///   deadline falls before that ceiling: nothing says how late the
+    ///   batch may start and still meet it, so the wait ends at once.
+    ///
+    /// A result at or before the caller's clock means flush now. All
+    /// arithmetic saturates; nothing here can panic.
+    pub fn flush_deadline_nanos(
+        &self,
+        forecast: Option<&(dyn LatencyForecaster + Send + Sync)>,
+        queued_docs: usize,
+        oldest_queued_nanos: u64,
+        tightest_deadline_nanos: Option<u64>,
+    ) -> u64 {
+        let max_wait = u64::try_from(self.max_wait.as_nanos()).unwrap_or(u64::MAX);
+        // (service time of what is queued, what waiting for the rest saves)
+        let known = forecast.and_then(|f| {
+            let nanos = |docs: usize| u64::try_from(f.forecast(docs)?.as_nanos()).ok();
+            let room = self.max_batch_docs.saturating_sub(queued_docs);
+            let alone = nanos(queued_docs)?;
+            let apart = alone.saturating_add(nanos(room)?);
+            let together = nanos(queued_docs.saturating_add(room))?;
+            Some((alone, apart.saturating_sub(together)))
+        });
+        let Some((service, saving)) = known else {
+            let ceiling = oldest_queued_nanos.saturating_add(max_wait);
+            return match tightest_deadline_nanos {
+                Some(deadline) if deadline < ceiling => oldest_queued_nanos,
+                _ => ceiling,
+            };
+        };
+        let wait = if saving < MIN_SAVING_NANOS {
+            0
+        } else {
+            saving.min(max_wait)
+        };
+        let flush_at = oldest_queued_nanos.saturating_add(wait);
+        match tightest_deadline_nanos {
+            Some(deadline) => flush_at.min(deadline.saturating_sub(service)),
+            None => flush_at,
+        }
     }
 }
 
@@ -64,11 +133,7 @@ pub(crate) fn split_expired(
 /// Expired requests must be split off first; a deadline exactly at `now`
 /// propagates as a zero budget.
 pub(crate) fn batch_budget(items: &[Admitted], now_nanos: u64) -> Option<Duration> {
-    items
-        .iter()
-        .filter_map(|i| i.deadline_nanos)
-        .min()
-        .map(|d| Duration::from_nanos(d.saturating_sub(now_nanos)))
+    tightest_deadline_nanos(items).map(|d| Duration::from_nanos(d.saturating_sub(now_nanos)))
 }
 
 /// Concatenated row-major features of the live requests, plus each
@@ -129,14 +194,98 @@ mod tests {
         }
     }
 
+    const OLDEST: u64 = 5_000;
+
+    fn cfg(max_wait: Duration) -> BatchConfig {
+        BatchConfig {
+            max_batch_docs: 256,
+            max_wait,
+        }
+    }
+
+    /// How long past `OLDEST` the rule lets the dispatcher wait with
+    /// `docs` queued; `None` when it flushes before `OLDEST`.
+    fn wait_nanos(
+        cfg: BatchConfig,
+        forecast: Option<&(dyn LatencyForecaster + Send + Sync)>,
+        docs: usize,
+        deadline_nanos: Option<u64>,
+    ) -> Option<u64> {
+        cfg.flush_deadline_nanos(forecast, docs, OLDEST, deadline_nanos)
+            .checked_sub(OLDEST)
+    }
+
     #[test]
-    fn flush_deadline_is_oldest_plus_max_wait_saturating() {
-        let cfg = BatchConfig {
-            max_batch_docs: 8,
-            max_wait: Duration::from_nanos(100),
-        };
-        assert_eq!(cfg.flush_deadline_nanos(40), 140);
-        assert_eq!(cfg.flush_deadline_nanos(u64::MAX - 10), u64::MAX);
+    fn flush_rule_waits_only_for_a_forecast_saving_under_the_ceiling() {
+        let ms = cfg(Duration::from_millis(1));
+        let linear = |docs: usize| Some(Duration::from_nanos(7_300 * docs as u64));
+        let constant = |_docs: usize| Some(Duration::from_micros(30));
+        let abstaining = |_docs: usize| None;
+        let partial = |docs: usize| (docs != 256).then_some(Duration::from_micros(30));
+        let overflowing = |_docs: usize| Some(Duration::MAX);
+        // f(d) + f(room) − f(256) = 999 ns: rounding, not a prediction.
+        let sub_micro = |docs: usize| Some(Duration::from_nanos(10 * docs as u64 + 999));
+        let micro = |docs: usize| Some(Duration::from_nanos(10 * docs as u64 + 1_000));
+        for docs in [1, 64, 255] {
+            // Linear (Eq. 3): coalescing saves nothing, so no wait.
+            assert_eq!(wait_nanos(ms, Some(&linear), docs, None), Some(0));
+            // A fixed per-batch cost is what one fewer batch saves.
+            assert_eq!(wait_nanos(ms, Some(&constant), docs, None), Some(30_000));
+            // ... capped by the ceiling.
+            let tight = cfg(Duration::from_micros(10));
+            assert_eq!(wait_nanos(tight, Some(&constant), docs, None), Some(10_000));
+            // No information: the ceiling, exactly the old timer.
+            assert_eq!(wait_nanos(ms, None, docs, None), Some(1_000_000));
+            assert_eq!(
+                wait_nanos(ms, Some(&abstaining), docs, None),
+                Some(1_000_000)
+            );
+            assert_eq!(wait_nanos(ms, Some(&partial), docs, None), Some(1_000_000));
+            assert_eq!(
+                wait_nanos(ms, Some(&overflowing), docs, None),
+                Some(1_000_000)
+            );
+            // The resolution floor.
+            assert_eq!(wait_nanos(ms, Some(&sub_micro), docs, None), Some(0));
+            assert_eq!(wait_nanos(ms, Some(&micro), docs, None), Some(1_000));
+        }
+        // Saturation, not overflow, on both paths: no forecast, and one
+        // whose saving is the whole of `u64`.
+        let forever = cfg(Duration::MAX);
+        let cliff = |docs: usize| Some(Duration::from_nanos(if docs < 256 { u64::MAX } else { 0 }));
+        assert_eq!(wait_nanos(forever, None, 1, None), Some(u64::MAX - OLDEST));
+        assert_eq!(
+            wait_nanos(forever, Some(&cliff), 1, None),
+            Some(u64::MAX - OLDEST)
+        );
+    }
+
+    #[test]
+    fn flush_rule_leaves_the_tightest_deadline_time_to_be_met() {
+        let ms = cfg(Duration::from_millis(1));
+        // 30 µs per batch + 1 µs per document: waiting saves 30 µs.
+        let affine = |docs: usize| Some(Duration::from_micros(30 + docs as u64));
+        let fc: Option<&(dyn LatencyForecaster + Send + Sync)> = Some(&affine);
+        // Slack to spare: the deadline does not bind.
+        assert_eq!(wait_nanos(ms, fc, 64, Some(OLDEST + 500_000)), Some(30_000));
+        // 100 µs away with f(64) = 94 µs of scoring to fit: wait 6 µs.
+        assert_eq!(wait_nanos(ms, fc, 64, Some(OLDEST + 100_000)), Some(6_000));
+        // Already out of reach: flush now (a time before `OLDEST`).
+        assert_eq!(wait_nanos(ms, fc, 64, Some(OLDEST + 50_000)), None);
+        // No forecast: a deadline before the ceiling ends the wait at
+        // once; one at or past it leaves the ceiling alone.
+        let abstaining = |_docs: usize| None;
+        for fc in [
+            None,
+            Some(&abstaining as &(dyn LatencyForecaster + Send + Sync)),
+        ] {
+            assert_eq!(wait_nanos(ms, fc, 64, Some(OLDEST + 500_000)), Some(0));
+            assert_eq!(wait_nanos(ms, fc, 64, Some(OLDEST)), Some(0));
+            assert_eq!(
+                wait_nanos(ms, fc, 64, Some(OLDEST + 1_000_000)),
+                Some(1_000_000)
+            );
+        }
     }
 
     #[test]

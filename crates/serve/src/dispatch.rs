@@ -2,13 +2,15 @@
 //! into micro-batches, executes them, and delivers every response.
 //!
 //! One dispatcher thread owns the engine. Each turn it waits for work,
-//! coalesces until the batch is full or the oldest request has waited
-//! `max_wait`, takes the batch, and executes it with per-batch panic
-//! isolation: a panicking engine fails only the requests coalesced into
-//! that batch, and the loop keeps serving. Requests whose deadline
-//! expired while queued are answered [`Response::Expired`] without being
-//! scored; the tightest surviving deadline propagates to the engine as
-//! the batch budget.
+//! coalesces until the batch is full or the flush rule on [`BatchConfig`]
+//! says more waiting buys nothing — no longer than `min(max_wait,
+//! forecast saving, deadline slack)`, which with the linear Eq. 3
+//! forecast is not at all — takes the batch, and executes it with
+//! per-batch panic isolation: a panicking engine fails only the requests
+//! coalesced into that batch, and the loop keeps serving. Requests whose
+//! deadline expired while queued are answered [`Response::Expired`]
+//! without being scored; the tightest surviving deadline propagates to
+//! the engine as the batch budget.
 //!
 //! This module computes with server nanos handed to it by the queue and
 //! the injected [`Clock`] — it is inside both lint fences (no panicking
@@ -40,8 +42,9 @@ pub(crate) struct Shared {
     pub(crate) per_version: Mutex<Vec<VersionStats>>,
     /// The server's one clock (all other modules see only its nanos).
     pub(crate) clock: Arc<dyn Clock>,
-    /// Admission-control forecaster, shared with the dispatcher so it can
-    /// pair each batch's forecast with its measured execute time (the
+    /// The server's one cost model: sheds at admission, bounds the
+    /// dispatcher's wait for a fuller batch (the flush rule), and is
+    /// paired with each batch's measured execute time (the
     /// predictor-drift signal).
     pub(crate) admission: Option<Box<dyn LatencyForecaster + Send + Sync>>,
     /// Trace-id source for admitted requests (1-based; 0 is synthetic).
@@ -88,19 +91,19 @@ pub(crate) fn run<E: BatchEngine>(
     }
 }
 
-/// Wait for the batch to fill, up to the flush deadline of the oldest
-/// queued request. Each condvar wake re-derives the deadline from the
-/// clock, so a trickle of admissions cannot postpone a time-based flush.
+/// Wait for the batch to fill, as long as the flush rule on
+/// [`BatchConfig`] allows. Each turn takes the queue lock once for
+/// everything the rule reads and re-derives the deadline from the clock,
+/// so a trickle of admissions cannot postpone a flush — and a server
+/// whose forecast is linear never times a wait.
 fn coalesce(shared: &Shared, cfg: BatchConfig) {
-    loop {
-        let (_, docs) = shared.queue.depth();
-        if docs >= cfg.max_batch_docs || shared.queue.is_closed() {
-            return;
-        }
-        let Some(oldest) = shared.queue.oldest_queued_nanos() else {
-            return;
-        };
-        let flush_at = cfg.flush_deadline_nanos(oldest);
+    while let Some(queued) = shared.queue.partial_batch(cfg.max_batch_docs) {
+        let flush_at = cfg.flush_deadline_nanos(
+            shared.admission.as_deref(),
+            queued.docs,
+            queued.oldest_queued_nanos,
+            queued.tightest_deadline_nanos,
+        );
         let now = shared.clock.now_nanos();
         if now >= flush_at {
             return;

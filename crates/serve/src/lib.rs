@@ -7,15 +7,20 @@
 //! concurrent front-end built from four overload defenses:
 //!
 //! 1. **Dynamic micro-batching** — single-query [`ScoreRequest`]s
-//!    coalesce into batches that flush on size ([`BatchConfig::max_batch_docs`])
-//!    or age ([`BatchConfig::max_wait`]), whichever comes first, so
-//!    throughput scales with load while the coalescing latency stays
-//!    bounded.
+//!    coalesce into batches of up to [`BatchConfig::max_batch_docs`]
+//!    documents. A partial batch waits for company no longer than
+//!    `min(max_wait, forecast saving, deadline slack)`: only while the
+//!    server's latency forecast says one batch instead of two would
+//!    still save service time, never so long that a queued deadline
+//!    could no longer be met, and never past [`BatchConfig::max_wait`].
+//!    Under the linear Eq. 3 forecast the saving is zero, so the server
+//!    is work-conserving: batches are whatever queued while the engine
+//!    was busy, and throughput scales with load at no idle-time latency.
 //! 2. **Bounded admission with explicit backpressure** — the queue
 //!    never grows without bound; overflow either rejects the submitter
 //!    ([`Backpressure::Reject`]) or blocks it ([`Backpressure::Block`]),
 //!    and shedding is a typed, counted event, never a silent drop.
-//! 3. **Admission control and deadline propagation** — a latency
+//! 3. **Admission control and deadline propagation** — the same
 //!    forecaster (the Eq. 3 budget predictor) sheds requests predicted
 //!    to miss their deadline before they waste queue space; deadlines
 //!    that survive admission ride into the engine as the batch budget,

@@ -9,9 +9,11 @@
 //! exactly once by [`take_batch`](AdmissionQueue::take_batch), and a
 //! closed queue drains rather than discards.
 //!
-//! This module never reads a clock; timestamps ride in on the items
-//! (server nanos assigned by the submitter) and timeouts come in as
-//! [`Duration`]s from the dispatcher.
+//! This module never reads a clock and holds no batching policy:
+//! timestamps ride in on the items (server nanos assigned by the
+//! submitter), [`partial_batch`](AdmissionQueue::partial_batch) hands the
+//! dispatcher what the flush rule reads in one lock acquisition, and how
+//! long to wait comes back in as a [`Duration`].
 
 use crate::request::{ScoreRequest, Slot, SubmitError};
 use crate::sync::{Condvar, Mutex, MutexGuard};
@@ -68,6 +70,25 @@ pub enum Ready {
     Items,
     /// The queue is closed and empty — the drain is complete.
     Drained,
+}
+
+/// What the flush rule reads of a batch still short of its target, from
+/// one look under the lock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PartialBatch {
+    /// Total documents across queued items.
+    pub docs: usize,
+    /// Admission timestamp of the oldest queued item.
+    pub oldest_queued_nanos: u64,
+    /// The earliest absolute deadline any queued item carries.
+    pub tightest_deadline_nanos: Option<u64>,
+}
+
+/// The earliest absolute deadline among `items`, if any carries one.
+pub(crate) fn tightest_deadline_nanos<'a>(
+    items: impl IntoIterator<Item = &'a Admitted>,
+) -> Option<u64> {
+    items.into_iter().filter_map(|i| i.deadline_nanos).min()
 }
 
 /// A bounded MPSC queue: many submitters, one dispatcher.
@@ -158,11 +179,6 @@ impl AdmissionQueue {
         self.not_empty.notify_all();
     }
 
-    /// Whether [`close`](Self::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        lock(self).closed
-    }
-
     /// Block until at least one item is queued, or the queue is closed
     /// and empty (drain complete).
     pub fn wait_nonempty(&self) -> Ready {
@@ -181,9 +197,22 @@ impl AdmissionQueue {
         }
     }
 
-    /// Admission timestamp of the oldest queued item.
-    pub fn oldest_queued_nanos(&self) -> Option<u64> {
-        lock(self).items.front().map(|i| i.queued_nanos)
+    /// The batch the dispatcher could wait on, in one lock acquisition
+    /// (it decides each coalescing turn from this instead of contending
+    /// with every submitter once per field). `None` when there is nothing
+    /// to wait for: `target_docs` documents are already queued, the queue
+    /// is closed (a drain flushes immediately), or it is empty. The
+    /// deadline scan is therefore over fewer than `target_docs` requests.
+    pub fn partial_batch(&self, target_docs: usize) -> Option<PartialBatch> {
+        let state = lock(self);
+        if state.queued_docs >= target_docs || state.closed {
+            return None;
+        }
+        Some(PartialBatch {
+            docs: state.queued_docs,
+            oldest_queued_nanos: state.items.front()?.queued_nanos,
+            tightest_deadline_nanos: tightest_deadline_nanos(&state.items),
+        })
     }
 
     /// Wait (one condvar round) for more work: returns immediately when
@@ -191,9 +220,10 @@ impl AdmissionQueue {
     /// (a drain flushes immediately), or `timeout` is zero; otherwise
     /// blocks until the next admission/close wake or the timeout. Any
     /// wake returns — the dispatcher re-derives its flush deadline from
-    /// the clock and calls again, so a trickle of admissions can never
-    /// postpone a time-based flush past `max_wait`. Returns the queued
-    /// document count seen last.
+    /// [`partial_batch`](Self::partial_batch) and the clock and calls
+    /// again, so a trickle of admissions can never postpone a time-based
+    /// flush.
+    /// Returns the queued document count seen last.
     pub fn wait_docs_or_timeout(&self, target_docs: usize, timeout: Duration) -> usize {
         let state = lock(self);
         if state.queued_docs >= target_docs || state.closed || timeout.is_zero() {
@@ -314,7 +344,8 @@ mod tests {
         let q = AdmissionQueue::new(4);
         admit_ok(&q, item(2, 0));
         q.close();
-        assert!(q.is_closed());
+        // A drain flushes at once: there is no partial batch to wait on.
+        assert_eq!(q.partial_batch(16), None);
         let err = q
             .admit(item(1, 1), Backpressure::Block, |_| Ok(()))
             .expect_err("closed");
@@ -362,14 +393,33 @@ mod tests {
     }
 
     #[test]
-    fn oldest_queued_nanos_tracks_the_front() {
+    fn partial_batch_reads_docs_front_and_tightest_deadline_at_once() {
         let q = AdmissionQueue::new(4);
-        assert_eq!(q.oldest_queued_nanos(), None);
-        admit_ok(&q, item(1, 42));
-        admit_ok(&q, item(1, 77));
-        assert_eq!(q.oldest_queued_nanos(), Some(42));
-        q.take_batch(1);
-        assert_eq!(q.oldest_queued_nanos(), Some(77));
+        assert_eq!(q.partial_batch(8), None, "empty: nothing to wait on");
+        admit_ok(&q, item(2, 42));
+        for (docs, queued_nanos, deadline) in [(1, 77, 900), (3, 80, 500)] {
+            admit_ok(
+                &q,
+                Admitted {
+                    deadline_nanos: Some(deadline),
+                    ..item(docs, queued_nanos)
+                },
+            );
+        }
+        let all = PartialBatch {
+            docs: 6,
+            oldest_queued_nanos: 42,
+            tightest_deadline_nanos: Some(500),
+        };
+        assert_eq!(q.partial_batch(8), Some(all));
+        assert_eq!(q.partial_batch(6), None, "target met: flush, no wait");
+        q.take_batch(2);
+        let rest = PartialBatch {
+            docs: 4,
+            oldest_queued_nanos: 77,
+            ..all
+        };
+        assert_eq!(q.partial_batch(8), Some(rest));
         assert_eq!(q.capacity(), 4);
     }
 }

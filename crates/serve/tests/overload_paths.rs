@@ -15,11 +15,11 @@
 
 use dlr_core::fault::{ServerFault, ServerFaultPlan};
 use dlr_core::scoring::DocumentScorer;
-use dlr_core::serve::{RobustScorer, ServedBy};
+use dlr_core::serve::{LatencyForecaster, RobustScorer, ServedBy};
 use dlr_obs::{Obs, ObsConfig};
 use dlr_serve::{
-    Backpressure, BatchConfig, BatchEngine, ManualClock, PlainEngine, Response, ScoreRequest,
-    Server, ServerConfig, ServerStats, SubmitError,
+    Backpressure, BatchConfig, BatchEngine, Delivery, ManualClock, PlainEngine, Response,
+    ResponseHandle, ScoreRequest, Server, ServerConfig, ServerStats, SubmitError,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -326,6 +326,97 @@ fn queue_stall_expires_deadlined_requests() {
             .load(std::sync::atomic::Ordering::Relaxed),
         1
     );
+}
+
+/// **Idle server, live deadline**: a lone request whose deadline falls
+/// before the `max_wait` ceiling is scored at once. Holding it for
+/// company (no forecaster: the wait is the ceiling) would only expire it.
+#[test]
+fn an_idle_server_scores_a_request_whose_deadline_precedes_the_ceiling() {
+    let server = Server::start(
+        PlainEngine::new(Tagged),
+        ServerConfig {
+            batch: BatchConfig {
+                max_batch_docs: 256,
+                max_wait: Duration::from_millis(400),
+            },
+            ..ServerConfig::default()
+        },
+    );
+    let got = server
+        .submit(req(3).with_deadline(Duration::from_millis(200)))
+        .expect("admitted")
+        .wait();
+    assert_eq!(got.response.scores(), Some(&[3000.0][..]));
+    let (_engine, stats) = server.shutdown();
+    let expected = ServerStats {
+        submitted: 1,
+        admitted: 1,
+        batches: 1,
+        batched_docs: 1,
+        scored_primary: 1,
+        max_queue_depth: 1,
+        max_queued_docs: 1,
+        ..ServerStats::default()
+    };
+    assert_books(&stats, &expected);
+}
+
+/// `handle.wait()`, failing the test instead of hanging it when the
+/// server never answers.
+fn wait_bounded(handle: ResponseHandle) -> Delivery {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let waiter = std::thread::spawn(move || tx.send(handle.wait()));
+    let got = rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("the server never answered");
+    waiter.join().expect("waiter").expect("receiver alive");
+    got
+}
+
+/// **The flush rule on a frozen clock**: a quarter-full batch on a server
+/// whose forecast is linear (Eq. 3) is scored without the clock ever
+/// moving — coalescing saves nothing, so no wait is timed — while a
+/// forecast with a fixed 30 µs per batch holds it until exactly that much
+/// server time has passed.
+#[test]
+fn a_linear_forecast_never_waits_and_a_constant_one_waits_out_its_saving() {
+    let quarter_batch = || ScoreRequest::new((0..64).flat_map(|doc| [7.0, doc as f32]).collect());
+    let start = |forecast: Box<dyn LatencyForecaster + Send + Sync>| {
+        let clock = Arc::new(ManualClock::at(0));
+        let server = Server::start(
+            PlainEngine::new(Tagged),
+            ServerConfig {
+                batch: BatchConfig::default(),
+                admission: Some(forecast),
+                clock: Some(Arc::clone(&clock) as Arc<dyn dlr_serve::Clock>),
+                ..ServerConfig::default()
+            },
+        );
+        (clock, server)
+    };
+
+    let (_frozen, server) = start(Box::new(|docs: usize| {
+        Some(Duration::from_nanos(4_690 * docs as u64))
+    }));
+    let got = wait_bounded(server.submit(quarter_batch()).expect("admitted"));
+    assert_eq!(got.response.scores().map(<[f32]>::len), Some(64));
+    assert_eq!(got.latency_nanos, 0);
+    drop(server);
+
+    let (clock, server) = start(Box::new(|_docs: usize| Some(Duration::from_micros(30))));
+    let handle = server.submit(quarter_batch()).expect("admitted");
+    // Only detection rests on this sleep: a correct server cannot answer
+    // while the clock stands still.
+    std::thread::sleep(Duration::from_millis(20));
+    assert!(
+        !handle.is_ready(),
+        "flushed before the saving was waited out"
+    );
+    clock.advance(30_000);
+    let got = wait_bounded(handle);
+    assert_eq!(got.response.scores().map(<[f32]>::len), Some(64));
+    assert_eq!(got.latency_nanos, 30_000);
 }
 
 /// **Backpressure (Reject)**: with the dispatcher stalled, submissions

@@ -1,7 +1,8 @@
 //! Property coverage for the coalescing invariants.
 //!
-//! For random mixes of query sizes, batch limits, and injected batch
-//! panics, the server must uphold:
+//! For random mixes of query sizes, batch limits, admission forecasters
+//! (each kind sends the flush rule down a different branch), and
+//! injected batch panics, the server must uphold:
 //!
 //! 1. every admitted request gets **exactly one** response (all handles
 //!    are ready when shutdown returns — none lost, none duplicated);
@@ -12,6 +13,7 @@
 
 use dlr_core::fault::{ServerFault, ServerFaultPlan};
 use dlr_core::scoring::DocumentScorer;
+use dlr_core::serve::LatencyForecaster;
 use dlr_serve::{BatchConfig, PlainEngine, Response, ScoreRequest, Server, ServerConfig};
 use proptest::prelude::*;
 use std::time::Duration;
@@ -49,6 +51,21 @@ fn expected_scores(query: usize, docs: usize) -> Vec<f32> {
         .collect()
 }
 
+/// The forecaster kinds the flush rule tells apart: none (wait out
+/// `max_wait`), linear (never wait), a fixed cost per batch (wait that
+/// long), abstaining (as none). No request carries a deadline, so none
+/// of them sheds.
+fn forecaster(kind: usize) -> Option<Box<dyn LatencyForecaster + Send + Sync>> {
+    match kind {
+        0 => None,
+        1 => Some(Box::new(|docs: usize| {
+            Some(Duration::from_micros(5 * docs as u64))
+        })),
+        2 => Some(Box::new(|_docs: usize| Some(Duration::from_micros(30)))),
+        _ => Some(Box::new(|_docs: usize| None)),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -59,6 +76,7 @@ proptest! {
         query_docs in proptest::collection::vec(1usize..6, 1..24),
         max_batch_docs in 1usize..12,
         max_wait_us in 0u64..300,
+        forecaster_kind in 0usize..4,
     ) {
         let server = Server::start(
             PlainEngine::new(Tagged),
@@ -67,6 +85,7 @@ proptest! {
                     max_batch_docs,
                     max_wait: Duration::from_micros(max_wait_us),
                 },
+                admission: forecaster(forecaster_kind),
                 ..ServerConfig::default()
             },
         );
@@ -106,6 +125,7 @@ proptest! {
         query_docs in proptest::collection::vec(1usize..6, 1..24),
         max_batch_docs in 1usize..12,
         panic_mask in proptest::collection::vec(0u64..2, 64),
+        forecaster_kind in 0usize..4,
     ) {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
@@ -122,6 +142,7 @@ proptest! {
                     max_batch_docs,
                     max_wait: Duration::from_micros(50),
                 },
+                admission: forecaster(forecaster_kind),
                 faults: Some(plan),
                 ..ServerConfig::default()
             },

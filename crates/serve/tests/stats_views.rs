@@ -31,9 +31,11 @@ fn concurrent_submitters_lose_no_count() {
     const THREADS: usize = 4;
     const CALLS: usize = 2_000;
     const MALFORMED_EVERY: usize = 50;
-    // A queue smaller than a batch: the dispatcher waits out `max_wait`
-    // for documents that cannot fit, so the queue sits full while the
-    // submitters race it and most submissions are refused.
+    // A queue smaller than a batch on a server holding no forecaster:
+    // the flush rule has no information, so the dispatcher waits out the
+    // whole `max_wait` ceiling for documents that cannot fit, and the
+    // queue sits full while the submitters race it and most submissions
+    // are refused.
     let server = Server::start(
         PlainEngine::new(Echo),
         ServerConfig {

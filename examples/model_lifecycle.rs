@@ -186,6 +186,10 @@ fn main() {
         ServerConfig {
             batch: BatchConfig {
                 max_batch_docs: 4 * DOCS_PER_QUERY,
+                // A partial batch waits no longer than min(max_wait,
+                // forecast saving, deadline slack). This server holds no
+                // forecaster, so it is this ceiling in full, unless a
+                // queued deadline falls before it.
                 max_wait: Duration::from_micros(300),
             },
             queue_capacity: 64,

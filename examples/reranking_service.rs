@@ -150,6 +150,11 @@ fn main() {
         ServerConfig {
             batch: BatchConfig {
                 max_batch_docs: 200, // coalesce up to two 100-doc queries
+                // The ceiling only. A partial batch waits no longer than
+                // min(max_wait, forecast saving, deadline slack), and the
+                // Eq. 3 forecast this server holds (`admission`) is linear
+                // in the batch: coalescing saves nothing, so it never
+                // waits — queries coalesce while the engine is busy.
                 max_wait: Duration::from_micros(500),
             },
             queue_capacity: 16,

@@ -118,3 +118,29 @@ fn admission_forecast_is_the_pruned_prediction_times_the_safety_factor() {
         assert!((got - want).abs() <= want * 1e-12, "{got} vs {want}");
     }
 }
+
+#[test]
+fn benchmark_forecasts_are_linear_so_the_dispatcher_never_waits() {
+    // Eq. 3 is linear in the batch, so coalescing saves no service time
+    // and the flush rule must not wait at any fill — not even the
+    // nanosecond or two by which three `f64` forecasts can disagree.
+    let cfg = distilled_ltr::serve::BatchConfig {
+        max_batch_docs: 256,
+        max_wait: std::time::Duration::from_micros(200),
+    };
+    let oldest = 1_000_000;
+    for predictor in [calibrate_dense(true), DensePredictor::paper_i9_9900k()] {
+        for hidden in [vec![400, 200, 200, 100], vec![200, 100, 100, 50]] {
+            let forecast = BudgetForecast::pruned(predictor.clone(), 136, hidden.clone())
+                .with_safety_factor(1.5)
+                .into_forecaster();
+            for docs in 1..=255 {
+                assert_eq!(
+                    cfg.flush_deadline_nanos(Some(&forecast), docs, oldest, None),
+                    oldest,
+                    "{hidden:?} waits with {docs} documents queued"
+                );
+            }
+        }
+    }
+}
