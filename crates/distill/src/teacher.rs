@@ -1,6 +1,7 @@
 //! The teacher abstraction.
 
 use dlr_gbdt::Ensemble;
+use dlr_quickscorer::VectorizedQuickScorer;
 
 /// A black-box document scorer used as a distillation teacher (§3: "the
 /// core idea ... is to treat the tree-based model as a black box producing
@@ -21,6 +22,18 @@ impl Teacher for Ensemble {
 
     fn score_batch(&self, rows: &[f32], out: &mut [f32]) {
         self.predict_batch(rows, out);
+    }
+}
+
+/// The compiled forest: on finite features, the scores of traversing the
+/// [`Ensemble`] it was compiled from, bit for bit, several times faster.
+impl Teacher for VectorizedQuickScorer {
+    fn num_features(&self) -> usize {
+        VectorizedQuickScorer::num_features(self)
+    }
+
+    fn score_batch(&self, rows: &[f32], out: &mut [f32]) {
+        VectorizedQuickScorer::score_batch(self, rows, out);
     }
 }
 

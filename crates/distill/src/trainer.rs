@@ -5,6 +5,8 @@
 //! minibatch mix ~half real documents with ~half synthetic midpoint
 //! samples (scored by the teacher on the fly), minimizing MSE between
 //! student and teacher scores with Adam under a step-LR schedule.
+//! The teacher scores through the vectorized QuickScorer compiled once
+//! per session, which gives traversal's scores bit for bit.
 //!
 //! [`DistillSession`] holds everything reusable across students (teacher
 //! scores, normalizer, sampler), so designing many candidate architectures
@@ -22,6 +24,7 @@ use dlr_nn::{
     run_epochs, BatchSource, FaultInjector, LayerMasks, LoopState, Mlp, ResilienceConfig,
     ResilientReport, StepLr, TrainError,
 };
+use dlr_quickscorer::VectorizedQuickScorer;
 use std::path::Path;
 
 /// Distillation configuration (see [`DistillHyper`] for the Table 9
@@ -72,7 +75,11 @@ impl DistilledModel {
 
 /// Reusable distillation state for one (teacher, training set) pair.
 pub struct DistillSession<'a> {
-    teacher: &'a dyn Teacher,
+    /// The forest the session distils.
+    forest: &'a Ensemble,
+    /// The forest compiled for vQS; `None` when it does not compile (a
+    /// tree with more than 64 leaves), and labels come from traversal.
+    compiled: Option<VectorizedQuickScorer>,
     cfg: DistillConfig,
     normalizer: Normalizer,
     sampler: MidpointSampler,
@@ -87,6 +94,11 @@ impl<'a> DistillSession<'a> {
     /// Prepare a session: fit the normalizer, score the training set with
     /// the teacher, and build the midpoint sampler from the teacher's
     /// split points.
+    ///
+    /// The forest is compiled once for the vectorized QuickScorer, which
+    /// labels the real rows here and every batch's midpoint rows — the
+    /// same scores as traversal, bit for bit, several times faster. A
+    /// forest that does not compile is traversed instead.
     ///
     /// `train` carries RAW (unnormalized) features, as the teacher was
     /// trained on them.
@@ -103,18 +115,32 @@ impl<'a> DistillSession<'a> {
         let stats = FeatureStats::compute(train).expect("non-empty training set");
         let normalizer = Normalizer::from_stats(&stats);
         let sampler = MidpointSampler::build(teacher, &stats);
-        let mut real_targets = vec![0.0f32; train.num_docs()];
-        Teacher::score_batch(teacher, train.features(), &mut real_targets);
         let mut real_rows = train.features().to_vec();
         normalizer.apply_matrix(&mut real_rows);
-        DistillSession {
-            teacher,
+        let mut session = DistillSession {
+            forest: teacher,
+            compiled: VectorizedQuickScorer::compile(teacher).ok(),
             cfg,
             normalizer,
             sampler,
             real_rows,
-            real_targets,
+            real_targets: Vec::new(),
             num_features: train.num_features(),
+        };
+        let mut real_targets = vec![0.0f32; train.num_docs()];
+        session
+            .teacher()
+            .score_batch(train.features(), &mut real_targets);
+        session.real_targets = real_targets;
+        session
+    }
+
+    /// The scorer that labels documents: the compiled forest when there
+    /// is one.
+    fn teacher(&self) -> &dyn Teacher {
+        match &self.compiled {
+            Some(vqs) => vqs,
+            None => self.forest,
         }
     }
 
@@ -275,7 +301,7 @@ impl BatchSource for SessionBatches<'_, '_> {
             s.sampler
                 .sample_batch(self.synth_per_batch, *seed, &mut self.synth_raw);
             self.synth_scores.resize(self.synth_per_batch, 0.0);
-            s.teacher
+            s.teacher()
                 .score_batch(&self.synth_raw, &mut self.synth_scores);
             s.normalizer.apply_matrix(&mut self.synth_raw);
             rows.extend_from_slice(&self.synth_raw);
@@ -288,7 +314,7 @@ impl BatchSource for SessionBatches<'_, '_> {
 mod tests {
     use super::*;
     use dlr_data::SyntheticConfig;
-    use dlr_gbdt::{GrowthParams, LambdaMartParams, LambdaMartTrainer};
+    use dlr_gbdt::{GrowthParams, LambdaMartParams, LambdaMartTrainer, MartParams, MartTrainer};
     use dlr_metrics::evaluate_scores;
 
     fn small_setup() -> (Ensemble, Dataset) {
@@ -385,6 +411,59 @@ mod tests {
             if mask[i] == 0.0 {
                 assert_eq!(w, 0.0);
             }
+        }
+    }
+
+    /// The session's labels — the real rows at construction, the midpoint
+    /// rows of every batch — are traversal's scores bit for bit: through
+    /// vQS for a LambdaMART forest (base 0) and a MART one (base = target
+    /// mean), through traversal for a forest too wide to compile.
+    #[test]
+    fn labels_are_traversal_scores_bit_for_bit() {
+        let (lambdamart, data) = small_setup();
+        let targets: Vec<f32> = data.labels().iter().map(|&l| 0.5 * l + 0.25).collect();
+        let mart = MartTrainer::new(MartParams {
+            num_trees: 20,
+            growth: GrowthParams {
+                max_leaves: 16,
+                min_data_in_leaf: 5,
+                ..Default::default()
+            },
+            ..Default::default()
+        })
+        .fit(&data, &targets);
+        let wide = LambdaMartTrainer::new(LambdaMartParams {
+            num_trees: 2,
+            growth: GrowthParams {
+                max_leaves: 80,
+                min_data_in_leaf: 1,
+                ..Default::default()
+            },
+            early_stopping_rounds: 0,
+            ..Default::default()
+        })
+        .fit(&data, None)
+        .0;
+        assert!(wide.max_leaves() > 64, "{} leaves", wide.max_leaves());
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for forest in [&lambdamart, &mart, &wide] {
+            let session = DistillSession::new(forest, &data, distill_cfg(1));
+            assert_eq!(session.compiled.is_some(), forest.max_leaves() <= 64);
+            let mut want = vec![0.0f32; data.num_docs()];
+            forest.predict_batch(data.features(), &mut want);
+            assert_eq!(bits(&session.real_targets), bits(&want));
+
+            let mut batches = session.batches();
+            let docs: Vec<usize> = (0..batches.docs_per_batch()).collect();
+            let (mut seed, mut rows, mut labels) = (5u64, Vec::new(), Vec::new());
+            batches.gather(&docs, &mut seed, &mut rows, &mut labels);
+            let synth = labels.len() - docs.len();
+            assert!(synth > 0);
+            let mut midpoints = Vec::new();
+            session.sampler().sample_batch(synth, seed, &mut midpoints);
+            let mut want = vec![0.0f32; synth];
+            forest.predict_batch(&midpoints, &mut want);
+            assert_eq!(bits(&labels[docs.len()..]), bits(&want));
         }
     }
 

@@ -6,6 +6,11 @@
 //! (approximate) quantiles over the training set, with each bin's *upper
 //! bound* stored so bin boundaries translate back into real-valued split
 //! thresholds for the final trees.
+//!
+//! The binned dataset is stored feature-major: one `u16` column per
+//! feature, documents in id order. The grower reads it one column at a
+//! time — to fill one feature's histogram bins for a leaf, and to
+//! partition a leaf's documents on the split feature.
 
 use dlr_data::Dataset;
 
@@ -98,37 +103,39 @@ impl FeatureBinner {
         lo as u16
     }
 
-    /// Bin an entire dataset into a row-major `num_docs × num_features`
-    /// `u16` matrix.
+    /// Bin an entire dataset into one `u16` column per feature.
     pub fn bin_dataset(&self, dataset: &Dataset) -> BinnedDataset {
         let nf = self.num_features();
         let nd = dataset.num_docs();
-        let mut bins = Vec::with_capacity(nd * nf);
+        // Rows are read in order; each row writes one bin into each of the
+        // `nf` columns, whose current cache lines stay resident.
+        let mut bins = vec![0u16; nd * nf];
         for d in 0..nd {
-            let row = dataset.doc(d);
-            for (f, &v) in row.iter().enumerate() {
-                bins.push(self.bin_of(f, v));
+            for (f, &v) in dataset.doc(d).iter().enumerate() {
+                bins[f * nd + d] = self.bin_of(f, v);
             }
         }
         BinnedDataset {
+            num_docs: nd,
             num_features: nf,
             bins,
         }
     }
 }
 
-/// A dataset's features replaced by bin indices.
+/// A dataset's features replaced by bin indices, stored feature-major.
 #[derive(Debug, Clone)]
 pub struct BinnedDataset {
+    num_docs: usize,
     num_features: usize,
-    /// Row-major `num_docs × num_features` bin indices.
+    /// Column `f` is `bins[f * num_docs..(f + 1) * num_docs]`.
     bins: Vec<u16>,
 }
 
 impl BinnedDataset {
     /// Number of documents.
     pub fn num_docs(&self) -> usize {
-        self.bins.len().checked_div(self.num_features).unwrap_or(0)
+        self.num_docs
     }
 
     /// Number of features.
@@ -136,10 +143,10 @@ impl BinnedDataset {
         self.num_features
     }
 
-    /// Bin row of document `d`.
+    /// Bins of feature `f` for every document, indexed by document id.
     #[inline]
-    pub fn doc(&self, d: usize) -> &[u16] {
-        &self.bins[d * self.num_features..(d + 1) * self.num_features]
+    pub fn column(&self, f: usize) -> &[u16] {
+        &self.bins[f * self.num_docs..(f + 1) * self.num_docs]
     }
 }
 
@@ -210,8 +217,34 @@ mod tests {
         assert_eq!(binned.num_docs(), 3);
         assert_eq!(binned.num_features(), 2);
         // Larger raw values never get smaller bins.
-        assert!(binned.doc(0)[0] <= binned.doc(1)[0]);
-        assert!(binned.doc(1)[1] <= binned.doc(2)[1]);
+        assert!(binned.column(0)[0] <= binned.column(0)[1]);
+        assert!(binned.column(1)[1] <= binned.column(1)[2]);
+    }
+
+    #[test]
+    fn columns_hold_each_documents_bin_in_id_order() {
+        let mut b = DatasetBuilder::new(3);
+        let rows = [5.0, -1.0, 0.5, 1.0, 2.0, 0.5, 3.0, 0.0, 7.0, 2.0, 9.0, 0.5];
+        b.push_query(1, &rows, &[0.0; 4]).unwrap();
+        let d = b.finish();
+        let binner = FeatureBinner::fit(&d, 3);
+        let binned = binner.bin_dataset(&d);
+        for f in 0..3 {
+            let column = binned.column(f);
+            assert_eq!(column.len(), 4);
+            for (doc, &bin) in column.iter().enumerate() {
+                assert_eq!(bin, binner.bin_of(f, d.doc(doc)[f]), "f {f} doc {doc}");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_dataset_bins_to_empty_columns() {
+        let binner = FeatureBinner::fit(&dataset(&[1.0, 2.0]), 4);
+        let empty = DatasetBuilder::new(1).finish();
+        let binned = binner.bin_dataset(&empty);
+        assert_eq!((binned.num_docs(), binned.num_features()), (0, 1));
+        assert!(binned.column(0).is_empty());
     }
 
     #[test]

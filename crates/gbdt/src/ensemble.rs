@@ -75,9 +75,15 @@ impl Ensemble {
     }
 
     /// Score a single document by classic per-tree traversal.
+    ///
+    /// The sum starts from the base score and adds the trees in order —
+    /// the order every QuickScorer variant adds them in, so they agree bit
+    /// for bit at any base score.
     pub fn predict(&self, x: &[f32]) -> f32 {
         debug_assert_eq!(x.len(), self.num_features);
-        self.base_score + self.trees.iter().map(|t| t.predict(x)).sum::<f32>()
+        self.trees
+            .iter()
+            .fold(self.base_score, |score, t| score + t.predict(x))
     }
 
     /// Score a row-major batch (`n × num_features`) into `out`.

@@ -11,9 +11,32 @@
 //! classic subtraction trick — build the smaller child from its documents,
 //! derive the sibling as `parent − child` — keeping growth near
 //! `O(docs × features × log leaves)` per tree.
+//!
+//! **Layout.** A histogram is feature-major: feature `f` owns one
+//! contiguous run of bins, each an interleaved `(grad, hess)` pair of
+//! `f64` with a `u32` count beside it (20 bytes a bin). A leaf's histogram
+//! is built one feature at a time from that feature's column of the
+//! [`BinnedDataset`], so the ≤ 255 bins being filled stay in L1; the same
+//! feature's bins are then subtracted from the parent's and both children
+//! scanned for their best split before the next feature is touched.
+//!
+//! **In place.** The split leaf's histogram becomes its larger child's
+//! through `parent −= small`; histograms no live leaf needs (the leaf was
+//! split, cannot split, or the tree is full) go to a free list the grower
+//! owns and are reused for the next leaf and the next tree, so a fit
+//! allocates at most as many histograms as one tree holds live at once.
+//!
+//! **Exactness.** Every bin sums its leaf's documents in ascending
+//! document id order (the root's ids ascend and partitioning keeps the
+//! order), features are scanned in index order and a later candidate wins
+//! only with a strictly larger gain. The layout therefore decides only
+//! where a sum lives, never its value: the grower yields the same trees,
+//! bit for bit, as the row-major one it replaced
+//! (`crates/gbdt/tests/fingerprints.rs` pins them).
 
 use crate::binning::{BinnedDataset, FeatureBinner};
 use crate::tree::{leaf_ref, NodeRef, RegressionTree};
+use std::ops::Range;
 
 /// Regularization and size constraints for tree growth.
 ///
@@ -46,33 +69,26 @@ impl Default for GrowthParams {
     }
 }
 
-/// Histogram over all features' bins for one leaf.
-#[derive(Debug, Clone)]
+/// Histogram over all features' bins for one leaf, feature-major.
+#[derive(Debug)]
 struct Histogram {
-    /// Per bin: summed gradient.
-    grad: Vec<f64>,
-    /// Per bin: summed hessian.
-    hess: Vec<f64>,
+    /// Per bin: summed `(gradient, hessian)`.
+    gh: Vec<[f64; 2]>,
     /// Per bin: document count.
     count: Vec<u32>,
 }
 
 impl Histogram {
-    fn zeros(total_bins: usize) -> Histogram {
+    fn new(total_bins: usize) -> Histogram {
         Histogram {
-            grad: vec![0.0; total_bins],
-            hess: vec![0.0; total_bins],
+            gh: vec![[0.0; 2]; total_bins],
             count: vec![0; total_bins],
         }
     }
 
-    /// `self = parent - sibling` (the subtraction trick).
-    fn subtract_from(&mut self, parent: &Histogram, sibling: &Histogram) {
-        for i in 0..self.grad.len() {
-            self.grad[i] = parent.grad[i] - sibling.grad[i];
-            self.hess[i] = parent.hess[i] - sibling.hess[i];
-            self.count[i] = parent.count[i] - sibling.count[i];
-        }
+    /// One feature's bins.
+    fn feature_mut(&mut self, bins: Range<usize>) -> (&mut [[f64; 2]], &mut [u32]) {
+        (&mut self.gh[bins.clone()], &mut self.count[bins])
     }
 }
 
@@ -88,12 +104,34 @@ struct SplitInfo {
 /// A leaf under construction.
 #[derive(Debug)]
 struct Leaf {
+    /// Ascending document ids.
     docs: Vec<u32>,
-    hist: Histogram,
+    /// Held only while the leaf has a split to take.
+    hist: Option<Histogram>,
     sum_grad: f64,
     sum_hess: f64,
     depth: usize,
     best: Option<SplitInfo>,
+}
+
+impl Leaf {
+    /// A leaf over `docs` with its gradient sums and no histogram yet.
+    fn new(docs: Vec<u32>, grad: &[f64], hess: &[f64], depth: usize) -> Leaf {
+        let mut sum_grad = 0.0;
+        let mut sum_hess = 0.0;
+        for &d in &docs {
+            sum_grad += grad[d as usize];
+            sum_hess += hess[d as usize];
+        }
+        Leaf {
+            docs,
+            hist: None,
+            sum_grad,
+            sum_hess,
+            depth,
+            best: None,
+        }
+    }
 }
 
 /// Node arena entry while the tree is being built.
@@ -110,35 +148,40 @@ enum BuildNode {
 }
 
 /// Grows one regression tree from per-document gradients and hessians.
+///
+/// One grower serves a whole fit: the histogram buffers it recycles live
+/// as long as it does.
 pub struct TreeGrower<'a> {
     binned: &'a BinnedDataset,
     binner: &'a FeatureBinner,
     params: GrowthParams,
-    /// Start offset of each feature's bins in the flat histogram.
+    /// Feature `f`'s bins are `offsets[f]..offsets[f + 1]` of a histogram.
     offsets: Vec<usize>,
-    total_bins: usize,
+    /// Histograms no live leaf holds.
+    free: Vec<Histogram>,
+    /// `(grad, hess)` of the leaf being built, in its document order.
+    leaf_gh: Vec<[f64; 2]>,
 }
 
 impl<'a> TreeGrower<'a> {
     /// Create a grower over a binned dataset.
     pub fn new(binned: &'a BinnedDataset, binner: &'a FeatureBinner, params: GrowthParams) -> Self {
-        let nf = binner.num_features();
-        let mut offsets = Vec::with_capacity(nf);
-        let mut total = 0usize;
-        for f in 0..nf {
-            offsets.push(total);
-            total += binner.num_bins(f);
+        let mut offsets = vec![0usize];
+        for f in 0..binner.num_features() {
+            offsets.push(offsets[f] + binner.num_bins(f));
         }
         TreeGrower {
             binned,
             binner,
             params,
             offsets,
-            total_bins: total,
+            free: Vec::new(),
+            leaf_gh: Vec::new(),
         }
     }
 
-    /// Grow a tree fitting `-grad/hess` on the documents in `doc_ids`.
+    /// Grow a tree fitting `-grad/hess` on the documents in `doc_ids`
+    /// (ascending).
     ///
     /// `grad`/`hess` are indexed by *global* document id. The returned
     /// tree's leaf values are the raw Newton steps `-G/(H+λ)`; the booster
@@ -147,17 +190,22 @@ impl<'a> TreeGrower<'a> {
     /// # Panics
     /// Panics when `doc_ids` is empty or gradients are shorter than the
     /// largest document id.
-    pub fn grow(&self, grad: &[f64], hess: &[f64], doc_ids: &[u32]) -> RegressionTree {
+    pub fn grow(&mut self, grad: &[f64], hess: &[f64], doc_ids: &[u32]) -> RegressionTree {
         assert!(!doc_ids.is_empty(), "cannot grow a tree on zero documents");
-        let root_leaf = self.make_leaf(doc_ids.to_vec(), grad, hess, 0);
-        let mut leaves: Vec<Option<Leaf>> = vec![Some(root_leaf)];
+        debug_assert!(doc_ids.windows(2).all(|w| w[0] < w[1]), "ids ascend");
+        let max_leaves = self.params.max_leaves;
+        let mut root = Leaf::new(doc_ids.to_vec(), grad, hess, 0);
+        if max_leaves > 1 && self.may_split(&root) {
+            self.build(&mut root, None, grad, hess);
+        }
+        let mut leaves: Vec<Option<Leaf>> = vec![Some(root)];
         // Arena with a placeholder root; leaf slot i in `arena_of_leaf`
         // tracks where each live leaf will sit in the final tree.
         let mut arena: Vec<BuildNode> = vec![BuildNode::Leaf { value: 0.0 }];
         let mut arena_of_leaf: Vec<usize> = vec![0];
         let mut num_live = 1usize;
 
-        while num_live < self.params.max_leaves {
+        while num_live < max_leaves {
             // Pick the splittable leaf with the best gain.
             let mut best_leaf = None;
             let mut best_gain = 0.0f64;
@@ -175,20 +223,16 @@ impl<'a> TreeGrower<'a> {
             let leaf = leaves[li].take().expect("selected leaf is live");
             let split = leaf.best.expect("selected leaf has a split");
 
-            // Partition documents by the split.
-            let mut left_docs = Vec::new();
-            let mut right_docs = Vec::new();
-            for &d in &leaf.docs {
-                if self.binned.doc(d as usize)[split.feature] as usize <= split.bin {
-                    left_docs.push(d);
-                } else {
-                    right_docs.push(d);
-                }
-            }
+            // Partition documents by the split; both sides keep id order.
+            let column = self.binned.column(split.feature);
+            let (left_docs, right_docs): (Vec<u32>, Vec<u32>) = leaf
+                .docs
+                .iter()
+                .partition(|&&d| column[d as usize] as usize <= split.bin);
             debug_assert!(!left_docs.is_empty() && !right_docs.is_empty());
 
             // Histogram subtraction: build the smaller child from its
-            // documents, derive the other from the parent.
+            // documents, derive the other from the parent in place.
             let depth = leaf.depth + 1;
             let small_is_left = left_docs.len() <= right_docs.len();
             let (small_docs, big_docs) = if small_is_left {
@@ -196,17 +240,23 @@ impl<'a> TreeGrower<'a> {
             } else {
                 (right_docs, left_docs)
             };
-            let small = self.make_leaf(small_docs, grad, hess, depth);
+            let mut small = Leaf::new(small_docs, grad, hess, depth);
             let mut big = Leaf {
                 docs: big_docs,
-                hist: Histogram::zeros(self.total_bins),
+                hist: None,
                 sum_grad: leaf.sum_grad - small.sum_grad,
                 sum_hess: leaf.sum_hess - small.sum_hess,
                 depth,
                 best: None,
             };
-            big.hist.subtract_from(&leaf.hist, &small.hist);
-            big.best = self.find_best_split(&big);
+            let parent = leaf.hist.expect("a leaf with a split holds its histogram");
+            // The smaller child can split only if the larger can; once this
+            // split fills the tree, neither is split again.
+            if num_live + 1 < max_leaves && self.may_split(&big) {
+                self.build(&mut small, Some((&mut big, parent)), grad, hess);
+            } else {
+                self.free.push(parent);
+            }
 
             let (left, right) = if small_is_left {
                 (small, big)
@@ -233,43 +283,94 @@ impl<'a> TreeGrower<'a> {
             num_live += 1;
         }
 
-        // Write final leaf values into the arena.
-        for (li, leaf) in leaves.iter().enumerate() {
+        // Write final leaf values into the arena; every histogram still
+        // held goes back to the free list for the next tree.
+        for (li, leaf) in leaves.into_iter().enumerate() {
             if let Some(l) = leaf {
                 let v = self.leaf_value(l.sum_grad, l.sum_hess);
                 arena[arena_of_leaf[li]] = BuildNode::Leaf { value: v };
+                self.free.extend(l.hist);
             }
         }
         flatten(&arena)
     }
 
-    fn make_leaf(&self, docs: Vec<u32>, grad: &[f64], hess: &[f64], depth: usize) -> Leaf {
-        let mut hist = Histogram::zeros(self.total_bins);
-        let mut sum_grad = 0.0;
-        let mut sum_hess = 0.0;
-        for &d in &docs {
-            let di = d as usize;
-            let (g, h) = (grad[di], hess[di]);
-            sum_grad += g;
-            sum_hess += h;
-            let bins = self.binned.doc(di);
-            for (f, &b) in bins.iter().enumerate() {
-                let idx = self.offsets[f] + b as usize;
-                hist.grad[idx] += g;
-                hist.hess[idx] += h;
-                hist.count[idx] += 1;
+    /// Build `small`'s histogram from its documents and find its best
+    /// split. With `big` = (sibling, parent's histogram), the parent's
+    /// histogram becomes the sibling's in place (`parent −= small`) and is
+    /// scanned too. All of it runs one feature at a time, so each
+    /// feature's bins are filled, subtracted and scanned while in L1.
+    /// A leaf left without a split returns its histogram to the free list.
+    fn build(
+        &mut self,
+        small: &mut Leaf,
+        mut big: Option<(&mut Leaf, Histogram)>,
+        grad: &[f64],
+        hess: &[f64],
+    ) {
+        let total_bins = self.offsets[self.offsets.len() - 1];
+        let mut hist = self
+            .free
+            .pop()
+            .unwrap_or_else(|| Histogram::new(total_bins));
+        self.leaf_gh.clear();
+        self.leaf_gh.extend(
+            small
+                .docs
+                .iter()
+                .map(|&d| [grad[d as usize], hess[d as usize]]),
+        );
+        let scan_small = self.may_split(small);
+        let mut small_best = None;
+        let mut big_best = None;
+        for f in 0..self.binner.num_features() {
+            let bins = self.offsets[f]..self.offsets[f + 1];
+            let column = self.binned.column(f);
+            let (gh, count) = hist.feature_mut(bins.clone());
+            gh.fill([0.0; 2]);
+            count.fill(0);
+            for (&d, &[g, h]) in small.docs.iter().zip(&self.leaf_gh) {
+                let b = column[d as usize] as usize;
+                gh[b][0] += g;
+                gh[b][1] += h;
+                count[b] += 1;
+            }
+            if scan_small {
+                self.scan(f, gh, count, small, &mut small_best);
+            }
+            if let Some((leaf, parent)) = &mut big {
+                let (pgh, pcount) = parent.feature_mut(bins);
+                for (p, s) in pgh.iter_mut().zip(gh.iter()) {
+                    p[0] -= s[0];
+                    p[1] -= s[1];
+                }
+                for (p, s) in pcount.iter_mut().zip(count.iter()) {
+                    *p -= s;
+                }
+                self.scan(f, pgh, pcount, leaf, &mut big_best);
             }
         }
-        let mut leaf = Leaf {
-            docs,
-            hist,
-            sum_grad,
-            sum_hess,
-            depth,
-            best: None,
-        };
-        leaf.best = self.find_best_split(&leaf);
-        leaf
+        self.settle(small, small_best, hist);
+        if let Some((leaf, parent)) = big {
+            self.settle(leaf, big_best, parent);
+        }
+    }
+
+    /// Give `leaf` its best split; it keeps `hist` only if it has one.
+    fn settle(&mut self, leaf: &mut Leaf, best: Option<SplitInfo>, hist: Histogram) {
+        leaf.best = best;
+        if best.is_some() {
+            leaf.hist = Some(hist);
+        } else {
+            self.free.push(hist);
+        }
+    }
+
+    /// Whether depth and document count allow `leaf` any split at all.
+    fn may_split(&self, leaf: &Leaf) -> bool {
+        let p = &self.params;
+        !(p.max_depth > 0 && leaf.depth >= p.max_depth)
+            && leaf.docs.len() >= 2 * p.min_data_in_leaf.max(1)
     }
 
     #[inline]
@@ -286,55 +387,53 @@ impl<'a> TreeGrower<'a> {
         }
     }
 
-    fn find_best_split(&self, leaf: &Leaf) -> Option<SplitInfo> {
-        if self.params.max_depth > 0 && leaf.depth >= self.params.max_depth {
-            return None;
-        }
-        if leaf.docs.len() < 2 * self.params.min_data_in_leaf.max(1) {
-            return None;
+    /// Scan feature `f`'s bins of `leaf`'s histogram, replacing `best`
+    /// with any split of strictly larger gain. Called for features in
+    /// index order.
+    fn scan(
+        &self,
+        f: usize,
+        gh: &[[f64; 2]],
+        count: &[u32],
+        leaf: &Leaf,
+        best: &mut Option<SplitInfo>,
+    ) {
+        let nb = gh.len();
+        if nb < 2 {
+            return;
         }
         let parent_score = self.score(leaf.sum_grad, leaf.sum_hess);
         let total_count = leaf.docs.len() as u32;
-        let mut best: Option<SplitInfo> = None;
-        for f in 0..self.binner.num_features() {
-            let nb = self.binner.num_bins(f);
-            if nb < 2 {
+        let mut gl = 0.0f64;
+        let mut hl = 0.0f64;
+        let mut cl = 0u32;
+        // Split after bin b: bins <= b go left.
+        for b in 0..nb - 1 {
+            gl += gh[b][0];
+            hl += gh[b][1];
+            cl += count[b];
+            let cr = total_count - cl;
+            if (cl as usize) < self.params.min_data_in_leaf {
                 continue;
             }
-            let base = self.offsets[f];
-            let mut gl = 0.0f64;
-            let mut hl = 0.0f64;
-            let mut cl = 0u32;
-            // Split after bin b: bins <= b go left.
-            for b in 0..nb - 1 {
-                gl += leaf.hist.grad[base + b];
-                hl += leaf.hist.hess[base + b];
-                cl += leaf.hist.count[base + b];
-                let cr = total_count - cl;
-                if (cl as usize) < self.params.min_data_in_leaf {
-                    continue;
-                }
-                if (cr as usize) < self.params.min_data_in_leaf {
-                    break;
-                }
-                let gr = leaf.sum_grad - gl;
-                let hr = leaf.sum_hess - hl;
-                if hl < self.params.min_sum_hessian_in_leaf
-                    || hr < self.params.min_sum_hessian_in_leaf
-                {
-                    continue;
-                }
-                let gain = self.score(gl, hl) + self.score(gr, hr) - parent_score;
-                if gain > best.map_or(1e-10, |s| s.gain) {
-                    best = Some(SplitInfo {
-                        gain,
-                        feature: f,
-                        bin: b,
-                    });
-                }
+            if (cr as usize) < self.params.min_data_in_leaf {
+                break;
+            }
+            let gr = leaf.sum_grad - gl;
+            let hr = leaf.sum_hess - hl;
+            if hl < self.params.min_sum_hessian_in_leaf || hr < self.params.min_sum_hessian_in_leaf
+            {
+                continue;
+            }
+            let gain = self.score(gl, hl) + self.score(gr, hr) - parent_score;
+            if gain > best.map_or(1e-10, |s| s.gain) {
+                *best = Some(SplitInfo {
+                    gain,
+                    feature: f,
+                    bin: b,
+                });
             }
         }
-        best
     }
 }
 
@@ -437,7 +536,7 @@ mod tests {
             min_data_in_leaf: 1,
             ..Default::default()
         };
-        let grower = TreeGrower::new(&binned, &binner, params);
+        let mut grower = TreeGrower::new(&binned, &binner, params);
         let docs: Vec<u32> = (0..d.num_docs() as u32).collect();
         let tree = grower.grow(&grad, &hess, &docs);
         assert_eq!(tree.num_leaves(), 2);
@@ -562,6 +661,37 @@ mod tests {
         assert!(tree.predict(&[0.8, 0.8]) < 0.3);
         assert!(tree.predict(&[0.2, 0.8]) > 0.7);
         assert!(tree.predict(&[0.8, 0.2]) > 0.7);
+    }
+
+    #[test]
+    fn recycled_histograms_grow_the_trees_fresh_ones_do() {
+        // One grower reused across trees (its free list refilled) against
+        // a fresh grower per tree: recycled buffers carry nothing over.
+        let d = step_dataset();
+        let binner = FeatureBinner::fit(&d, 16);
+        let binned = binner.bin_dataset(&d);
+        let docs: Vec<u32> = (0..d.num_docs() as u32).collect();
+        let params = GrowthParams {
+            max_leaves: 8,
+            min_data_in_leaf: 3,
+            ..Default::default()
+        };
+        let hess = vec![1.0f64; d.num_docs()];
+        let grads: Vec<Vec<f64>> = (0..3)
+            .map(|k| {
+                (0..d.num_docs())
+                    .map(|i| ((i * (k + 3)) % 7) as f64 - 3.0)
+                    .collect()
+            })
+            .collect();
+        let mut reused = TreeGrower::new(&binned, &binner, params);
+        for grad in grads.iter().chain(&grads) {
+            let fresh = TreeGrower::new(&binned, &binner, params).grow(grad, &hess, &docs);
+            assert_eq!(reused.grow(grad, &hess, &docs), fresh);
+            assert!(fresh.num_leaves() > 2);
+        }
+        // A tree holds at most `max_leaves − 1` histograms at once.
+        assert!(reused.free.len() < params.max_leaves);
     }
 
     #[test]

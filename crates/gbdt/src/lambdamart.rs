@@ -97,7 +97,7 @@ impl LambdaMartTrainer {
         let p = &self.params;
         let binner = FeatureBinner::fit(train, p.max_bins);
         let binned = binner.bin_dataset(train);
-        let grower = TreeGrower::new(&binned, &binner, p.growth);
+        let mut grower = TreeGrower::new(&binned, &binner, p.growth);
 
         let n = train.num_docs();
         let mut scores = vec![0.0f32; n];
@@ -150,6 +150,11 @@ impl LambdaMartTrainer {
     }
 
     /// Accumulate λ-gradients and hessians for every document.
+    ///
+    /// `gain(label)` and `discount(position)` are read from per-query
+    /// tables filled once per query rather than recomputed per pair; the
+    /// pair loop and its arithmetic are unchanged, so the sums are the
+    /// same `f64`s.
     fn lambda_gradients(
         &self,
         train: &Dataset,
@@ -163,6 +168,9 @@ impl LambdaMartTrainer {
         hess.fill(0.0);
         let mut order: Vec<usize> = Vec::new();
         let mut pos_of: Vec<usize> = Vec::new();
+        // Per document of the query: its gain and its current discount.
+        let mut gains: Vec<f64> = Vec::new();
+        let mut discounts: Vec<f64> = Vec::new();
         #[allow(clippy::needless_range_loop)]
         for q in 0..train.num_queries() {
             if idcg[q] <= 0.0 {
@@ -186,28 +194,33 @@ impl LambdaMartTrainer {
             for (pos, &doc) in order.iter().enumerate() {
                 pos_of[doc] = pos;
             }
+            gains.clear();
+            gains.extend(labels.iter().map(|&l| gain(l)));
+            discounts.clear();
+            discounts.extend(pos_of.iter().map(|&pos| discount(pos, p.truncation)));
+            let q_grad = &mut grad[r.clone()];
+            let q_hess = &mut hess[r];
             let inv_idcg = 1.0 / idcg[q];
             for i in 0..nd {
+                let (label_i, pos_i, gain_i, disc_i) =
+                    (labels[i], pos_of[i], gains[i], discounts[i]);
                 for j in 0..nd {
-                    if labels[i] <= labels[j] {
+                    if label_i <= labels[j] {
                         continue; // count each ordered pair once, i better
                     }
-                    let (pi, pj) = (pos_of[i], pos_of[j]);
-                    if pi >= p.truncation && pj >= p.truncation {
+                    if pos_i >= p.truncation && pos_of[j] >= p.truncation {
                         continue;
                     }
-                    let delta = (gain(labels[i]) - gain(labels[j])).abs()
-                        * (discount(pi, p.truncation) - discount(pj, p.truncation)).abs()
-                        * inv_idcg;
+                    let delta =
+                        (gain_i - gains[j]).abs() * (disc_i - discounts[j]).abs() * inv_idcg;
                     let s_diff = (q_scores[i] - q_scores[j]) as f64;
                     let rho = 1.0 / (1.0 + (p.sigma * s_diff).exp());
                     let lambda = p.sigma * delta * rho;
                     let h = p.sigma * p.sigma * delta * rho * (1.0 - rho);
-                    let (gi, gj) = (r.start + i, r.start + j);
-                    grad[gi] -= lambda;
-                    grad[gj] += lambda;
-                    hess[gi] += h;
-                    hess[gj] += h;
+                    q_grad[i] -= lambda;
+                    q_grad[j] += lambda;
+                    q_hess[i] += h;
+                    q_hess[j] += h;
                 }
             }
         }

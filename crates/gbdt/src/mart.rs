@@ -59,7 +59,7 @@ impl MartTrainer {
         assert_eq!(targets.len(), data.num_docs(), "one target per document");
         assert!(data.num_docs() > 0, "cannot train on an empty dataset");
         let binner = FeatureBinner::fit(data, self.params.max_bins);
-        let binned = binner.bin_dataset(&data.clone());
+        let binned = binner.bin_dataset(data);
         let base = targets.iter().sum::<f32>() / targets.len() as f32;
         let mut ensemble = Ensemble::new(data.num_features(), base);
         let n = data.num_docs();
@@ -67,7 +67,7 @@ impl MartTrainer {
         let doc_ids: Vec<u32> = (0..n as u32).collect();
         let hess = vec![1.0f64; n];
         let mut grad = vec![0.0f64; n];
-        let grower = TreeGrower::new(&binned, &binner, self.params.growth);
+        let mut grower = TreeGrower::new(&binned, &binner, self.params.growth);
         for _ in 0..self.params.num_trees {
             for ((g, &p), &t) in grad.iter_mut().zip(&preds).zip(targets) {
                 *g = p - t as f64;

@@ -44,3 +44,59 @@ pub use blockwise::BlockwiseQuickScorer;
 pub use model::{QsError, QuickScorer};
 pub use vectorized::VectorizedQuickScorer;
 pub use wide::WideQuickScorer;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testutil::random_docs;
+    use dlr_data::SyntheticConfig;
+    use dlr_gbdt::{GrowthParams, MartParams, MartTrainer};
+
+    /// QS, vQS and wide QS start from the base score and add the trees in
+    /// order, as traversal does, so they agree with it bit for bit — also
+    /// on a MART forest, whose base score (the target mean) is not zero.
+    #[test]
+    fn every_variant_equals_traversal_bit_for_bit_on_a_mart_forest() {
+        let mut cfg = SyntheticConfig::msn30k_like(40);
+        cfg.docs_per_query = 30;
+        cfg.num_features = 12;
+        cfg.num_informative = 6;
+        let data = cfg.generate();
+        let targets: Vec<f32> = data.labels().iter().map(|&l| l * 0.75 + 0.1).collect();
+        let forest = MartTrainer::new(MartParams {
+            num_trees: 50,
+            growth: GrowthParams {
+                max_leaves: 16,
+                min_data_in_leaf: 5,
+                ..GrowthParams::default()
+            },
+            ..MartParams::default()
+        })
+        .fit(&data, &targets);
+        assert!(forest.base_score() > 0.5, "base {}", forest.base_score());
+
+        let mut rows = data.features().to_vec();
+        rows.extend(random_docs(101, 12, 7));
+        let n = rows.len() / 12;
+        let mut want = vec![0.0f32; n];
+        forest.predict_batch(&rows, &mut want);
+        let mut got = vec![vec![0.0f32; n]; 3];
+        QuickScorer::compile(&forest)
+            .unwrap()
+            .score_batch(&rows, &mut got[0]);
+        VectorizedQuickScorer::compile(&forest)
+            .unwrap()
+            .score_batch(&rows, &mut got[1]);
+        WideQuickScorer::compile(&forest)
+            .unwrap()
+            .score_batch(&rows, &mut got[2]);
+        for (name, got) in ["qs", "vqs", "wide"].into_iter().zip(&got) {
+            let differ = got
+                .iter()
+                .zip(&want)
+                .filter(|(g, w)| g.to_bits() != w.to_bits())
+                .count();
+            assert_eq!(differ, 0, "{name}: {differ} of {n} documents differ");
+        }
+    }
+}

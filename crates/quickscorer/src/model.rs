@@ -219,9 +219,7 @@ mod tests {
         let qs = QuickScorer::compile(&e).unwrap();
         let docs = random_docs(200, 4, 2);
         for row in docs.chunks_exact(4) {
-            let expect = e.predict(row);
-            let got = qs.score(row);
-            assert!((expect - got).abs() < 1e-5, "expect {expect} got {got}");
+            assert_eq!(e.predict(row).to_bits(), qs.score(row).to_bits());
         }
     }
 
@@ -231,7 +229,7 @@ mod tests {
         let qs = QuickScorer::compile(&e).unwrap();
         let docs = random_docs(100, 10, 4);
         for row in docs.chunks_exact(10) {
-            assert!((e.predict(row) - qs.score(row)).abs() < 1e-4);
+            assert_eq!(e.predict(row).to_bits(), qs.score(row).to_bits());
         }
     }
 
@@ -250,7 +248,7 @@ mod tests {
             .collect();
         for &t in &thresholds {
             let row = vec![t; 3];
-            assert!((e.predict(&row) - qs.score(&row)).abs() < 1e-5);
+            assert_eq!(e.predict(&row).to_bits(), qs.score(&row).to_bits());
         }
     }
 

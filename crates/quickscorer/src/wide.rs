@@ -236,9 +236,7 @@ mod tests {
         assert!(qs.words() >= 2);
         let docs = random_docs(150, 6, 22);
         for row in docs.chunks_exact(6) {
-            let expect = e.predict(row);
-            let got = qs.score(row);
-            assert!((expect - got).abs() < 1e-4, "expect {expect} got {got}");
+            assert_eq!(e.predict(row).to_bits(), qs.score(row).to_bits());
         }
     }
 
