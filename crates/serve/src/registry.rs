@@ -4,39 +4,15 @@
 //! A serving deployment replaces its model many times over its life; the
 //! dangerous moments are exactly those replacements. This module makes
 //! them boring by forcing every candidate through a staged state machine
-//! before — and a probation window after — it takes real traffic:
-//!
-//! ```text
-//!            load ──────▶ Loaded ──begin_shadow──▶ Shadow
-//!              │                                     │
-//!   (corrupt / truncated /                     begin_canary
-//!    dim-mismatch: rejected,                         │
-//!    incumbent keeps serving)                        ▼
-//!                                                 Canary ──promote──▶ Hold ──▶ settled
-//!                                                    │    (Fisher gate)  │
-//!                                                    └───── rollback ◀───┘
-//!                                                     (manual, or automatic on
-//!                                                      divergence / NaN-rescue /
-//!                                                      deadline / p99 triggers)
-//! ```
-//!
-//! * **Loaded** — the artifact parsed, its checksum verified, and its
-//!   feature dimension matched the incumbent's. It serves nothing.
-//! * **Shadow** — a configurable fraction of live batches is mirrored to
-//!   the candidate *off the response path*: its scores are recorded,
-//!   compared against the incumbent's (per-document divergence, NDCG
-//!   pairs when the client supplied labels, latency histograms), and
-//!   discarded. Clients always receive the incumbent's scores.
-//! * **Canary** — a small deterministic slice of batches is *answered*
-//!   by the candidate. An unhealthy canary batch (panic or non-finite
-//!   scores) is rescued by rescoring with the incumbent and delivered
-//!   as [`ServedBy::Fallback`].
-//! * **Hold** — after [`ModelRegistry::promote`] (which consults the
-//!   Fisher randomization gate over the shadow NDCG pairs) the candidate
-//!   becomes the active model, but stays on probation: the previous
-//!   incumbent keeps rescuing failures and mirror-checking a fraction of
-//!   traffic until [`RolloutConfig::hold_batches`] clean batches settle
-//!   the rollout.
+//! before — and a probation window after — it takes real traffic. The
+//! diagram, the legality table of every control operation and the table
+//! of what each [`Stage`] does with a batch are in DESIGN.md §"Model
+//! lifecycle & safe rollout". In the code, the legality table is the
+//! `allowed_from` list each operation hands to the one `transition`, and
+//! the stage table is `Route::of`, carried out for every stage by two
+//! effect handlers: *answer-with-rescue* and *mirror-and-compare*.
+//! [`ModelRegistry::promote`] is gated by the Fisher randomization test
+//! over the NDCG pairs collected in Shadow.
 //!
 //! Throughout every stage a **watchdog** evaluates the candidate after
 //! each observed batch; once [`RolloutConfig::min_samples`] batches are
@@ -443,20 +419,64 @@ struct RegistryObsHooks {
     loads_rejected: dlr_obs::Counter,
 }
 
-impl RegistryObsHooks {
-    /// Record a span of `stage` for `version` ending now and lasting
-    /// `duration_nanos`, attributed to the dispatcher's current trace.
-    /// The registry clock and the obs clock are the same injected server
-    /// clock, so under `ManualClock` the bounds are exact.
-    fn span_ending_now(&self, stage: dlr_obs::Stage, version: &Arc<str>, duration_nanos: u64) {
-        let end = self.obs.now_nanos();
-        self.obs.record_span(
-            self.obs.current_trace(),
-            stage,
-            Some(Arc::clone(version)),
-            end.saturating_sub(duration_nanos),
-            end,
-        );
+impl LifecycleState {
+    /// Append `event` to the log. The one place the lifecycle counters
+    /// (promotions, rollbacks, rejected loads) move.
+    fn emit(&mut self, hooks: Option<&RegistryObsHooks>, event: LifecycleEvent) {
+        if let Some(h) = hooks {
+            match &event {
+                LifecycleEvent::Promoted { .. } => h.promotions.inc(),
+                LifecycleEvent::RolledBack { .. } => h.rollbacks.inc(),
+                LifecycleEvent::LoadRejected { .. } => h.loads_rejected.inc(),
+                _ => {}
+            }
+        }
+        self.events.push(event);
+    }
+
+    /// End the in-flight candidate's journey with `outcome`: a candidate
+    /// rolled back from Hold hands the active slot back to its reference;
+    /// then emit the event and file the report.
+    fn end_journey(&mut self, hooks: Option<&RegistryObsHooks>, outcome: CandidateOutcome) {
+        let Some(cand) = self.candidate.take() else {
+            return;
+        };
+        let version = cand.entry.version.to_string();
+        let event = match &outcome {
+            CandidateOutcome::RolledBack(reason) => {
+                if cand.stage == Stage::Hold {
+                    self.active = Arc::clone(&cand.reference);
+                    self.previous = None;
+                }
+                LifecycleEvent::RolledBack {
+                    version: version.clone(),
+                    restored: cand.reference.version.to_string(),
+                    reason: reason.clone(),
+                }
+            }
+            _ => LifecycleEvent::Settled {
+                version: version.clone(),
+            },
+        };
+        self.emit(hooks, event);
+        self.last_report = Some(CandidateReport {
+            version,
+            stage: cand.stage,
+            stats: cand.stats,
+            outcome,
+        });
+    }
+
+    /// Run the watchdog, then the Hold settle check, after a batch.
+    fn after_observed_batch(&mut self, config: &RolloutConfig, hooks: Option<&RegistryObsHooks>) {
+        let Some(cand) = &self.candidate else {
+            return;
+        };
+        if let Some(reason) = watchdog_verdict(&cand.stats, config) {
+            self.end_journey(hooks, CandidateOutcome::RolledBack(reason));
+        } else if cand.stage == Stage::Hold && cand.stats.hold_batches >= config.hold_batches {
+            self.end_journey(hooks, CandidateOutcome::Settled);
+        }
     }
 }
 
@@ -485,7 +505,6 @@ pub struct ModelRegistry {
 pub struct RegistryEngine {
     shared: Arc<RegistryShared>,
     scratch: Vec<f32>,
-    mirror: Vec<f32>,
     last_served: Option<Arc<str>>,
 }
 
@@ -546,7 +565,6 @@ impl ModelRegistry {
         let engine = RegistryEngine {
             shared: Arc::clone(&shared),
             scratch: Vec::new(),
-            mirror: Vec::new(),
             last_served: None,
         };
         (ModelRegistry { shared }, engine)
@@ -564,7 +582,10 @@ impl ModelRegistry {
         config: RolloutConfig,
         clock: Arc<dyn Clock>,
     ) -> Result<(ModelRegistry, RegistryEngine), LifecycleError> {
-        let scorer = parse_artifact(version, &artifact, None)?;
+        let scorer = parse_artifact(version, &artifact).map_err(|reason| {
+            let version = version.to_string();
+            LifecycleError::ArtifactRejected { version, reason }
+        })?;
         Ok(Self::with_scorer(version, scorer, artifact, config, clock))
     }
 
@@ -577,20 +598,8 @@ impl ModelRegistry {
     /// [`LifecycleError::ArtifactRejected`] on validation failure;
     /// [`LifecycleError::CandidateInFlight`] when a candidate exists.
     pub fn load_artifact(&self, version: &str, artifact: &[u8]) -> Result<(), LifecycleError> {
-        match parse_artifact(version, artifact, Some(self.shared.num_features)) {
-            Ok(scorer) => self.load_scorer(version, scorer, artifact.to_vec()),
-            Err(err) => {
-                let mut state = lock_state(&self.shared);
-                if let Some(h) = self.shared.obs.get() {
-                    h.loads_rejected.inc();
-                }
-                state.events.push(LifecycleEvent::LoadRejected {
-                    version: version.to_string(),
-                    reason: err.to_string(),
-                });
-                Err(err)
-            }
-        }
+        let scorer = parse_artifact(version, artifact).map_err(|r| self.reject(version, r))?;
+        self.load_scorer(version, scorer, artifact.to_vec())
     }
 
     /// Install an arbitrary scorer as the candidate (tests, fault
@@ -607,25 +616,12 @@ impl ModelRegistry {
         scorer: Box<dyn DocumentScorer + Send>,
         artifact: Vec<u8>,
     ) -> Result<(), LifecycleError> {
-        let got = scorer.num_features();
-        let mut state = lock_state(&self.shared);
-        if got != self.shared.num_features {
-            let err = LifecycleError::ArtifactRejected {
-                version: version.to_string(),
-                reason: format!(
-                    "feature dimension {got} does not match the registry's {}",
-                    self.shared.num_features
-                ),
-            };
-            if let Some(h) = self.shared.obs.get() {
-                h.loads_rejected.inc();
-            }
-            state.events.push(LifecycleEvent::LoadRejected {
-                version: version.to_string(),
-                reason: err.to_string(),
-            });
-            return Err(err);
+        let (got, want) = (scorer.num_features(), self.shared.num_features);
+        if got != want {
+            let reason = format!("feature dimension {got} does not match the registry's {want}");
+            return Err(self.reject(version, reason));
         }
+        let mut state = lock_state(&self.shared);
         if let Some(cand) = &state.candidate {
             return Err(LifecycleError::CandidateInFlight {
                 version: cand.entry.version.to_string(),
@@ -644,10 +640,25 @@ impl ModelRegistry {
             canary_acc: 0.0,
             stats: CandidateStats::default(),
         });
-        state.events.push(LifecycleEvent::Loaded {
-            version: version.to_string(),
-        });
+        let version = version.to_string();
+        state.emit(self.shared.obs.get(), LifecycleEvent::Loaded { version });
         Ok(())
+    }
+
+    /// The one rejection path of both loaders: the typed error, logged
+    /// as a [`LifecycleEvent::LoadRejected`].
+    fn reject(&self, version: &str, reason: String) -> LifecycleError {
+        let version = version.to_string();
+        let err = LifecycleError::ArtifactRejected {
+            version: version.clone(),
+            reason,
+        };
+        let event = LifecycleEvent::LoadRejected {
+            version,
+            reason: err.to_string(),
+        };
+        lock_state(&self.shared).emit(self.shared.obs.get(), event);
+        err
     }
 
     /// Loaded → Shadow: start mirroring traffic off the response path.
@@ -655,21 +666,7 @@ impl ModelRegistry {
     /// # Errors
     /// [`LifecycleError::NoCandidate`] / [`LifecycleError::WrongStage`].
     pub fn begin_shadow(&self) -> Result<(), LifecycleError> {
-        let mut state = lock_state(&self.shared);
-        let cand = state
-            .candidate
-            .as_mut()
-            .ok_or(LifecycleError::NoCandidate)?;
-        if cand.stage != Stage::Loaded {
-            return Err(LifecycleError::WrongStage {
-                operation: "begin shadow",
-                stage: cand.stage,
-            });
-        }
-        cand.stage = Stage::Shadow;
-        let version = cand.entry.version.to_string();
-        state.events.push(LifecycleEvent::ShadowStarted { version });
-        Ok(())
+        self.transition("begin shadow", &[Stage::Loaded], Stage::Shadow)
     }
 
     /// Shadow → Canary: start answering a deterministic traffic slice
@@ -678,21 +675,7 @@ impl ModelRegistry {
     /// # Errors
     /// [`LifecycleError::NoCandidate`] / [`LifecycleError::WrongStage`].
     pub fn begin_canary(&self) -> Result<(), LifecycleError> {
-        let mut state = lock_state(&self.shared);
-        let cand = state
-            .candidate
-            .as_mut()
-            .ok_or(LifecycleError::NoCandidate)?;
-        if cand.stage != Stage::Shadow {
-            return Err(LifecycleError::WrongStage {
-                operation: "begin canary",
-                stage: cand.stage,
-            });
-        }
-        cand.stage = Stage::Canary;
-        let version = cand.entry.version.to_string();
-        state.events.push(LifecycleEvent::CanaryStarted { version });
-        Ok(())
+        self.transition("begin canary", &[Stage::Shadow], Stage::Canary)
     }
 
     /// Promote the candidate to active, entering the Hold probation
@@ -705,54 +688,54 @@ impl ModelRegistry {
     /// [`LifecycleError::GateBlocked`] per the gate;
     /// [`LifecycleError::NoCandidate`] / [`LifecycleError::WrongStage`].
     pub fn promote(&self) -> Result<(), LifecycleError> {
+        self.transition("promote", &[Stage::Shadow, Stage::Canary], Stage::Hold)
+    }
+
+    /// The control plane's one move: the candidate must sit in one of
+    /// `allowed_from`, and entering Hold must pass the promotion gate (a
+    /// refusal is logged as [`LifecycleEvent::PromotionBlocked`]). Then
+    /// it moves to `to`, announced by an event; entering Hold makes it the
+    /// active model and retains the incumbent it displaces.
+    fn transition(
+        &self,
+        operation: &'static str,
+        allowed_from: &[Stage],
+        to: Stage,
+    ) -> Result<(), LifecycleError> {
+        let hooks = self.shared.obs.get();
         let mut state = lock_state(&self.shared);
         let cand = state
             .candidate
             .as_mut()
             .ok_or(LifecycleError::NoCandidate)?;
-        if cand.stage != Stage::Shadow && cand.stage != Stage::Canary {
+        if !allowed_from.contains(&cand.stage) {
             return Err(LifecycleError::WrongStage {
-                operation: "promote",
+                operation,
                 stage: cand.stage,
             });
         }
         let version = cand.entry.version.to_string();
-        let (incumbent, candidate): (Vec<f64>, Vec<f64>) =
-            cand.stats.ndcg_pairs.iter().copied().unzip();
-        let err = match promotion_gate(&incumbent, &candidate, self.shared.config.gate) {
-            GateDecision::Pass { .. } => {
+        if to == Stage::Hold {
+            if let Err(err) = gate_verdict(&cand.stats, self.shared.config.gate) {
+                let reason = err.to_string();
+                state.emit(hooks, LifecycleEvent::PromotionBlocked { version, reason });
+                return Err(err);
+            }
+        }
+        cand.stage = to;
+        let entry = Arc::clone(&cand.entry);
+        let event = match to {
+            Stage::Loaded => LifecycleEvent::Loaded { version },
+            Stage::Shadow => LifecycleEvent::ShadowStarted { version },
+            Stage::Canary => LifecycleEvent::CanaryStarted { version },
+            Stage::Hold => {
                 let replaced = state.active.version.to_string();
-                state.previous = Some(Arc::clone(&state.active));
-                // The candidate guard stays — `active` flips, and the Hold
-                // machinery keeps the old incumbent as the rescue path.
-                let promoted = state.candidate.as_ref().map(|c| Arc::clone(&c.entry));
-                if let Some(entry) = promoted {
-                    state.active = entry;
-                }
-                if let Some(cand) = state.candidate.as_mut() {
-                    cand.stage = Stage::Hold;
-                }
-                if let Some(h) = self.shared.obs.get() {
-                    h.promotions.inc();
-                }
-                state
-                    .events
-                    .push(LifecycleEvent::Promoted { version, replaced });
-                return Ok(());
+                state.previous = Some(std::mem::replace(&mut state.active, entry));
+                LifecycleEvent::Promoted { version, replaced }
             }
-            GateDecision::InsufficientData { have, need } => {
-                LifecycleError::InsufficientData { have, need }
-            }
-            GateDecision::Blocked { outcome } => LifecycleError::GateBlocked {
-                mean_diff: outcome.mean_diff,
-                p_value: outcome.p_value,
-            },
         };
-        state.events.push(LifecycleEvent::PromotionBlocked {
-            version,
-            reason: err.to_string(),
-        });
-        Err(err)
+        state.emit(hooks, event);
+        Ok(())
     }
 
     /// Manual rollback. With a candidate in flight, aborts it (restoring
@@ -764,24 +747,22 @@ impl ModelRegistry {
     /// [`LifecycleError::NothingToRollBack`] when there is neither a
     /// candidate nor a retained previous incumbent.
     pub fn rollback(&self) -> Result<(), LifecycleError> {
+        let hooks = self.shared.obs.get();
         let mut state = lock_state(&self.shared);
         if state.candidate.is_some() {
-            roll_back_candidate(&mut state, RollbackReason::Manual, self.shared.obs.get());
+            state.end_journey(hooks, CandidateOutcome::RolledBack(RollbackReason::Manual));
             return Ok(());
         }
         let Some(previous) = state.previous.take() else {
             return Err(LifecycleError::NothingToRollBack);
         };
         let displaced = std::mem::replace(&mut state.active, previous);
-        let restored = state.active.version.to_string();
-        if let Some(h) = self.shared.obs.get() {
-            h.rollbacks.inc();
-        }
-        state.events.push(LifecycleEvent::RolledBack {
+        let event = LifecycleEvent::RolledBack {
             version: displaced.version.to_string(),
-            restored,
+            restored: state.active.version.to_string(),
             reason: RollbackReason::Manual,
-        });
+        };
+        state.emit(hooks, event);
         state.previous = Some(displaced);
         Ok(())
     }
@@ -857,34 +838,35 @@ impl ModelRegistry {
     }
 }
 
-/// Validate `artifact` as a `dlr-mlp v2` model and wrap it in a scorer.
-/// `expect_features` is the registry's dimension, when there is an
-/// incumbent to match.
+/// Validate `artifact` as a `dlr-mlp v2` model and wrap it in a scorer,
+/// or say why it is rejected. The feature dimension is checked by the
+/// loader it is handed to.
 fn parse_artifact(
     version: &str,
     artifact: &[u8],
-    expect_features: Option<usize>,
-) -> Result<Box<dyn DocumentScorer + Send>, LifecycleError> {
-    let mlp = read_mlp_bytes(artifact).map_err(|e| LifecycleError::ArtifactRejected {
-        version: version.to_string(),
-        reason: e.to_string(),
-    })?;
-    if let Some(expected) = expect_features {
-        if mlp.input_dim() != expected {
-            return Err(LifecycleError::ArtifactRejected {
-                version: version.to_string(),
-                reason: format!(
-                    "feature dimension {} does not match the registry's {expected}",
-                    mlp.input_dim()
-                ),
-            });
-        }
-    }
+) -> Result<Box<dyn DocumentScorer + Send>, String> {
+    let mlp = read_mlp_bytes(artifact).map_err(|e| e.to_string())?;
     Ok(Box::new(MlpArtifactScorer {
         mlp,
         ws: MlpWorkspace::default(),
         label: format!("mlp:{version}"),
     }))
+}
+
+/// The Fisher randomization gate over the shadow NDCG pairs, as a typed
+/// verdict.
+fn gate_verdict(stats: &CandidateStats, gate: GateConfig) -> Result<(), LifecycleError> {
+    let (incumbent, candidate): (Vec<f64>, Vec<f64>) = stats.ndcg_pairs.iter().copied().unzip();
+    match promotion_gate(&incumbent, &candidate, gate) {
+        GateDecision::Pass { .. } => Ok(()),
+        GateDecision::InsufficientData { have, need } => {
+            Err(LifecycleError::InsufficientData { have, need })
+        }
+        GateDecision::Blocked { outcome } => Err(LifecycleError::GateBlocked {
+            mean_diff: outcome.mean_diff,
+            p_value: outcome.p_value,
+        }),
+    }
 }
 
 /// Deterministic fraction selector: accumulate and fire on overflow, so
@@ -899,31 +881,14 @@ fn fire(acc: &mut f64, fraction: f64) -> bool {
     }
 }
 
-/// Score with `entry`'s scorer (panics propagate to the caller).
-fn score_entry(entry: &ModelEntry, rows: &[f32], out: &mut [f32]) {
-    let mut scorer = entry.scorer.lock().unwrap_or_else(PoisonError::into_inner);
-    scorer.score_batch(rows, out);
-}
-
-/// Score with `entry`'s scorer, timed on `clock`; panics propagate.
+/// Score with `entry`'s scorer, timed on `clock`. Panics propagate: the
+/// callers that must survive a scorer panic wrap this in `catch_unwind`.
 fn timed_score(clock: &dyn Clock, entry: &ModelEntry, rows: &[f32], out: &mut [f32]) -> u64 {
     let t0 = clock.now_nanos();
-    score_entry(entry, rows, out);
+    let mut scorer = entry.scorer.lock().unwrap_or_else(PoisonError::into_inner);
+    scorer.score_batch(rows, out);
+    drop(scorer);
     clock.now_nanos().saturating_sub(t0)
-}
-
-/// Score with `entry`'s scorer under `catch_unwind`, timed. `None` on
-/// panic.
-fn guarded_timed_score(
-    clock: &dyn Clock,
-    entry: &ModelEntry,
-    rows: &[f32],
-    out: &mut [f32],
-) -> Option<u64> {
-    let t0 = clock.now_nanos();
-    let result = catch_unwind(AssertUnwindSafe(|| score_entry(entry, rows, out)));
-    let elapsed = clock.now_nanos().saturating_sub(t0);
-    result.ok().map(|()| elapsed)
 }
 
 /// Whether any automatic-rollback trigger fires for these counters.
@@ -961,99 +926,277 @@ fn watchdog_verdict(stats: &CandidateStats, config: &RolloutConfig) -> Option<Ro
     None
 }
 
-/// End the in-flight candidate's journey as rolled back: restore the
-/// reference as active when the candidate held the active slot, emit
-/// the event, and file the report.
-fn roll_back_candidate(
-    state: &mut LifecycleState,
-    reason: RollbackReason,
-    hooks: Option<&RegistryObsHooks>,
-) {
-    let Some(cand) = state.candidate.take() else {
-        return;
-    };
-    if let Some(h) = hooks {
-        h.rollbacks.inc();
-    }
-    let restored = Arc::clone(&cand.reference);
-    if cand.stage == Stage::Hold {
-        state.active = Arc::clone(&restored);
-        state.previous = None;
-    }
-    state.events.push(LifecycleEvent::RolledBack {
-        version: cand.entry.version.to_string(),
-        restored: restored.version.to_string(),
-        reason: reason.clone(),
-    });
-    state.last_report = Some(CandidateReport {
-        version: cand.entry.version.to_string(),
-        stage: cand.stage,
-        stats: cand.stats,
-        outcome: CandidateOutcome::RolledBack(reason),
-    });
+/// A model a [`Route`] mirrors.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// The in-flight candidate.
+    Candidate,
+    /// The incumbent the candidate was loaded against.
+    Reference,
 }
 
-/// Run the watchdog and the Hold settle check after an observed batch.
-fn after_observed_batch(
-    state: &mut LifecycleState,
-    config: &RolloutConfig,
-    hooks: Option<&RegistryObsHooks>,
-) {
-    let verdict = state
-        .candidate
-        .as_ref()
-        .and_then(|c| watchdog_verdict(&c.stats, config));
-    if let Some(reason) = verdict {
-        roll_back_candidate(state, reason, hooks);
-        return;
-    }
-    let settled = state
-        .candidate
-        .as_ref()
-        .is_some_and(|c| c.stage == Stage::Hold && c.stats.hold_batches >= config.hold_batches);
-    if settled {
-        if let Some(cand) = state.candidate.take() {
-            state.events.push(LifecycleEvent::Settled {
-                version: cand.entry.version.to_string(),
-            });
-            state.last_report = Some(CandidateReport {
-                version: cand.entry.version.to_string(),
-                stage: Stage::Hold,
-                stats: cand.stats,
-                outcome: CandidateOutcome::Settled,
-            });
+/// Which batches a stage's candidate answers; the reference answers the
+/// rest.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Share {
+    Never,
+    /// The `canary_fraction` slice.
+    Canary,
+    Always,
+}
+
+/// One stage's row of the data plane (the module docs' table): the
+/// batches the candidate answers, the model mirrored on the
+/// `shadow_fraction` slice, and the span candidate scoring is traced as.
+#[derive(Clone, Copy)]
+struct Route {
+    answers: Share,
+    mirror: Option<Role>,
+    span: Option<dlr_obs::Stage>,
+}
+
+impl Route {
+    fn of(stage: Stage) -> Route {
+        use dlr_obs::Stage as Span;
+        use Role::{Candidate, Reference};
+        let (answers, mirror, span) = match stage {
+            Stage::Loaded => (Share::Never, None, None),
+            Stage::Shadow => (Share::Never, Some(Candidate), Some(Span::Shadow)),
+            Stage::Canary => (Share::Canary, None, Some(Span::Canary)),
+            Stage::Hold => (Share::Always, Some(Reference), None),
+        };
+        Route {
+            answers,
+            mirror,
+            span,
         }
     }
 }
 
-impl RegistryEngine {
-    /// Collect per-query NDCG pairs from label-carrying requests:
-    /// `incumbent` and `candidate` are full-batch score slices.
-    fn collect_ndcg_pairs(
-        stats: &mut CandidateStats,
-        incumbent: &[f32],
-        candidate: &[f32],
-        metas: &[RequestMeta<'_>],
-        k: usize,
-    ) {
-        let config = NdcgConfig::at(k);
-        for meta in metas {
-            let Some(labels) = meta.labels else { continue };
-            if labels.len() != meta.docs {
-                continue;
+/// One micro-batch, as the effect handlers read it.
+struct Batch<'a> {
+    rows: &'a [f32],
+    budget: Option<Duration>,
+    metas: &'a [RequestMeta<'a>],
+    clock: &'a dyn Clock,
+    config: &'a RolloutConfig,
+    hooks: Option<&'a RegistryObsHooks>,
+}
+
+impl Batch<'_> {
+    /// Count one more in a [`CandidateStats`] field and in the obs
+    /// counter that mirrors it.
+    fn count(&self, field: &mut u64, counter: fn(&RegistryObsHooks) -> &dlr_obs::Counter) {
+        *field += 1;
+        if let Some(h) = self.hooks {
+            counter(h).inc();
+        }
+    }
+
+    /// Record a span of `stage` for `version` ending now and lasting
+    /// `nanos`, attributed to the dispatcher's current trace. The
+    /// registry clock and the obs clock are the same injected server
+    /// clock, so under `ManualClock` the bounds are exact.
+    fn span(&self, stage: dlr_obs::Stage, version: &Arc<str>, nanos: u64) {
+        if let Some(h) = self.hooks {
+            let (obs, end) = (&h.obs, h.obs.now_nanos());
+            let version = Some(Arc::clone(version));
+            obs.record_span(
+                obs.current_trace(),
+                stage,
+                version,
+                end.saturating_sub(nanos),
+                end,
+            );
+        }
+    }
+}
+
+/// The data plane for one batch, under the registry lock: answer with
+/// rescue, mirror-and-compare an unrescued answer, run the watchdog.
+/// Returns how the batch was served and the version that answered it.
+fn route_batch(
+    b: &Batch<'_>,
+    state: &mut LifecycleState,
+    out: &mut [f32],
+    scratch: &mut Vec<f32>,
+) -> (ServedBy, Arc<str>) {
+    let Some(cand) = state.candidate.as_mut() else {
+        timed_score(b.clock, &state.active, b.rows, out);
+        return (ServedBy::Primary, Arc::clone(&state.active.version));
+    };
+    let route = Route::of(cand.stage);
+    let (served, by, nanos) = answer_with_rescue(b, cand, &route, out, scratch);
+    if served == ServedBy::Primary {
+        mirror_and_compare(b, cand, &route, nanos, out, scratch);
+    }
+    state.after_observed_batch(b.config, b.hooks);
+    (served, by)
+}
+
+/// Effect handler: answer the batch into `out` — the candidate on its
+/// route's share, rescued by the reference (served as
+/// [`ServedBy::Fallback`]) when it panics or goes non-finite; the
+/// reference otherwise. Until promotion the reference is the active
+/// model. Returns who answered and the answer's latency.
+fn answer_with_rescue(
+    b: &Batch<'_>,
+    cand: &mut CandidateState,
+    route: &Route,
+    out: &mut [f32],
+    scratch: &mut Vec<f32>,
+) -> (ServedBy, Arc<str>, u64) {
+    let routed = match route.answers {
+        Share::Never => false,
+        Share::Canary => fire(&mut cand.canary_acc, b.config.canary_fraction),
+        Share::Always => true,
+    };
+    if routed {
+        if let Some(nanos) = try_score(b, cand, route, Role::Candidate, scratch, out.len()) {
+            if scratch.iter().all(|s| s.is_finite()) {
+                out.copy_from_slice(scratch);
+                return (ServedBy::Primary, Arc::clone(&cand.entry.version), nanos);
             }
-            let end = meta.start.saturating_add(meta.docs);
-            let (Some(inc), Some(cand)) = (
-                incumbent.get(meta.start..end),
-                candidate.get(meta.start..end),
-            ) else {
-                continue;
-            };
-            if let (Some(a), Some(b)) =
-                (ndcg_at(inc, labels, config), ndcg_at(cand, labels, config))
-            {
-                stats.ndcg_pairs.push((a, b));
+        }
+        b.count(&mut cand.stats.rescues, |h| &h.rescues);
+        b.span(dlr_obs::Stage::Rescue, &cand.reference.version, 0);
+    }
+    let nanos = timed_score(b.clock, &cand.reference, b.rows, out);
+    // A rescue, or the control arm of a canary split, is an incumbent
+    // latency sample of its own; a stage's own answer is sampled only
+    // beside its mirror.
+    if routed || route.answers == Share::Canary {
+        let latency = Duration::from_nanos(nanos);
+        cand.stats.incumbent_latency.record(latency);
+    }
+    let served = if routed {
+        ServedBy::Fallback
+    } else {
+        ServedBy::Primary
+    };
+    (served, Arc::clone(&cand.reference.version), nanos)
+}
+
+/// Effect handler: on the `shadow_fraction` slice, score the route's
+/// mirror off the response path and compare it with the answer in
+/// `out`. A mirrored candidate is under observation — its panics and
+/// non-finite batches count against it, labelled requests yield the
+/// gate's NDCG pairs; a mirrored reference only audits the candidate's
+/// answers.
+fn mirror_and_compare(
+    b: &Batch<'_>,
+    cand: &mut CandidateState,
+    route: &Route,
+    answer_nanos: u64,
+    out: &[f32],
+    mirror: &mut Vec<f32>,
+) {
+    let Some(role) = route.mirror else { return };
+    if !fire(&mut cand.shadow_acc, b.config.shadow_fraction) {
+        return;
+    }
+    let observed = role == Role::Candidate;
+    let Some(nanos) = try_score(b, cand, route, role, mirror, out.len()) else {
+        if observed {
+            cand.stats.shadow_panics += 1;
+        }
+        return;
+    };
+    // One incumbent sample per completed mirror: the answer's, paired
+    // with a mirrored candidate's, or the mirrored reference's own.
+    let latency = Duration::from_nanos(if observed { answer_nanos } else { nanos });
+    cand.stats.incumbent_latency.record(latency);
+    if mirror.iter().any(|s| !s.is_finite()) {
+        if observed {
+            cand.stats.shadow_nan_batches += 1;
+        }
+        return;
+    }
+    let threshold = b.config.divergence_threshold;
+    let diverged = out
+        .iter()
+        .zip(mirror.iter())
+        .filter(|(a, b)| (**a - **b).abs() > threshold);
+    cand.stats.divergent_docs += diverged.count() as u64;
+    cand.stats.compared_docs += out.len() as u64;
+    if observed {
+        collect_ndcg_pairs(&mut cand.stats, out, mirror, b.metas, b.config.ndcg_k);
+    }
+}
+
+/// Score `role`'s model into `buf`, resized to `docs`, under
+/// `catch_unwind`; `None` when it panicked. A candidate attempt counts
+/// as an observed batch of its stage and, completed, is sampled in
+/// `candidate_latency`, traced as the route's span and checked against
+/// the budget.
+fn try_score(
+    b: &Batch<'_>,
+    cand: &mut CandidateState,
+    route: &Route,
+    role: Role,
+    buf: &mut Vec<f32>,
+    docs: usize,
+) -> Option<u64> {
+    let (stats, candidate) = (&mut cand.stats, role == Role::Candidate);
+    let model = if candidate {
+        &cand.entry
+    } else {
+        &cand.reference
+    };
+    if candidate {
+        match cand.stage {
+            Stage::Loaded => {}
+            Stage::Shadow => {
+                b.count(&mut stats.shadow_batches, |h| &h.shadow_batches);
+                stats.shadow_docs += docs as u64;
             }
+            Stage::Canary => b.count(&mut stats.canary_batches, |h| &h.canary_batches),
+            Stage::Hold => stats.hold_batches += 1,
+        }
+    }
+    buf.clear();
+    buf.resize(docs, 0.0);
+    let scored = catch_unwind(AssertUnwindSafe(|| {
+        timed_score(b.clock, model, b.rows, buf)
+    }));
+    let nanos = scored.ok()?;
+    if candidate {
+        let latency = Duration::from_nanos(nanos);
+        if let Some(span) = route.span {
+            b.span(span, &model.version, nanos);
+        }
+        stats.candidate_latency.record(latency);
+        if b.budget.is_some_and(|budget| latency > budget) {
+            stats.deadline_degraded += 1;
+        }
+    }
+    Some(nanos)
+}
+
+/// Collect per-query NDCG pairs from label-carrying requests:
+/// `incumbent` and `candidate` are full-batch score slices.
+fn collect_ndcg_pairs(
+    stats: &mut CandidateStats,
+    incumbent: &[f32],
+    candidate: &[f32],
+    metas: &[RequestMeta<'_>],
+    k: usize,
+) {
+    let config = NdcgConfig::at(k);
+    for meta in metas {
+        let Some(labels) = meta.labels else { continue };
+        if labels.len() != meta.docs {
+            continue;
+        }
+        let end = meta.start.saturating_add(meta.docs);
+        let (Some(inc), Some(cand)) = (
+            incumbent.get(meta.start..end),
+            candidate.get(meta.start..end),
+        ) else {
+            continue;
+        };
+        if let (Some(a), Some(b)) = (ndcg_at(inc, labels, config), ndcg_at(cand, labels, config)) {
+            stats.ndcg_pairs.push((a, b));
         }
     }
 }
@@ -1079,7 +1222,8 @@ impl BatchEngine for RegistryEngine {
         budget: Option<Duration>,
         metas: &[RequestMeta<'_>],
     ) -> Result<ServedBy, ScoreError> {
-        let num_features = self.shared.num_features;
+        let shared = &*self.shared;
+        let num_features = shared.num_features;
         if out.is_empty() {
             return Err(ScoreError::EmptyBatch);
         }
@@ -1090,193 +1234,19 @@ impl BatchEngine for RegistryEngine {
                 out_len: out.len(),
             });
         }
-        let clock = Arc::clone(&self.shared.clock);
-        let config = self.shared.config;
-        let hooks = self.shared.obs.get();
+        let batch = Batch {
+            rows,
+            budget,
+            metas,
+            clock: &*shared.clock,
+            config: &shared.config,
+            hooks: shared.obs.get(),
+        };
         // The registry's one lock is held for the whole batch: control-
         // plane swaps land between micro-batches, never inside one.
-        let mut guard = lock_state(&self.shared);
-        let state = &mut *guard;
-        let active = Arc::clone(&state.active);
-
-        let Some(cand) = state.candidate.as_mut() else {
-            // Plain serving: no candidate in flight.
-            score_entry(&active, rows, out);
-            self.last_served = Some(Arc::clone(&active.version));
-            return Ok(ServedBy::Primary);
-        };
-
-        let served = match cand.stage {
-            Stage::Loaded => {
-                // Validated but not yet shadowing: serve normally.
-                score_entry(&active, rows, out);
-                self.last_served = Some(Arc::clone(&active.version));
-                ServedBy::Primary
-            }
-            Stage::Shadow => {
-                let incumbent_nanos = timed_score(&*clock, &active, rows, out);
-                if fire(&mut cand.shadow_acc, config.shadow_fraction) {
-                    cand.stats.shadow_batches += 1;
-                    cand.stats.shadow_docs += out.len() as u64;
-                    if let Some(h) = hooks {
-                        h.shadow_batches.inc();
-                    }
-                    self.scratch.clear();
-                    self.scratch.resize(out.len(), 0.0);
-                    match guarded_timed_score(&*clock, &cand.entry, rows, &mut self.scratch) {
-                        None => cand.stats.shadow_panics += 1,
-                        Some(candidate_nanos) => {
-                            if let Some(h) = hooks {
-                                h.span_ending_now(
-                                    dlr_obs::Stage::Shadow,
-                                    &cand.entry.version,
-                                    candidate_nanos,
-                                );
-                            }
-                            cand.stats
-                                .incumbent_latency
-                                .record(Duration::from_nanos(incumbent_nanos));
-                            cand.stats
-                                .candidate_latency
-                                .record(Duration::from_nanos(candidate_nanos));
-                            if budget.is_some_and(|b| Duration::from_nanos(candidate_nanos) > b) {
-                                cand.stats.deadline_degraded += 1;
-                            }
-                            if self.scratch.iter().any(|s| !s.is_finite()) {
-                                cand.stats.shadow_nan_batches += 1;
-                            } else {
-                                cand.stats.compared_docs += out.len() as u64;
-                                let threshold = config.divergence_threshold;
-                                cand.stats.divergent_docs +=
-                                    out.iter()
-                                        .zip(self.scratch.iter())
-                                        .filter(|(a, b)| (**a - **b).abs() > threshold)
-                                        .count() as u64;
-                                Self::collect_ndcg_pairs(
-                                    &mut cand.stats,
-                                    out,
-                                    &self.scratch,
-                                    metas,
-                                    config.ndcg_k,
-                                );
-                            }
-                        }
-                    }
-                }
-                // Shadow scores are recorded, never returned.
-                self.last_served = Some(Arc::clone(&active.version));
-                ServedBy::Primary
-            }
-            Stage::Canary => {
-                if fire(&mut cand.canary_acc, config.canary_fraction) {
-                    cand.stats.canary_batches += 1;
-                    if let Some(h) = hooks {
-                        h.canary_batches.inc();
-                    }
-                    self.scratch.clear();
-                    self.scratch.resize(out.len(), 0.0);
-                    let outcome =
-                        guarded_timed_score(&*clock, &cand.entry, rows, &mut self.scratch);
-                    let healthy = outcome.is_some() && self.scratch.iter().all(|s| s.is_finite());
-                    if let Some(candidate_nanos) = outcome {
-                        if let Some(h) = hooks {
-                            h.span_ending_now(
-                                dlr_obs::Stage::Canary,
-                                &cand.entry.version,
-                                candidate_nanos,
-                            );
-                        }
-                        cand.stats
-                            .candidate_latency
-                            .record(Duration::from_nanos(candidate_nanos));
-                        if budget.is_some_and(|b| Duration::from_nanos(candidate_nanos) > b) {
-                            cand.stats.deadline_degraded += 1;
-                        }
-                    }
-                    if healthy {
-                        out.copy_from_slice(&self.scratch);
-                        self.last_served = Some(Arc::clone(&cand.entry.version));
-                        ServedBy::Primary
-                    } else {
-                        // Rescue: the incumbent rescores and answers.
-                        cand.stats.rescues += 1;
-                        if let Some(h) = hooks {
-                            h.rescues.inc();
-                            h.span_ending_now(dlr_obs::Stage::Rescue, &active.version, 0);
-                        }
-                        let incumbent_nanos = timed_score(&*clock, &active, rows, out);
-                        cand.stats
-                            .incumbent_latency
-                            .record(Duration::from_nanos(incumbent_nanos));
-                        self.last_served = Some(Arc::clone(&active.version));
-                        ServedBy::Fallback
-                    }
-                } else {
-                    let incumbent_nanos = timed_score(&*clock, &active, rows, out);
-                    cand.stats
-                        .incumbent_latency
-                        .record(Duration::from_nanos(incumbent_nanos));
-                    self.last_served = Some(Arc::clone(&active.version));
-                    ServedBy::Primary
-                }
-            }
-            Stage::Hold => {
-                // The candidate IS the active model; the reference
-                // incumbent rescues failures and mirror-checks a
-                // fraction of traffic until the rollout settles.
-                cand.stats.hold_batches += 1;
-                self.scratch.clear();
-                self.scratch.resize(out.len(), 0.0);
-                let outcome = guarded_timed_score(&*clock, &cand.entry, rows, &mut self.scratch);
-                let healthy = outcome.is_some() && self.scratch.iter().all(|s| s.is_finite());
-                if let Some(candidate_nanos) = outcome {
-                    cand.stats
-                        .candidate_latency
-                        .record(Duration::from_nanos(candidate_nanos));
-                    if budget.is_some_and(|b| Duration::from_nanos(candidate_nanos) > b) {
-                        cand.stats.deadline_degraded += 1;
-                    }
-                }
-                if healthy {
-                    out.copy_from_slice(&self.scratch);
-                    if fire(&mut cand.shadow_acc, config.shadow_fraction) {
-                        self.mirror.clear();
-                        self.mirror.resize(out.len(), 0.0);
-                        if let Some(reference_nanos) =
-                            guarded_timed_score(&*clock, &cand.reference, rows, &mut self.mirror)
-                        {
-                            cand.stats
-                                .incumbent_latency
-                                .record(Duration::from_nanos(reference_nanos));
-                            if self.mirror.iter().all(|s| s.is_finite()) {
-                                cand.stats.compared_docs += out.len() as u64;
-                                let threshold = config.divergence_threshold;
-                                cand.stats.divergent_docs +=
-                                    out.iter()
-                                        .zip(self.mirror.iter())
-                                        .filter(|(a, b)| (**a - **b).abs() > threshold)
-                                        .count() as u64;
-                            }
-                        }
-                    }
-                    self.last_served = Some(Arc::clone(&cand.entry.version));
-                    ServedBy::Primary
-                } else {
-                    cand.stats.rescues += 1;
-                    if let Some(h) = hooks {
-                        h.rescues.inc();
-                        h.span_ending_now(dlr_obs::Stage::Rescue, &cand.reference.version, 0);
-                    }
-                    let reference_nanos = timed_score(&*clock, &cand.reference, rows, out);
-                    cand.stats
-                        .incumbent_latency
-                        .record(Duration::from_nanos(reference_nanos));
-                    self.last_served = Some(Arc::clone(&cand.reference.version));
-                    ServedBy::Fallback
-                }
-            }
-        };
-        after_observed_batch(state, &config, hooks);
+        let mut state = lock_state(shared);
+        let (served, version) = route_batch(&batch, &mut state, out, &mut self.scratch);
+        self.last_served = Some(version);
         Ok(served)
     }
 
@@ -1331,46 +1301,118 @@ mod tests {
         assert_eq!((0..10).filter(|_| fire(&mut acc, 0.0)).count(), 0);
     }
 
+    /// The legality table: every control operation from every stage,
+    /// each cell the exact result and the stage it leaves behind.
     #[test]
     fn staged_transitions_are_enforced() {
-        let (registry, _engine) = registry(RolloutConfig::default());
-        assert_eq!(registry.begin_shadow(), Err(LifecycleError::NoCandidate));
-        registry
-            .load_scorer(
-                "v2",
-                Box::new(Constant {
-                    value: 2.0,
-                    features: 2,
-                }),
-                b"artifact-v2".to_vec(),
-            )
-            .expect("load");
-        assert_eq!(registry.candidate_stage(), Some(Stage::Loaded));
-        // Canary before shadow is refused.
-        assert_eq!(
-            registry.begin_canary(),
-            Err(LifecycleError::WrongStage {
-                operation: "begin canary",
-                stage: Stage::Loaded,
-            })
-        );
-        // A second candidate is refused while one is in flight.
-        assert_eq!(
-            registry.load_scorer(
-                "v3",
-                Box::new(Constant {
-                    value: 3.0,
-                    features: 2
-                }),
-                Vec::new()
+        use LifecycleError::{CandidateInFlight, NoCandidate, NothingToRollBack, WrongStage};
+        use Stage::{Canary, Hold, Loaded, Shadow};
+        type Op = fn(&ModelRegistry) -> Result<(), LifecycleError>;
+        // The exact result and, when the operation is allowed, the stage
+        // it lands in (`None`: no candidate left); a refused operation
+        // leaves the stage as it was.
+        type Cell = (Result<(), LifecycleError>, Option<Option<Stage>>);
+        let load: Op = |r| {
+            let scorer = Constant {
+                value: 2.0,
+                features: 2,
+            };
+            r.load_scorer("v2", Box::new(scorer), Vec::new())
+        };
+        // A fresh registry reaches each column by a prefix of this path
+        // (the gate passes with no NDCG pairs).
+        let path: [Op; 4] = [
+            load,
+            ModelRegistry::begin_shadow,
+            ModelRegistry::begin_canary,
+            ModelRegistry::promote,
+        ];
+        let columns = [None, Some(Loaded), Some(Shadow), Some(Canary), Some(Hold)];
+        let in_flight = || {
+            let err = CandidateInFlight {
+                version: "v2".into(),
+            };
+            (Err(err), None)
+        };
+        let wrong = |operation, stage| (Err(WrongStage { operation, stage }), None);
+        let ok = |to| (Ok(()), Some(to));
+        // Rows are operations.
+        let table: [(&str, Op, [Cell; 5]); 5] = [
+            (
+                "load_scorer",
+                load,
+                [
+                    ok(Some(Loaded)),
+                    in_flight(),
+                    in_flight(),
+                    in_flight(),
+                    in_flight(),
+                ],
             ),
-            Err(LifecycleError::CandidateInFlight {
-                version: "v2".into()
-            })
-        );
-        registry.begin_shadow().expect("shadow");
-        registry.begin_canary().expect("canary");
-        assert_eq!(registry.candidate_stage(), Some(Stage::Canary));
+            (
+                "begin_shadow",
+                ModelRegistry::begin_shadow,
+                [
+                    (Err(NoCandidate), None),
+                    ok(Some(Shadow)),
+                    wrong("begin shadow", Shadow),
+                    wrong("begin shadow", Canary),
+                    wrong("begin shadow", Hold),
+                ],
+            ),
+            (
+                "begin_canary",
+                ModelRegistry::begin_canary,
+                [
+                    (Err(NoCandidate), None),
+                    wrong("begin canary", Loaded),
+                    ok(Some(Canary)),
+                    wrong("begin canary", Canary),
+                    wrong("begin canary", Hold),
+                ],
+            ),
+            (
+                "promote",
+                ModelRegistry::promote,
+                [
+                    (Err(NoCandidate), None),
+                    wrong("promote", Loaded),
+                    ok(Some(Hold)),
+                    ok(Some(Hold)),
+                    wrong("promote", Hold),
+                ],
+            ),
+            (
+                "rollback",
+                ModelRegistry::rollback,
+                [
+                    (Err(NothingToRollBack), None),
+                    ok(None),
+                    ok(None),
+                    ok(None),
+                    ok(None),
+                ],
+            ),
+        ];
+        let config = RolloutConfig {
+            gate: GateConfig {
+                min_queries: 0,
+                ..GateConfig::default()
+            },
+            ..RolloutConfig::default()
+        };
+        for (name, op, row) in table {
+            for (steps, (from, (result, lands))) in columns.into_iter().zip(row).enumerate() {
+                let (registry, _engine) = registry(config);
+                for step in path.iter().take(steps) {
+                    step(&registry).expect("path to the column");
+                }
+                assert_eq!(registry.candidate_stage(), from);
+                assert_eq!(op(&registry), result, "{name} from {from:?}");
+                let after = lands.unwrap_or(from);
+                assert_eq!(registry.candidate_stage(), after, "{name} from {from:?}");
+            }
+        }
     }
 
     #[test]

@@ -16,10 +16,11 @@ use dlr_core::fault::{ServerFault, ServerFaultPlan};
 use dlr_core::scoring::DocumentScorer;
 use dlr_core::serve::ServedBy;
 use dlr_metrics::GateConfig;
+use dlr_obs::Obs;
 use dlr_serve::{
-    BatchConfig, BatchEngine, CandidateOutcome, LifecycleError, LifecycleEvent, ManualClock,
-    ModelRegistry, MonotonicClock, RegistryEngine, RollbackReason, RolloutConfig, ScoreRequest,
-    Server, ServerConfig, Stage,
+    BatchConfig, BatchEngine, CandidateOutcome, CandidateReport, CandidateStats, LifecycleError,
+    LifecycleEvent, ManualClock, ModelRegistry, MonotonicClock, RegistryEngine, RequestMeta,
+    RollbackReason, RolloutConfig, ScoreRequest, Server, ServerConfig, Stage,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -967,3 +968,388 @@ proptest! {
         prop_assert_eq!(per_version, stats.scored());
     }
 }
+
+/// Like [`SlowVersioned`], but its `n`th call (1-based) advances the
+/// clock by `n · step_nanos`, so every latency sample names the call
+/// that produced it; the calls listed in `nan_calls` / `panic_calls`
+/// advance the clock and then go non-finite / panic.
+struct Scripted {
+    tag: f32,
+    clock: Arc<ManualClock>,
+    step_nanos: u64,
+    nan_calls: Vec<u32>,
+    panic_calls: Vec<u32>,
+    calls: u32,
+}
+
+impl DocumentScorer for Scripted {
+    fn num_features(&self) -> usize {
+        2
+    }
+    fn score_batch(&mut self, rows: &[f32], out: &mut [f32]) {
+        self.calls += 1;
+        self.clock.advance(u64::from(self.calls) * self.step_nanos);
+        if self.panic_calls.contains(&self.calls) {
+            panic!("injected: scripted scorer panic on call {}", self.calls);
+        }
+        if self.nan_calls.contains(&self.calls) {
+            out.fill(f32::NAN);
+            return;
+        }
+        for (row, o) in rows.chunks_exact(2).zip(out.iter_mut()) {
+            *o = self.tag * 10000.0 + row[0] * 100.0 + row[1];
+        }
+    }
+    fn name(&self) -> String {
+        format!("scripted {}", self.tag)
+    }
+}
+
+/// One request of a transcript batch: `(query, docs, labels)`.
+type Req = (usize, usize, Option<&'static [f32]>);
+
+/// Score one batch of `reqs` through the engine under `budget_us`;
+/// returns how it was served, by which version, and the scores.
+fn transcript_batch(
+    engine: &mut RegistryEngine,
+    reqs: &[Req],
+    budget_us: Option<u64>,
+) -> (ServedBy, String, Vec<f32>) {
+    let mut rows = Vec::new();
+    let mut metas = Vec::new();
+    for &(query, docs, labels) in reqs {
+        metas.push(RequestMeta {
+            start: rows.len() / 2,
+            docs,
+            labels,
+        });
+        for doc in 0..docs {
+            rows.extend([query as f32, doc as f32]);
+        }
+    }
+    let mut out = vec![0.0f32; rows.len() / 2];
+    let by = engine
+        .score_batch_meta(
+            &rows,
+            &mut out,
+            budget_us.map(Duration::from_micros),
+            &metas,
+        )
+        .expect("served");
+    let version = engine.served_version().expect("version").to_string();
+    (by, version, out)
+}
+
+/// The transcript row for `reqs` answered by version `tag`.
+fn answered(by: ServedBy, tag: u32, reqs: &[Req]) -> (ServedBy, String, Vec<f32>) {
+    let scores = reqs
+        .iter()
+        .flat_map(|&(query, docs, _)| expected(tag, query, docs))
+        .collect();
+    (by, format!("v{tag}"), scores)
+}
+
+/// A latency histogram holding exactly these µs samples.
+fn histogram(samples_us: &[u64]) -> dlr_obs::HistogramSnapshot {
+    let mut h = dlr_obs::HistogramSnapshot::default();
+    for &us in samples_us {
+        h.record(us);
+    }
+    h
+}
+
+/// Golden transcript of two scripted rollouts under a [`ManualClock`]:
+/// the first goes Loaded → Shadow (labelled requests, one NaN batch,
+/// one panicking batch) → Canary (one rescue) → promote → Hold →
+/// settled; the second is rolled back by the watchdog in Hold. Every
+/// served-by/version pair, score, event, report (latency histograms and
+/// NDCG pairs included) and lifecycle counter is pinned exactly.
+#[test]
+fn golden_rollout_transcript() {
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+
+    let clock = Arc::new(ManualClock::at(0));
+    let scripted = |tag: f32, step_us: u64, nan_calls: &[u32], panic_calls: &[u32]| {
+        Box::new(Scripted {
+            tag,
+            clock: Arc::clone(&clock),
+            step_nanos: step_us * 1000,
+            nan_calls: nan_calls.to_vec(),
+            panic_calls: panic_calls.to_vec(),
+            calls: 0,
+        })
+    };
+    let config = RolloutConfig {
+        shadow_fraction: 0.5,
+        canary_fraction: 0.5,
+        max_divergence_rate: 1.0,
+        max_nan_rescue_rate: 0.55,
+        max_deadline_degradation_rate: 1.0,
+        max_p99_ratio: 1000.0,
+        min_samples: 4,
+        hold_batches: 4,
+        gate: GateConfig {
+            min_queries: 2,
+            ..GateConfig::default()
+        },
+        ..RolloutConfig::default()
+    };
+    // v1's third call (the second batch in Loaded) panics.
+    let (registry, mut engine) = ModelRegistry::with_scorer(
+        "v1",
+        scripted(1.0, 100, &[], &[3]),
+        b"artifact v1".to_vec(),
+        config,
+        Arc::clone(&clock) as Arc<dyn dlr_serve::Clock>,
+    );
+    let obs = Arc::new(Obs::new(Arc::clone(&clock) as Arc<dyn dlr_obs::NanoClock>));
+    registry.attach_obs(Arc::clone(&obs));
+
+    let mut got = Vec::new();
+    let mut want = Vec::new();
+    let mut step = |engine: &mut RegistryEngine, reqs: &[Req], budget_us, by, tag| {
+        got.push(transcript_batch(engine, reqs, budget_us));
+        want.push(answered(by, tag, reqs));
+    };
+    use ServedBy::{Fallback, Primary};
+
+    // --- Rollout 1: v2 (30 µs per call step; call 2 NaN, call 3 panics).
+    step(&mut engine, &[(0, 2, None)], None, Primary, 1);
+    registry
+        .load_scorer(
+            "v2",
+            scripted(2.0, 30, &[2, 6], &[3]),
+            b"artifact v2".to_vec(),
+        )
+        .expect("load v2");
+    step(&mut engine, &[(1, 1, None)], None, Primary, 1);
+    // An incumbent panic propagates to the caller (the dispatcher turns
+    // it into `batch_panics`); the last served version is unchanged.
+    let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        transcript_batch(&mut engine, &[(99, 1, None)], None)
+    }));
+    assert!(panicked.is_err(), "incumbent panic must propagate");
+    assert_eq!(engine.served_version().as_deref(), Some("v1"));
+
+    registry.begin_shadow().expect("shadow v2");
+    const S2: &[Req] = &[(3, 3, Some(&[2.0, 0.0, 1.0])), (4, 2, Some(&[0.0, 1.0]))];
+    const S8: &[Req] = &[(10, 3, Some(&[1.0, 0.0, 0.0])), (11, 1, None)];
+    step(&mut engine, &[(2, 2, None)], None, Primary, 1);
+    step(&mut engine, S2, None, Primary, 1); // mirrored: healthy, 2 NDCG pairs
+    step(&mut engine, &[(5, 1, None)], None, Primary, 1);
+    step(&mut engine, &[(6, 2, None)], Some(100), Primary, 1); // mirrored: NaN
+    step(&mut engine, &[(7, 1, None)], None, Primary, 1);
+    step(&mut engine, &[(8, 2, None)], Some(100), Primary, 1); // mirrored: panic
+    step(&mut engine, &[(9, 1, None)], None, Primary, 1);
+    step(&mut engine, S8, Some(100), Primary, 1); // mirrored: over budget
+
+    registry.begin_canary().expect("canary v2");
+    step(&mut engine, &[(12, 1, None)], Some(100), Primary, 1);
+    step(&mut engine, &[(13, 2, None)], Some(100), Primary, 2); // canary
+    step(&mut engine, &[(14, 1, None)], None, Primary, 1);
+    step(&mut engine, &[(15, 2, None)], None, Fallback, 1); // canary NaN: rescued
+
+    registry.promote().expect("promote v2 from canary");
+    step(&mut engine, &[(16, 1, None)], None, Primary, 2);
+    step(&mut engine, &[(17, 2, None)], None, Primary, 2); // v1 mirrored
+    step(&mut engine, &[(18, 1, None)], Some(100), Primary, 2);
+    step(&mut engine, &[(19, 2, None)], None, Primary, 2); // v1 mirrored; settles
+    assert_eq!(registry.candidate_version(), None);
+    let settled = registry.last_report().expect("v2 journey");
+    step(&mut engine, &[(20, 1, None)], None, Primary, 2);
+
+    // --- Rollout 2: two rejected loads, then v3 (50 µs step), NaN from
+    // its third call, rolled back by the watchdog in Hold.
+    assert!(matches!(
+        registry.load_artifact("v3-corrupt", b"dlr-mlp v9 garbage"),
+        Err(LifecycleError::ArtifactRejected { .. })
+    ));
+    assert!(matches!(
+        registry.load_scorer("v3-wide", Box::new(Wide), Vec::new()),
+        Err(LifecycleError::ArtifactRejected { .. })
+    ));
+    registry
+        .load_scorer(
+            "v3",
+            scripted(3.0, 50, &[3, 4, 5], &[]),
+            b"artifact v3".to_vec(),
+        )
+        .expect("load v3");
+    registry.begin_shadow().expect("shadow v3");
+    assert_eq!(
+        registry.promote(),
+        Err(LifecycleError::InsufficientData { have: 0, need: 2 })
+    );
+    const RS2: &[Req] = &[(22, 2, Some(&[1.0, 0.0])), (23, 2, Some(&[0.0, 1.0]))];
+    step(&mut engine, &[(21, 1, None)], None, Primary, 2);
+    step(&mut engine, RS2, None, Primary, 2); // mirrored: 2 NDCG pairs
+    registry.promote().expect("promote v3 from shadow");
+    step(&mut engine, &[(24, 1, None)], None, Primary, 3);
+    step(&mut engine, &[(25, 1, None)], None, Fallback, 2); // rescued by v2
+    step(&mut engine, &[(26, 1, None)], None, Fallback, 2);
+    step(&mut engine, &[(27, 1, None)], None, Fallback, 2); // watchdog trips
+    let rolled_back = registry.last_report().expect("v3 journey");
+    assert_eq!(registry.active_version(), "v2");
+    step(&mut engine, &[(28, 1, None)], None, Primary, 2);
+    assert_eq!(registry.rollback(), Err(LifecycleError::NothingToRollBack));
+
+    assert_eq!(got, want);
+
+    let version = |v: &str| v.to_string();
+    assert_eq!(
+        registry.events(),
+        vec![
+            LifecycleEvent::Loaded {
+                version: version("v2")
+            },
+            LifecycleEvent::ShadowStarted {
+                version: version("v2")
+            },
+            LifecycleEvent::CanaryStarted {
+                version: version("v2")
+            },
+            LifecycleEvent::Promoted {
+                version: version("v2"),
+                replaced: version("v1"),
+            },
+            LifecycleEvent::Settled {
+                version: version("v2")
+            },
+            LifecycleEvent::LoadRejected {
+                version: version("v3-corrupt"),
+                reason: LOAD_REJECTED_CORRUPT.to_string(),
+            },
+            LifecycleEvent::LoadRejected {
+                version: version("v3-wide"),
+                reason: "artifact for v3-wide rejected: feature dimension 3 does not match \
+                         the registry's 2"
+                    .to_string(),
+            },
+            LifecycleEvent::Loaded {
+                version: version("v3")
+            },
+            LifecycleEvent::ShadowStarted {
+                version: version("v3")
+            },
+            LifecycleEvent::PromotionBlocked {
+                version: version("v3"),
+                reason: "promotion gate: 0 NDCG pairs, need 2".to_string(),
+            },
+            LifecycleEvent::Promoted {
+                version: version("v3"),
+                replaced: version("v2"),
+            },
+            LifecycleEvent::RolledBack {
+                version: version("v3"),
+                restored: version("v2"),
+                reason: RollbackReason::NanRescue { rate: 0.6 },
+            },
+        ]
+    );
+
+    // v2: 4 mirrored shadow batches (13 docs; S2 + S8 compared, S4 NaN,
+    // S6 panicked), 2 canary batches (1 rescue), 4 hold batches (2 with
+    // v1 mirrored); over budget on S8, C2 and H3.
+    assert_eq!(
+        settled,
+        CandidateReport {
+            version: version("v2"),
+            stage: Stage::Hold,
+            stats: CandidateStats {
+                shadow_batches: 4,
+                shadow_docs: 13,
+                compared_docs: 13,
+                divergent_docs: 13,
+                shadow_nan_batches: 1,
+                shadow_panics: 1,
+                canary_batches: 2,
+                rescues: 1,
+                hold_batches: 4,
+                deadline_degraded: 3,
+                ..CandidateStats::default()
+            },
+            outcome: CandidateOutcome::Settled,
+        }
+    );
+    // Candidate samples: v2 calls 1, 2, 4..10 (call 3 panicked).
+    assert_eq!(
+        settled.stats.candidate_latency.0,
+        histogram(&[30, 60, 120, 150, 180, 210, 240, 270, 300])
+    );
+    // Incumbent samples: v1 paired with completed mirrors (calls 5, 7,
+    // 11), the canary control arm (12, 13), the rescue (14) and the hold
+    // mirrors (15, 16).
+    assert_eq!(
+        settled.stats.incumbent_latency.0,
+        histogram(&[500, 700, 1100, 1200, 1300, 1400, 1500, 1600])
+    );
+    assert_eq!(settled.stats.ndcg_pairs, NDCG_PAIRS_V2.to_vec());
+
+    assert_eq!(
+        rolled_back,
+        CandidateReport {
+            version: version("v3"),
+            stage: Stage::Hold,
+            stats: CandidateStats {
+                shadow_batches: 1,
+                shadow_docs: 4,
+                compared_docs: 4,
+                divergent_docs: 4,
+                rescues: 3,
+                hold_batches: 4,
+                ..CandidateStats::default()
+            },
+            outcome: CandidateOutcome::RolledBack(RollbackReason::NanRescue { rate: 0.6 }),
+        }
+    );
+    assert_eq!(
+        rolled_back.stats.candidate_latency.0,
+        histogram(&[50, 100, 150, 200, 250])
+    );
+    // v2 as reference: paired with the mirror (call 13), then three
+    // rescues (14..16).
+    assert_eq!(
+        rolled_back.stats.incumbent_latency.0,
+        histogram(&[390, 420, 450, 480])
+    );
+    assert_eq!(rolled_back.stats.ndcg_pairs, NDCG_PAIRS_V3.to_vec());
+
+    let counter = |name: &str| obs.counter(name).get();
+    assert_eq!(
+        [
+            counter("registry_shadow_batches_total"),
+            counter("registry_canary_batches_total"),
+            counter("registry_rescues_total"),
+            counter("registry_promotions_total"),
+            counter("registry_rollbacks_total"),
+            counter("registry_loads_rejected_total"),
+        ],
+        [5, 2, 4, 2, 1, 2]
+    );
+
+    std::panic::set_hook(prev);
+}
+
+/// A three-feature scorer: rejected by a two-feature registry.
+struct Wide;
+
+impl DocumentScorer for Wide {
+    fn num_features(&self) -> usize {
+        3
+    }
+    fn score_batch(&mut self, _rows: &[f32], out: &mut [f32]) {
+        out.fill(0.0);
+    }
+    fn name(&self) -> String {
+        "wide".into()
+    }
+}
+
+const LOAD_REJECTED_CORRUPT: &str = "artifact for v3-corrupt rejected: not a dlr-mlp file";
+const NDCG_PAIRS_V2: &[(f64, f64)] = &[
+    (0.6885288809404666, 0.6885288809404666),
+    (1.0, 1.0),
+    (0.5, 0.5),
+];
+const NDCG_PAIRS_V3: &[(f64, f64)] = &[(0.6309297535714575, 0.6309297535714575), (1.0, 1.0)];

@@ -299,24 +299,26 @@ fn main() {
             Response::Failed => failed += 1,
         }
     }
-    let promoted = registry
-        .events()
-        .iter()
-        .filter(|e| matches!(e, LifecycleEvent::Promoted { .. }))
-        .count();
-    let rolled_back = registry
-        .events()
-        .iter()
-        .filter(|e| matches!(e, LifecycleEvent::RolledBack { .. }))
-        .count();
-    let rejected = registry
-        .events()
-        .iter()
-        .filter(|e| matches!(e, LifecycleEvent::LoadRejected { .. }))
-        .count();
-    println!(
-        "\nlifecycle: {promoted} promotions, {rolled_back} rollback(s), {rejected} rejected load(s)"
-    );
+    // The lifecycle tally twice: from the event log and from the obs
+    // counters. The hot-swap-soak CI job checks the two lines agree.
+    let events = registry.events();
+    let tally = |pred: fn(&LifecycleEvent) -> bool| events.iter().filter(|e| pred(e)).count();
+    let from_events = [
+        tally(|e| matches!(e, LifecycleEvent::Promoted { .. })),
+        tally(|e| matches!(e, LifecycleEvent::RolledBack { .. })),
+        tally(|e| matches!(e, LifecycleEvent::LoadRejected { .. })),
+    ];
+    let from_counters = [
+        "registry_promotions_total",
+        "registry_rollbacks_total",
+        "registry_loads_rejected_total",
+    ]
+    .map(|name| obs.counter(name).get() as usize);
+    let line = |[promoted, rolled_back, rejected]: [usize; 3]| {
+        format!("{promoted} promotions, {rolled_back} rollback(s), {rejected} rejected load(s)")
+    };
+    println!("\nlifecycle: {}", line(from_counters));
+    println!("lifecycle event log: {}", line(from_events));
     println!(
         "traffic: {} submitted | {} scored, {} expired, {} failed, {} refused at the door",
         traffic.next_query, scored, expired, failed, traffic.refused
@@ -334,23 +336,15 @@ fn main() {
 
     // Shutdown snapshot: the scrape a monitoring system would have seen,
     // plus the slowest request waterfalls. The registry's lifecycle
-    // counters must agree exactly with the event log audited above.
+    // counters must agree exactly with the event log tallied above.
     println!("\n--- obs snapshot (json) ---");
     println!("{}", obs.snapshot_json());
     println!("--- slowest request waterfalls ---");
     print!("{}", obs.trace_dump(2));
     assert!(obs.books_balance(), "span accounting must balance");
     assert_eq!(
-        obs.counter("registry_promotions_total").get(),
-        promoted as u64
-    );
-    assert_eq!(
-        obs.counter("registry_rollbacks_total").get(),
-        rolled_back as u64
-    );
-    assert_eq!(
-        obs.counter("registry_loads_rejected_total").get(),
-        rejected as u64
+        from_counters, from_events,
+        "lifecycle counters must match the event log"
     );
 
     // Drain-exact identities, across ten hot swaps and a rollback:
@@ -382,7 +376,7 @@ fn main() {
         "per-version rows sum to the totals"
     );
 
-    assert_eq!(promoted, PROMOTIONS);
+    assert_eq!(from_events[0], PROMOTIONS);
     println!("final-active {}", registry.active_version());
     if let Some(path) = out_path {
         std::fs::write(&path, registry.active_artifact()).expect("write --out artifact");
