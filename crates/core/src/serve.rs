@@ -172,14 +172,16 @@ impl DeadlinePolicy {
 ///   instead of two would save (`BatchConfig::flush_deadline_nanos`). A
 ///   forecast linear in `num_docs`, as Eq. 3 is, saves nothing and the
 ///   dispatcher never waits; one with a fixed per-batch term waits at
-///   most that term.
+///   most that term. No forecast predicts no saving either: a
+///   dispatcher without one never waits.
 ///
 /// The contract those callers rely on: `forecast` is a pure, cheap
 /// function of `num_docs` that never panics — it runs under the
 /// admission-queue lock and on the dispatcher thread, for any count from
 /// zero up. `None` abstains, and every caller then behaves as if it held
-/// no forecaster. Any `Duration` is a legal answer, `Duration::MAX`
-/// included; callers saturate.
+/// no forecaster: no veto, no shed, no wait. Any `Duration` is a legal
+/// answer, `Duration::MAX` included; callers saturate, and the
+/// dispatcher reads a forecast past `u64` nanoseconds as an abstention.
 pub trait LatencyForecaster {
     /// Expected wall-clock time to score `num_docs` documents, or `None`
     /// when no estimate is available.

@@ -27,10 +27,10 @@ pub struct BatchConfig {
     /// Flush as soon as this many documents are queued. A single request
     /// larger than this forms its own oversized batch.
     pub max_batch_docs: usize,
-    /// The ceiling on coalescing delay. The oldest queued request never
+    /// The ceiling on a forecast wait. The oldest queued request never
     /// waits longer than this for the batch to fill, however much the
-    /// forecast says a fuller batch would save — and waits exactly this
-    /// long when the server holds no forecast to say otherwise.
+    /// forecast says a fuller batch would save; a server holding no
+    /// forecast predicts no saving and does not wait at all.
     pub max_wait: Duration,
 }
 
@@ -67,9 +67,9 @@ impl BatchConfig {
     ///   the forecasts, not a prediction.
     /// * No forecaster, one that abstains on any of the three sizes, or
     ///   a forecast that overflows `u64` nanoseconds (`Duration::MAX`)
-    ///   is no information. The wait is then `max_wait`, unless a queued
-    ///   deadline falls before that ceiling: nothing says how late the
-    ///   batch may start and still meet it, so the wait ends at once.
+    ///   is no information, which predicts no saving: no wait, as under
+    ///   a linear forecast. A deployment with a fixed per-batch cost
+    ///   says so with a forecaster, and then waits exactly that long.
     ///
     /// A result at or before the caller's clock means flush now. All
     /// arithmetic saturates; nothing here can panic.
@@ -81,22 +81,18 @@ impl BatchConfig {
         tightest_deadline_nanos: Option<u64>,
     ) -> u64 {
         let max_wait = u64::try_from(self.max_wait.as_nanos()).unwrap_or(u64::MAX);
-        // (service time of what is queued, what waiting for the rest saves)
-        let known = forecast.and_then(|f| {
-            let nanos = |docs: usize| u64::try_from(f.forecast(docs)?.as_nanos()).ok();
-            let room = self.max_batch_docs.saturating_sub(queued_docs);
-            let alone = nanos(queued_docs)?;
-            let apart = alone.saturating_add(nanos(room)?);
-            let together = nanos(queued_docs.saturating_add(room))?;
-            Some((alone, apart.saturating_sub(together)))
-        });
-        let Some((service, saving)) = known else {
-            let ceiling = oldest_queued_nanos.saturating_add(max_wait);
-            return match tightest_deadline_nanos {
-                Some(deadline) if deadline < ceiling => oldest_queued_nanos,
-                _ => ceiling,
-            };
-        };
+        // (service time of what is queued, what waiting for the rest
+        // saves); no information predicts no saving.
+        let (service, saving) = forecast
+            .and_then(|f| {
+                let nanos = |docs: usize| u64::try_from(f.forecast(docs)?.as_nanos()).ok();
+                let room = self.max_batch_docs.saturating_sub(queued_docs);
+                let alone = nanos(queued_docs)?;
+                let apart = alone.saturating_add(nanos(room)?);
+                let together = nanos(queued_docs.saturating_add(room))?;
+                Some((alone, apart.saturating_sub(together)))
+            })
+            .unwrap_or((0, 0));
         let wait = if saving < MIN_SAVING_NANOS {
             0
         } else {
@@ -234,26 +230,22 @@ mod tests {
             // ... capped by the ceiling.
             let tight = cfg(Duration::from_micros(10));
             assert_eq!(wait_nanos(tight, Some(&constant), docs, None), Some(10_000));
-            // No information: the ceiling, exactly the old timer.
-            assert_eq!(wait_nanos(ms, None, docs, None), Some(1_000_000));
-            assert_eq!(
-                wait_nanos(ms, Some(&abstaining), docs, None),
-                Some(1_000_000)
-            );
-            assert_eq!(wait_nanos(ms, Some(&partial), docs, None), Some(1_000_000));
-            assert_eq!(
-                wait_nanos(ms, Some(&overflowing), docs, None),
-                Some(1_000_000)
-            );
+            // No information: no predicted saving, so no wait, whatever
+            // the ceiling.
+            for ceiling in [ms, cfg(Duration::MAX)] {
+                assert_eq!(wait_nanos(ceiling, None, docs, None), Some(0));
+                assert_eq!(wait_nanos(ceiling, Some(&abstaining), docs, None), Some(0));
+                assert_eq!(wait_nanos(ceiling, Some(&partial), docs, None), Some(0));
+                assert_eq!(wait_nanos(ceiling, Some(&overflowing), docs, None), Some(0));
+            }
             // The resolution floor.
             assert_eq!(wait_nanos(ms, Some(&sub_micro), docs, None), Some(0));
             assert_eq!(wait_nanos(ms, Some(&micro), docs, None), Some(1_000));
         }
-        // Saturation, not overflow, on both paths: no forecast, and one
-        // whose saving is the whole of `u64`.
+        // Saturation, not overflow: a saving that is the whole of `u64`
+        // under an unbounded ceiling.
         let forever = cfg(Duration::MAX);
         let cliff = |docs: usize| Some(Duration::from_nanos(if docs < 256 { u64::MAX } else { 0 }));
-        assert_eq!(wait_nanos(forever, None, 1, None), Some(u64::MAX - OLDEST));
         assert_eq!(
             wait_nanos(forever, Some(&cliff), 1, None),
             Some(u64::MAX - OLDEST)
@@ -272,8 +264,8 @@ mod tests {
         assert_eq!(wait_nanos(ms, fc, 64, Some(OLDEST + 100_000)), Some(6_000));
         // Already out of reach: flush now (a time before `OLDEST`).
         assert_eq!(wait_nanos(ms, fc, 64, Some(OLDEST + 50_000)), None);
-        // No forecast: a deadline before the ceiling ends the wait at
-        // once; one at or past it leaves the ceiling alone.
+        // No forecast: no wait, wherever the deadline falls; one already
+        // behind the oldest request flushes before it.
         let abstaining = |_docs: usize| None;
         for fc in [
             None,
@@ -281,10 +273,8 @@ mod tests {
         ] {
             assert_eq!(wait_nanos(ms, fc, 64, Some(OLDEST + 500_000)), Some(0));
             assert_eq!(wait_nanos(ms, fc, 64, Some(OLDEST)), Some(0));
-            assert_eq!(
-                wait_nanos(ms, fc, 64, Some(OLDEST + 1_000_000)),
-                Some(1_000_000)
-            );
+            assert_eq!(wait_nanos(ms, fc, 64, Some(OLDEST + 1_000_000)), Some(0));
+            assert_eq!(wait_nanos(ms, fc, 64, Some(OLDEST - 1)), None);
         }
     }
 

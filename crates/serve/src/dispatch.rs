@@ -5,12 +5,12 @@
 //! coalesces until the batch is full or the flush rule on [`BatchConfig`]
 //! says more waiting buys nothing — no longer than `min(max_wait,
 //! forecast saving, deadline slack)`, which with the linear Eq. 3
-//! forecast is not at all — takes the batch, and executes it with
-//! per-batch panic isolation: a panicking engine fails only the requests
-//! coalesced into that batch, and the loop keeps serving. Requests whose
-//! deadline expired while queued are answered [`Response::Expired`]
-//! without being scored; the tightest surviving deadline propagates to
-//! the engine as the batch budget.
+//! forecast, or with none, is not at all — takes the batch, and
+//! executes it with per-batch panic isolation: a panicking engine fails
+//! only the requests coalesced into that batch, and the loop keeps
+//! serving. Requests whose deadline expired while queued are answered
+//! [`Response::Expired`] without being scored; the tightest surviving
+//! deadline propagates to the engine as the batch budget.
 //!
 //! This module computes with server nanos handed to it by the queue and
 //! the injected [`Clock`] — it is inside both lint fences (no panicking
@@ -95,7 +95,7 @@ pub(crate) fn run<E: BatchEngine>(
 /// [`BatchConfig`] allows. Each turn takes the queue lock once for
 /// everything the rule reads and re-derives the deadline from the clock,
 /// so a trickle of admissions cannot postpone a flush — and a server
-/// whose forecast is linear never times a wait.
+/// whose forecast is linear, or that holds none, never times a wait.
 fn coalesce(shared: &Shared, cfg: BatchConfig) {
     while let Some(queued) = shared.queue.partial_batch(cfg.max_batch_docs) {
         let flush_at = cfg.flush_deadline_nanos(

@@ -13,9 +13,10 @@
 //!    server's latency forecast says one batch instead of two would
 //!    still save service time, never so long that a queued deadline
 //!    could no longer be met, and never past [`BatchConfig::max_wait`].
-//!    Under the linear Eq. 3 forecast the saving is zero, so the server
-//!    is work-conserving: batches are whatever queued while the engine
-//!    was busy, and throughput scales with load at no idle-time latency.
+//!    Under the linear Eq. 3 forecast the saving is zero, as it is with
+//!    no forecast at all, so the server is work-conserving: batches are
+//!    whatever queued while the engine was busy, and throughput scales
+//!    with load at no idle-time latency.
 //! 2. **Bounded admission with explicit backpressure** — the queue
 //!    never grows without bound; overflow either rejects the submitter
 //!    ([`Backpressure::Reject`]) or blocks it ([`Backpressure::Block`]),

@@ -329,8 +329,9 @@ fn queue_stall_expires_deadlined_requests() {
 }
 
 /// **Idle server, live deadline**: a lone request whose deadline falls
-/// before the `max_wait` ceiling is scored at once. Holding it for
-/// company (no forecaster: the wait is the ceiling) would only expire it.
+/// before the `max_wait` ceiling is scored, not expired. With no
+/// forecaster nothing predicts a saving from company, so the dispatcher
+/// does not wait for any, and the ceiling never comes into play.
 #[test]
 fn an_idle_server_scores_a_request_whose_deadline_precedes_the_ceiling() {
     let server = Server::start(
@@ -417,6 +418,27 @@ fn a_linear_forecast_never_waits_and_a_constant_one_waits_out_its_saving() {
     let got = wait_bounded(handle);
     assert_eq!(got.response.scores().map(<[f32]>::len), Some(64));
     assert_eq!(got.latency_nanos, 30_000);
+}
+
+/// **No forecast, no wait**: a server holding no forecaster has nothing
+/// that predicts a saving from a fuller batch, so it treats the saving as
+/// zero — a partial batch is scored on a frozen clock, and the default
+/// 1 ms `max_wait` is never slept out.
+#[test]
+fn a_server_without_a_forecast_never_waits() {
+    let clock = Arc::new(ManualClock::at(0));
+    let server = Server::start(
+        PlainEngine::new(Tagged),
+        ServerConfig {
+            batch: BatchConfig::default(),
+            admission: None,
+            clock: Some(Arc::clone(&clock) as Arc<dyn dlr_serve::Clock>),
+            ..ServerConfig::default()
+        },
+    );
+    let got = wait_bounded(server.submit(req(5)).expect("admitted"));
+    assert_eq!(got.response.scores(), Some(&[5000.0][..]));
+    assert_eq!(got.latency_nanos, 0);
 }
 
 /// **Backpressure (Reject)**: with the dispatcher stalled, submissions

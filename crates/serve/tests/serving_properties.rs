@@ -51,10 +51,10 @@ fn expected_scores(query: usize, docs: usize) -> Vec<f32> {
         .collect()
 }
 
-/// The forecaster kinds the flush rule tells apart: none (wait out
-/// `max_wait`), linear (never wait), a fixed cost per batch (wait that
-/// long), abstaining (as none). No request carries a deadline, so none
-/// of them sheds.
+/// The forecaster kinds the flush rule sees: none (no information, so
+/// never wait), linear (never wait), a fixed cost per batch (wait that
+/// long, up to `max_wait`), abstaining (as none). No request carries a
+/// deadline, so none of them sheds.
 fn forecaster(kind: usize) -> Option<Box<dyn LatencyForecaster + Send + Sync>> {
     match kind {
         0 => None,

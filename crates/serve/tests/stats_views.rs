@@ -31,11 +31,12 @@ fn concurrent_submitters_lose_no_count() {
     const THREADS: usize = 4;
     const CALLS: usize = 2_000;
     const MALFORMED_EVERY: usize = 50;
-    // A queue smaller than a batch on a server holding no forecaster:
-    // the flush rule has no information, so the dispatcher waits out the
-    // whole `max_wait` ceiling for documents that cannot fit, and the
-    // queue sits full while the submitters race it and most submissions
-    // are refused.
+    // A queue smaller than a batch on a server whose forecast charges a
+    // fixed 200 µs per batch: one batch instead of two saves that much,
+    // so the flush rule waits `min(200 µs, max_wait)` for documents that
+    // cannot fit, and the queue sits full while the submitters race it
+    // and most submissions are refused. No request carries a deadline,
+    // so the forecast sheds nothing.
     let server = Server::start(
         PlainEngine::new(Echo),
         ServerConfig {
@@ -45,6 +46,7 @@ fn concurrent_submitters_lose_no_count() {
             },
             queue_capacity: 2,
             backpressure: Backpressure::Reject,
+            admission: Some(Box::new(|_docs: usize| Some(Duration::from_micros(200)))),
             ..ServerConfig::default()
         },
     );

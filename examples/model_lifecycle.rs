@@ -188,8 +188,8 @@ fn main() {
                 max_batch_docs: 4 * DOCS_PER_QUERY,
                 // A partial batch waits no longer than min(max_wait,
                 // forecast saving, deadline slack). This server holds no
-                // forecaster, so it is this ceiling in full, unless a
-                // queued deadline falls before it.
+                // forecaster, so nothing predicts a saving and it never
+                // waits: this ceiling only bounds a forecast wait.
                 max_wait: Duration::from_micros(300),
             },
             queue_capacity: 64,
