@@ -14,15 +14,26 @@
 //!    computes an `m_r × n_r` tile of C as `k_c` rank-1 updates with the
 //!    tile held in registers.
 //!
-//! The micro-kernel is `dlr-simd`'s fixed 8×8 register tile
-//! ([`dlr_simd::gemm::micro_kernel_8x8`]): hand-written AVX2+FMA and SSE2
-//! `std::arch` paths behind a safe wrapper, runtime-dispatched per GEMM
-//! call with a portable scalar fallback — the same role the JIT-generated
-//! kernels play in oneDNN/BLIS. Packing, blocking, and the macro-kernel
-//! walk are unchanged; only the innermost tile computation moved. The
-//! AVX2 path fuses multiply-adds, so results may differ from the scalar
-//! path by the documented ULP envelope (see the `dlr-simd` crate docs);
-//! SSE2 and scalar are bit-identical.
+//! One loop nest serves every entry point: each operand is either packed
+//! on the fly or read from a packing made ahead of time ([`PrepackedA`],
+//! [`PrepackedB`]), and packing reads an operand as stored or transposed
+//! ([`Trans`], BLAS `transa`/`transb`), so a caller holding `Wᵀ` or `Xᵀ`
+//! never materialises the transpose.
+//!
+//! The micro-kernels are `dlr-simd`'s register tiles: 6×16
+//! ([`dlr_simd::gemm::micro_kernel_6x16`]) for full 16-column B strips and
+//! 12×8 ([`dlr_simd::gemm::micro_kernel_12x8`], two 6-row A strips) for a
+//! panel's last strip of at most 8 columns, which is packed 8 wide — so a
+//! 4-document batch computes 8 columns, not 16. Each has hand-written
+//! AVX2+FMA and SSE2 `std::arch` paths behind a safe wrapper,
+//! runtime-dispatched per macro-kernel call with a portable scalar
+//! fallback — the role the JIT-generated kernels play in oneDNN/BLIS.
+//! Every element is one multiply-add per reduction step inside a `k_c`
+//! block, then `C += tile`, whatever the tile: the output depends on `k_c`
+//! alone, never on `m_c`, `n_c` or the tile shape. The AVX2 path fuses
+//! multiply-adds, so results may differ from the scalar path by the
+//! documented ULP envelope (see the `dlr-simd` crate docs); SSE2 and
+//! scalar are bit-identical.
 //!
 //! Small shapes use the oneDNN-style `rnd_up` refinement quoted in §4.2:
 //! `m̄_c = rnd_up(min(max(m, m_r), m_c), m_r)`, so tiny layers do not pay
@@ -30,10 +41,11 @@
 
 use super::GemmShapeError;
 use crate::matrix::Matrix;
-use dlr_simd::Isa;
+use dlr_simd::gemm::{micro_kernel_12x8, micro_kernel_6x16, NR_NARROW};
+use std::ops::Range;
 
 // The packing routines below produce exactly the strip layout the
-// dlr-simd micro-kernel consumes; keep the tile constants in lock-step.
+// dlr-simd micro-kernels consume; keep the tile constants in lock-step.
 const _: () = assert!(MR == dlr_simd::gemm::MR && NR == dlr_simd::gemm::NR);
 
 /// Shape guard shared by the `try_` entry points.
@@ -49,10 +61,22 @@ fn check_shape(what: &'static str, expected: usize, got: usize) -> Result<(), Ge
     }
 }
 
-/// Micro-kernel tile height (rows of A per register tile).
-pub const MR: usize = 8;
-/// Micro-kernel tile width (columns of B per register tile).
-pub const NR: usize = 8;
+/// Micro-kernel tile height (rows of one packed A strip).
+pub const MR: usize = 6;
+/// Micro-kernel tile width (columns of one full packed B strip).
+pub const NR: usize = 16;
+
+/// How a GEMM operand is stored relative to the product's view of it, as
+/// BLAS `transa`/`transb`: [`Trans::N`] reads the row-major slice as the
+/// operand, [`Trans::T`] reads it as the operand's transpose (an `m×k` A
+/// stored `k×m`, a `k×n` B stored `n×k`). Only packing reads the flag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Trans {
+    /// Stored as the operand.
+    N,
+    /// Stored as the operand's transpose.
+    T,
+}
 
 /// Cache-blocking parameters of the Goto algorithm.
 ///
@@ -103,10 +127,11 @@ impl GotoParams {
 
 impl Default for GotoParams {
     fn default() -> Self {
-        // kc*NR = 256*8 floats = 8 KiB ≤ half of a 32 KiB L1d;
-        // mc*kc = 128*256 floats = 128 KiB fits a 256 KiB L2.
+        // kc*NR = 256*16 floats = 16 KiB ≤ half of a 32 KiB L1d;
+        // mc*kc = 132*256 floats = 132 KiB fits a 256 KiB L2 (132 is
+        // eleven pairs of 6-row strips).
         GotoParams {
-            mc: 128,
+            mc: 132,
             nc: 4096,
             kc: 256,
         }
@@ -140,7 +165,8 @@ pub struct PrepackedB {
     nc: usize,
     /// Effective `k_c` (clamped to `k`).
     kc: usize,
-    /// Start of panel `(jc_idx · num_pc + pc_idx)` in `data`.
+    /// Start of panel `(jc_idx · num_pc + pc_idx)` in `data`; the first
+    /// is 64-byte aligned where `data` was packed.
     offsets: Vec<usize>,
     data: Vec<f32>,
 }
@@ -176,21 +202,26 @@ impl PrepackedB {
         if k == 0 || n == 0 {
             return;
         }
-        let mut jc = 0;
-        while jc < n {
+        // One allocation, the panels back to back from an aligned start.
+        let len: usize = (0..n)
+            .step_by(self.nc)
+            .map(|jc| packed_b_len(self.nc.min(n - jc), k))
+            .sum();
+        self.data.resize(len + ALIGN_PAD, 0.0);
+        let mut start = aligned_start(&self.data);
+        let b = Operand::new(b, k, n, Trans::N);
+        for jc in (0..n).step_by(self.nc) {
             let ncb = self.nc.min(n - jc);
-            let strips = ncb.div_ceil(NR);
-            let mut pc = 0;
-            while pc < k {
+            for pc in (0..k).step_by(self.kc) {
                 let kcb = self.kc.min(k - pc);
-                let start = self.data.len();
+                let end = start + packed_b_len(ncb, kcb);
                 self.offsets.push(start);
-                self.data.resize(start + strips * NR * kcb, 0.0);
-                pack_b(b, n, pc, kcb, jc, ncb, &mut self.data[start..]);
-                pc += self.kc;
+                pack_b(b, pc, kcb, jc, ncb, &mut self.data[start..end]);
+                start = end;
             }
-            jc += self.nc;
         }
+        // The last panel ends where `data` does.
+        self.data.truncate(start);
     }
 
     /// Reduction depth (`k`) this packing was built for.
@@ -213,28 +244,20 @@ impl PrepackedB {
 
     /// Effective `m_c` grid the serial kernel would use for an `m`-row A
     /// against this packing — the chunk alignment the parallel driver
-    /// must honour for bit-identical output.
+    /// tiles its row chunks on.
     #[inline]
     pub fn effective_mc(&self, m: usize) -> usize {
         self.params.effective(m, self.k.max(1), self.n.max(1)).mc
     }
 
-    #[inline]
-    fn num_pc(&self) -> usize {
-        self.k.div_ceil(self.kc)
-    }
-
     /// Packed panel for column block `jc_idx`, reduction block `pc_idx`.
     #[inline]
     fn panel(&self, jc_idx: usize, pc_idx: usize) -> &[f32] {
-        let idx = jc_idx * self.num_pc() + pc_idx;
-        let start = self.offsets[idx];
-        let end = self
-            .offsets
-            .get(idx + 1)
-            .copied()
-            .unwrap_or(self.data.len());
-        &self.data[start..end]
+        panel_at(
+            &self.offsets,
+            &self.data,
+            jc_idx * self.k.div_ceil(self.kc) + pc_idx,
+        )
     }
 }
 
@@ -283,20 +306,16 @@ impl PrepackedA {
         if m == 0 || k == 0 {
             return packed;
         }
-        let mut ic = 0;
-        while ic < m {
+        let a = Operand::new(a, m, k, Trans::N);
+        for ic in (0..m).step_by(packed.mc) {
             let mcb = packed.mc.min(m - ic);
-            let strips = mcb.div_ceil(MR);
-            let mut pc = 0;
-            while pc < k {
+            for pc in (0..k).step_by(packed.kc) {
                 let kcb = packed.kc.min(k - pc);
                 let start = packed.data.len();
                 packed.offsets.push(start);
-                packed.data.resize(start + strips * MR * kcb, 0.0);
-                pack_a(a, k, ic, mcb, pc, kcb, &mut packed.data[start..]);
-                pc += packed.kc;
+                packed.data.resize(start + packed_a_len(mcb, kcb), 0.0);
+                pack_a(a, ic, mcb, pc, kcb, &mut packed.data[start..]);
             }
-            ic += packed.mc;
         }
         packed
     }
@@ -313,23 +332,33 @@ impl PrepackedA {
         self.k
     }
 
-    #[inline]
-    fn num_pc(&self) -> usize {
-        self.k.div_ceil(self.kc)
-    }
-
     /// Packed block for row block `ic_idx`, reduction block `pc_idx`.
     #[inline]
     fn block(&self, ic_idx: usize, pc_idx: usize) -> &[f32] {
-        let idx = ic_idx * self.num_pc() + pc_idx;
-        let start = self.offsets[idx];
-        let end = self
-            .offsets
-            .get(idx + 1)
-            .copied()
-            .unwrap_or(self.data.len());
-        &self.data[start..end]
+        panel_at(
+            &self.offsets,
+            &self.data,
+            ic_idx * self.k.div_ceil(self.kc) + pc_idx,
+        )
     }
+}
+
+/// Slack floats a buffer of packed B keeps, so that the packing can start
+/// on a 64-byte boundary.
+const ALIGN_PAD: usize = 16;
+
+/// Index of the first 64-byte-aligned float of `buf`. Packed B starts
+/// there: every strip row is then 32-byte aligned, so the tiles' 256-bit
+/// B loads never split a cache line (an unaligned one does, on every
+/// other load, and costs a second load slot; the allocator aligns to 16).
+fn aligned_start(buf: &[f32]) -> usize {
+    (buf.as_ptr() as usize).wrapping_neg() % 64 / 4
+}
+
+/// Packing `idx` of a prepacked operand: from its offset to the next one.
+fn panel_at<'d>(offsets: &[usize], data: &'d [f32], idx: usize) -> &'d [f32] {
+    let end = offsets.get(idx + 1).copied().unwrap_or(data.len());
+    &data[offsets[idx]..end]
 }
 
 /// `C = A·B` with A packed ahead of time (weights-as-A fast path).
@@ -369,34 +398,25 @@ pub fn try_gemm_with_prepacked_a(
     if m == 0 || n == 0 || k == 0 {
         return Ok(());
     }
-    // Same loop nest as `try_gemm_with`, with `pack_a` replaced by a
-    // lookup; `n_c` comes from the packing's own parameters so the walk
-    // matches `gemm_with` under those parameters exactly.
-    let nc = pa.params.effective(m, k, n).nc;
-    let kc = pa.kc;
-    ws.bpack.resize(kc * nc, 0.0);
-    let mut jc = 0;
-    while jc < n {
-        let ncb = nc.min(n - jc);
-        let mut pc = 0;
-        let mut pc_idx = 0;
-        while pc < k {
-            let kcb = kc.min(k - pc);
-            pack_b(b, n, pc, kcb, jc, ncb, &mut ws.bpack);
-            let mut ic = 0;
-            let mut ic_idx = 0;
-            while ic < m {
-                let mcb = pa.mc.min(m - ic);
-                let apack = pa.block(ic_idx, pc_idx);
-                macro_kernel(apack, &ws.bpack, c, n, ic, mcb, jc, ncb, kcb);
-                ic += pa.mc;
-                ic_idx += 1;
-            }
-            pc += kc;
-            pc_idx += 1;
-        }
-        jc += nc;
-    }
+    // `n_c` comes from the packing's own parameters so the walk matches
+    // `gemm_with` under those parameters exactly.
+    let blocks = GotoParams {
+        mc: pa.mc,
+        nc: pa.params.effective(m, k, n).nc,
+        kc: pa.kc,
+    };
+    let b = Operand::new(b, k, n, Trans::N);
+    loop_nest(
+        PanelA::Packed(pa),
+        PanelB::Pack(b),
+        0..m,
+        k,
+        n,
+        blocks,
+        c,
+        &mut ws.apack,
+        &mut ws.bpack,
+    );
     Ok(())
 }
 
@@ -407,9 +427,9 @@ pub fn try_gemm_with_prepacked_a(
 /// `a` is the **full** `m×k` operand; `apack` is per-caller scratch
 /// (per-*thread* in the parallel driver), grown as needed and reused
 /// across calls. Accumulation for each output element runs over `pc`
-/// ascending, exactly as in [`gemm_with`], so when the row chunks tile
-/// `0..m` on multiples of the effective `m_c` the concatenated output is
-/// **bit-identical** to the serial kernel.
+/// ascending, exactly as in [`gemm_with`], so any row chunking
+/// concatenates to output **bit-identical** to the serial kernel; the
+/// parallel driver tiles `0..m` on multiples of the effective `m_c`.
 ///
 /// # Panics
 /// Panics when `a.len() != m * pb.k()`, `c_rows.len()` is not a multiple
@@ -444,32 +464,23 @@ pub fn gemm_rows_with(
     }
     // The effective m_c of the *global* problem, so in-chunk blocks land
     // on the same grid the serial kernel uses.
-    let mc = pb.params.effective(m, k, n).mc;
-    apack.resize(mc * pb.kc, 0.0);
-    let mut jc = 0;
-    let mut jc_idx = 0;
-    while jc < n {
-        let ncb = pb.nc.min(n - jc);
-        let mut pc = 0;
-        let mut pc_idx = 0;
-        while pc < k {
-            let kcb = pb.kc.min(k - pc);
-            let bpack = pb.panel(jc_idx, pc_idx);
-            let mut ic = row0;
-            while ic < row0 + mrows {
-                let mcb = mc.min(row0 + mrows - ic);
-                pack_a(a, k, ic, mcb, pc, kcb, apack);
-                // Address C by chunk-local rows: the macro kernel sees the
-                // chunk slice as an `mrows×n` matrix starting at row 0.
-                macro_kernel(apack, bpack, c_rows, n, ic - row0, mcb, jc, ncb, kcb);
-                ic += mc;
-            }
-            pc += pb.kc;
-            pc_idx += 1;
-        }
-        jc += pb.nc;
-        jc_idx += 1;
-    }
+    let blocks = GotoParams {
+        mc: pb.params.effective(m, k, n).mc,
+        nc: pb.nc,
+        kc: pb.kc,
+    };
+    let a = Operand::new(a, m, k, Trans::N);
+    loop_nest(
+        PanelA::Pack(a),
+        PanelB::Packed(pb),
+        row0..row0 + mrows,
+        k,
+        n,
+        blocks,
+        c_rows,
+        apack,
+        &mut Vec::new(),
+    );
 }
 
 /// `C = A·B` with the blocked kernel and default parameters.
@@ -529,7 +540,7 @@ pub fn gemm_with(
     params: GotoParams,
     ws: &mut GemmWorkspace,
 ) {
-    try_gemm_with(m, k, n, a, b, c, params, ws).unwrap_or_else(|e| panic!("{e}"));
+    gemm_trans_with(Trans::N, Trans::N, m, k, n, a, b, c, params, ws);
 }
 
 /// [`gemm_with`] returning a typed error instead of panicking on shape
@@ -548,6 +559,47 @@ pub fn try_gemm_with(
     params: GotoParams,
     ws: &mut GemmWorkspace,
 ) -> Result<(), GemmShapeError> {
+    try_gemm_trans_with(Trans::N, Trans::N, m, k, n, a, b, c, params, ws)
+}
+
+/// `C = op(A)·op(B)` with `op` per [`Trans`]: `a` holds the `m×k` A as
+/// stored (`k×m` under [`Trans::T`]), `b` the `k×n` B (`n×k` under
+/// [`Trans::T`]). Packing reads the transposed operand in place, so the
+/// output is bit-identical to [`gemm_with`] on an explicitly transposed
+/// copy. `c` is overwritten.
+///
+/// # Panics
+/// Panics when slice lengths disagree with `(m, k, n)`.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_trans_with(
+    ta: Trans,
+    tb: Trans,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    params: GotoParams,
+    ws: &mut GemmWorkspace,
+) {
+    try_gemm_trans_with(ta, tb, m, k, n, a, b, c, params, ws).unwrap_or_else(|e| panic!("{e}"));
+}
+
+/// [`gemm_trans_with`] returning a typed error.
+#[allow(clippy::too_many_arguments)]
+fn try_gemm_trans_with(
+    ta: Trans,
+    tb: Trans,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    params: GotoParams,
+    ws: &mut GemmWorkspace,
+) -> Result<(), GemmShapeError> {
     check_shape("A must be m×k", m * k, a.len())?;
     check_shape("B must be k×n", k * n, b.len())?;
     check_shape("C must be m×n", m * n, c.len())?;
@@ -555,81 +607,222 @@ pub fn try_gemm_with(
     if m == 0 || n == 0 || k == 0 {
         return Ok(());
     }
-    let p = params.effective(m, k, n);
-    let (mc, nc, kc) = (p.mc, p.nc, p.kc);
-
-    ws.apack.resize(mc * kc, 0.0);
-    ws.bpack.resize(kc * nc, 0.0);
-
-    // Loop 5 (jc): panels of B / C along n.
-    let mut jc = 0;
-    while jc < n {
-        let ncb = nc.min(n - jc);
-        // Loop 4 (pc): rank-kc updates along the reduction dimension.
-        let mut pc = 0;
-        while pc < k {
-            let kcb = kc.min(k - pc);
-            pack_b(b, n, pc, kcb, jc, ncb, &mut ws.bpack);
-            // Loop 3 (ic): blocks of A / C along m.
-            let mut ic = 0;
-            while ic < m {
-                let mcb = mc.min(m - ic);
-                pack_a(a, k, ic, mcb, pc, kcb, &mut ws.apack);
-                macro_kernel(&ws.apack, &ws.bpack, c, n, ic, mcb, jc, ncb, kcb);
-                ic += mc;
-            }
-            pc += kc;
-        }
-        jc += nc;
-    }
+    loop_nest(
+        PanelA::Pack(Operand::new(a, m, k, ta)),
+        PanelB::Pack(Operand::new(b, k, n, tb)),
+        0..m,
+        k,
+        n,
+        params.effective(m, k, n),
+        c,
+        &mut ws.apack,
+        &mut ws.bpack,
+    );
     Ok(())
 }
 
-/// Pack `A[ic..ic+mcb, pc..pc+kcb]` into `m_r`-tall strips, column-major
-/// within each strip (the access order of the micro-kernel). Rows past the
-/// edge are zero-padded so the kernel never branches on tile height.
-fn pack_a(a: &[f32], lda: usize, ic: usize, mcb: usize, pc: usize, kcb: usize, apack: &mut [f32]) {
-    let strips = mcb.div_ceil(MR);
-    for s in 0..strips {
+/// One GEMM operand as stored: the row-major slice, its leading dimension,
+/// and whether it holds the operand or its transpose.
+#[derive(Clone, Copy)]
+struct Operand<'a> {
+    data: &'a [f32],
+    ld: usize,
+    trans: Trans,
+}
+
+impl<'a> Operand<'a> {
+    /// An operand of `rows × cols` in the product's view.
+    fn new(data: &'a [f32], rows: usize, cols: usize, trans: Trans) -> Operand<'a> {
+        let ld = match trans {
+            Trans::N => cols,
+            Trans::T => rows,
+        };
+        Operand { data, ld, trans }
+    }
+}
+
+/// Where the loop nest takes its A blocks from.
+#[derive(Clone, Copy)]
+enum PanelA<'a> {
+    /// Packed per `(ic, pc)` block into the nest's A buffer.
+    Pack(Operand<'a>),
+    /// Read from a packing made ahead of time on the nest's `m_c` grid.
+    Packed(&'a PrepackedA),
+}
+
+/// Where the loop nest takes its B panels from.
+#[derive(Clone, Copy)]
+enum PanelB<'a> {
+    /// Packed per `(jc, pc)` panel into the nest's B buffer.
+    Pack(Operand<'a>),
+    /// Read from a packing made ahead of time on the nest's `n_c` grid.
+    Packed(&'a PrepackedB),
+}
+
+/// The Goto loop nest over C rows `rows` (`c` holds exactly those rows),
+/// under the effective blocking `blocks`: panels of B along `n` (loop 5),
+/// rank-`k_c` updates along `k` (loop 4), blocks of A along `m` (loop 3),
+/// then the macro-kernel. Every element accumulates over `pc` ascending.
+#[allow(clippy::too_many_arguments)]
+fn loop_nest(
+    a: PanelA<'_>,
+    b: PanelB<'_>,
+    rows: Range<usize>,
+    k: usize,
+    n: usize,
+    blocks: GotoParams,
+    c: &mut [f32],
+    apack: &mut Vec<f32>,
+    bpack: &mut Vec<f32>,
+) {
+    let GotoParams { mc, nc, kc } = blocks;
+    if let PanelA::Pack(_) = a {
+        apack.resize(packed_a_len(mc, kc), 0.0);
+    }
+    let mut b_at = 0;
+    if let PanelB::Pack(_) = b {
+        bpack.resize(packed_b_len(nc, kc) + ALIGN_PAD, 0.0);
+        b_at = aligned_start(bpack);
+    }
+    for (jc_idx, jc) in (0..n).step_by(nc).enumerate() {
+        let ncb = nc.min(n - jc);
+        for (pc_idx, pc) in (0..k).step_by(kc).enumerate() {
+            let kcb = kc.min(k - pc);
+            let bpanel: &[f32] = match b {
+                PanelB::Pack(op) => {
+                    let panel = &mut bpack[b_at..b_at + packed_b_len(ncb, kcb)];
+                    pack_b(op, pc, kcb, jc, ncb, panel);
+                    panel
+                }
+                PanelB::Packed(pb) => pb.panel(jc_idx, pc_idx),
+            };
+            for ic in rows.clone().step_by(mc) {
+                let mcb = mc.min(rows.end - ic);
+                let ablock: &[f32] = match a {
+                    PanelA::Pack(op) => {
+                        let block = &mut apack[..packed_a_len(mcb, kcb)];
+                        pack_a(op, ic, mcb, pc, kcb, block);
+                        block
+                    }
+                    PanelA::Packed(pa) => pa.block(ic / mc, pc_idx),
+                };
+                // C is addressed by chunk-local rows.
+                macro_kernel(ablock, bpanel, c, n, ic - rows.start, mcb, jc, ncb, kcb);
+            }
+        }
+    }
+}
+
+/// Floats of one packed A block: `mcb` rows in `MR`-row strips, padded to
+/// an even strip count so the 12×8 tile can always read a strip pair.
+fn packed_a_len(mcb: usize, kcb: usize) -> usize {
+    mcb.div_ceil(2 * MR) * 2 * MR * kcb
+}
+
+/// Packed width of a B strip holding `cols` columns: a strip of at most
+/// `NR_NARROW` columns (only ever a panel's last) is packed narrow.
+fn strip_width(cols: usize) -> usize {
+    if cols <= NR_NARROW {
+        NR_NARROW
+    } else {
+        NR
+    }
+}
+
+/// Floats of one packed B panel of `ncb` columns.
+fn packed_b_len(ncb: usize, kcb: usize) -> usize {
+    let last = match ncb % NR {
+        0 => 0,
+        cols => strip_width(cols),
+    };
+    (ncb / NR * NR + last) * kcb
+}
+
+/// Pack `op(A)[ic..ic+mcb, pc..pc+kcb]` into `m_r`-tall strips,
+/// column-major within each strip (the access order of the micro-kernel).
+/// Rows past the edge, and the strip that evens the count, are zero, so
+/// the kernel never branches on tile height.
+fn pack_a(a: Operand<'_>, ic: usize, mcb: usize, pc: usize, kcb: usize, apack: &mut [f32]) {
+    for (s, dst) in apack.chunks_exact_mut(MR * kcb).enumerate() {
         let row0 = ic + s * MR;
-        let rows = MR.min(ic + mcb - row0);
-        let dst = &mut apack[s * MR * kcb..(s + 1) * MR * kcb];
-        for p in 0..kcb {
-            let col = pc + p;
-            for r in 0..MR {
-                dst[p * MR + r] = if r < rows {
-                    a[(row0 + r) * lda + col]
-                } else {
-                    0.0
-                };
+        let rows = MR.min((ic + mcb).saturating_sub(row0));
+        if rows < MR {
+            dst.fill(0.0);
+            if rows == 0 {
+                continue;
+            }
+        }
+        match a.trans {
+            Trans::N => {
+                for r in 0..rows {
+                    let src = &a.data[(row0 + r) * a.ld + pc..][..kcb];
+                    for (step, &v) in dst.chunks_exact_mut(MR).zip(src) {
+                        step[r] = v;
+                    }
+                }
+            }
+            Trans::T => {
+                for (p, step) in dst.chunks_exact_mut(MR).enumerate() {
+                    let src = (pc + p) * a.ld + row0;
+                    for (d, &v) in step.iter_mut().zip(&a.data[src..src + rows]) {
+                        *d = v;
+                    }
+                }
             }
         }
     }
 }
 
-/// Pack `B[pc..pc+kcb, jc..jc+ncb]` into `n_r`-wide strips, row-major
-/// within each strip. Columns past the edge are zero-padded.
-fn pack_b(b: &[f32], ldb: usize, pc: usize, kcb: usize, jc: usize, ncb: usize, bpack: &mut [f32]) {
-    let strips = ncb.div_ceil(NR);
-    for s in 0..strips {
-        let col0 = jc + s * NR;
+/// Pack `op(B)[pc..pc+kcb, jc..jc+ncb]` into `n_r`-wide strips, row-major
+/// within each strip; a last strip of at most `NR_NARROW` columns is
+/// packed that wide. Columns past the edge are zero.
+fn pack_b(b: Operand<'_>, pc: usize, kcb: usize, jc: usize, ncb: usize, bpack: &mut [f32]) {
+    let mut start = 0;
+    for col0 in (jc..jc + ncb).step_by(NR) {
         let cols = NR.min(jc + ncb - col0);
-        let dst = &mut bpack[s * NR * kcb..(s + 1) * NR * kcb];
-        for p in 0..kcb {
-            let src_row = (pc + p) * ldb;
-            for cidx in 0..NR {
-                dst[p * NR + cidx] = if cidx < cols {
-                    b[src_row + col0 + cidx]
-                } else {
-                    0.0
-                };
+        let width = strip_width(cols);
+        let dst = &mut bpack[start..start + width * kcb];
+        start += width * kcb;
+        if cols < width {
+            dst.fill(0.0);
+        }
+        match b.trans {
+            // A full strip: one fixed-size row copy per reduction step.
+            Trans::N if cols == NR => {
+                for (p, step) in dst.chunks_exact_mut(NR).enumerate() {
+                    let src = (pc + p) * b.ld + col0;
+                    step.copy_from_slice(&b.data[src..src + NR]);
+                }
+            }
+            // A partial strip: a few floats per step, copied in a loop (a
+            // `copy_from_slice` of a length not known at compile time is a
+            // `memcpy` call per step).
+            Trans::N => {
+                for (p, step) in dst.chunks_exact_mut(width).enumerate() {
+                    let src = (pc + p) * b.ld + col0;
+                    for (d, &v) in step.iter_mut().zip(&b.data[src..src + cols]) {
+                        *d = v;
+                    }
+                }
+            }
+            Trans::T => {
+                for j in 0..cols {
+                    let src = &b.data[(col0 + j) * b.ld + pc..][..kcb];
+                    for (step, &v) in dst.chunks_exact_mut(width).zip(src) {
+                        step[j] = v;
+                    }
+                }
             }
         }
     }
 }
 
-/// The macro-kernel: walk all `(m_r × n_r)` tiles of the current
-/// `C[ic.., jc..]` block, invoking the micro-kernel on packed panels.
+/// The macro-kernel: walk all register tiles of the current
+/// `C[ic.., jc..]` block, B strip by B strip (each stays in L1 while the
+/// A strips stream past). A full strip takes the 6×16 tile per A strip, a
+/// narrow one the 12×8 tile per A strip pair. Each tile stays in
+/// registers for the whole `kcb` loop and touches C exactly once, the
+/// property Eq. 3's cost model is built on.
 #[allow(clippy::too_many_arguments)]
 fn macro_kernel(
     apack: &[f32],
@@ -645,41 +838,26 @@ fn macro_kernel(
     // One dispatch decision per macro-kernel invocation: a relaxed atomic
     // load, never re-detected in the tile loop.
     let isa = dlr_simd::active();
-    let a_strips = mcb.div_ceil(MR);
-    let b_strips = ncb.div_ceil(NR);
-    for jr in 0..b_strips {
-        let bstrip = &bpack[jr * NR * kcb..(jr + 1) * NR * kcb];
-        let col0 = jc + jr * NR;
+    let mut start = 0;
+    for col0 in (jc..jc + ncb).step_by(NR) {
         let cols = NR.min(jc + ncb - col0);
-        for ir in 0..a_strips {
-            let astrip = &apack[ir * MR * kcb..(ir + 1) * MR * kcb];
-            let row0 = ic + ir * MR;
-            let rows = MR.min(ic + mcb - row0);
-            micro_kernel(isa, astrip, bstrip, kcb, c, ldc, row0, col0, rows, cols);
+        let width = strip_width(cols);
+        let bstrip = &bpack[start..start + width * kcb];
+        start += width * kcb;
+        let height = if width == NR { MR } else { 2 * MR };
+        for (s, astrip) in apack.chunks_exact(height * kcb).enumerate() {
+            let row0 = ic + s * height;
+            if row0 >= ic + mcb {
+                break;
+            }
+            let rows = height.min(ic + mcb - row0);
+            if width == NR {
+                micro_kernel_6x16(isa, astrip, bstrip, kcb, c, ldc, row0, col0, rows, cols);
+            } else {
+                micro_kernel_12x8(isa, astrip, bstrip, kcb, c, ldc, row0, col0, rows, cols);
+            }
         }
     }
-}
-
-/// The micro-kernel: `kcb` rank-1 updates accumulated into an `MR×NR`
-/// register tile, then added to C with edge clipping — delegated to the
-/// runtime-dispatched `dlr-simd` tile kernel (the tile stays in registers
-/// for the whole `kcb` loop and touches memory exactly once, the property
-/// Eq. 3's cost model is built on).
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn micro_kernel(
-    isa: Isa,
-    astrip: &[f32],
-    bstrip: &[f32],
-    kcb: usize,
-    c: &mut [f32],
-    ldc: usize,
-    row0: usize,
-    col0: usize,
-    rows: usize,
-    cols: usize,
-) {
-    dlr_simd::gemm::micro_kernel_8x8(isa, astrip, bstrip, kcb, c, ldc, row0, col0, rows, cols);
 }
 
 #[cfg(test)]
@@ -780,7 +958,7 @@ mod tests {
         let e = p.effective(3, 5, 2);
         assert_eq!(e.mc % MR, 0);
         assert_eq!(e.nc % NR, 0);
-        assert_eq!(e.mc, MR); // rnd_up(max(3, 8) = 8, 8) = 8
+        assert_eq!(e.mc, MR); // rnd_up(max(3, 6) = 6, 6) = 6
         assert_eq!(e.kc, 5);
         // Large problems keep the configured blocks.
         let e = p.effective(100_000, 100_000, 100_000);
@@ -971,16 +1149,23 @@ mod tests {
     fn prepacked_b_pack_into_reuses_allocations() {
         let params = GotoParams::default();
         let b1 = Matrix::random(12, 9, 1.0, 10);
+        // Panels are compared, not buffers: each packing starts at its own
+        // allocation's first 64-byte boundary.
+        let panels = |pb: &PrepackedB| -> Vec<Vec<f32>> {
+            (0..pb.offsets.len())
+                .map(|i| panel_at(&pb.offsets, &pb.data, i).to_vec())
+                .collect()
+        };
         let mut pb = PrepackedB::pack(b1.as_slice(), 12, 9, params);
         let once = PrepackedB::pack(b1.as_slice(), 12, 9, params);
-        assert_eq!(pb.data, once.data);
+        assert_eq!(panels(&pb), panels(&once));
         // Repack with a different operand and shape: must match a fresh
         // packing exactly.
         let b2 = Matrix::random(5, 21, 1.0, 11);
         pb.pack_into(b2.as_slice(), 5, 21, params);
         let fresh = PrepackedB::pack(b2.as_slice(), 5, 21, params);
-        assert_eq!(pb.data, fresh.data);
-        assert_eq!(pb.offsets, fresh.offsets);
+        assert_eq!(panels(&pb), panels(&fresh));
+        assert_eq!(pb.panel(0, 0).as_ptr() as usize % 64, 0);
         // Degenerate shapes pack to nothing and don't panic.
         pb.pack_into(&[], 0, 4, params);
         assert_eq!(pb.n(), 4);
@@ -1008,5 +1193,76 @@ mod tests {
         // Well-shaped input succeeds and zero dims are a no-op.
         assert!(try_gemm_into(2, 0, 2, &[], &[], &mut c).is_ok());
         assert!(c.iter().all(|&v| v == 0.0));
+    }
+
+    /// Row-major `rows × cols` → `cols × rows`.
+    fn transposed(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+        (0..cols * rows)
+            .map(|i| x[(i % rows) * cols + i / rows])
+            .collect()
+    }
+
+    #[test]
+    fn transposed_operands_are_bit_identical_to_explicit_transposes() {
+        let tiny = GotoParams {
+            mc: 12,
+            nc: 16,
+            kc: 7,
+        };
+        for params in [GotoParams::default(), tiny] {
+            for &(m, k, n) in &[
+                (1, 1, 1),
+                (7, 13, 4),
+                (13, 257, 17),
+                (50, 40, 9),
+                (12, 30, 40),
+            ] {
+                let a = Matrix::random(m, k, 1.0, 41);
+                let b = Matrix::random(k, n, 1.0, 42);
+                let (at, bt) = (
+                    transposed(a.as_slice(), m, k),
+                    transposed(b.as_slice(), k, n),
+                );
+                let mut ws = GemmWorkspace::default();
+                let mut want = vec![0.0f32; m * n];
+                gemm_with(
+                    m,
+                    k,
+                    n,
+                    a.as_slice(),
+                    b.as_slice(),
+                    &mut want,
+                    params,
+                    &mut ws,
+                );
+                for (ta, tb) in [
+                    (Trans::T, Trans::N),
+                    (Trans::N, Trans::T),
+                    (Trans::T, Trans::T),
+                ] {
+                    let a_stored = if ta == Trans::T { &at } else { a.as_slice() };
+                    let b_stored = if tb == Trans::T { &bt } else { b.as_slice() };
+                    let mut got = vec![f32::NAN; m * n];
+                    gemm_trans_with(
+                        ta, tb, m, k, n, a_stored, b_stored, &mut got, params, &mut ws,
+                    );
+                    assert_eq!(want, got, "({m},{k},{n}) {ta:?}{tb:?} {params:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_narrow_last_strip_is_packed_eight_wide() {
+        // 17 columns: one full 16-wide strip and a 1-column strip packed
+        // 8 wide; 4 columns: one 8-wide strip.
+        assert_eq!(packed_b_len(17, 3), (16 + 8) * 3);
+        assert_eq!(packed_b_len(4, 3), 8 * 3);
+        assert_eq!(packed_b_len(9, 3), 16 * 3);
+        assert_eq!(packed_b_len(32, 3), 32 * 3);
+        // A blocks hold an even number of 6-row strips.
+        assert_eq!(packed_a_len(7, 2), 12 * 2);
+        assert_eq!(packed_a_len(13, 2), 24 * 2);
+        assert_eq!(packed_a_len(132, 2), 132 * 2);
     }
 }

@@ -8,9 +8,10 @@
 //! * [`gemm::naive`] — the reference triple loop, used for correctness
 //!   checks and as the "unoptimized" end of ablation benchmarks;
 //! * [`gemm::blocked`] — a Goto-algorithm GEMM with cache-aware blocking,
-//!   panel packing, an 8×8 register-tiled micro-kernel the compiler
-//!   auto-vectorizes, and the oneDNN-style `rnd_up` parameter refinement
-//!   for small shapes;
+//!   panel packing that reads either operand as stored or transposed
+//!   (BLAS `transa`/`transb`), `dlr-simd`'s 6×16 register tile (12×8 for a
+//!   last strip of at most 8 columns), and the oneDNN-style `rnd_up`
+//!   parameter refinement for small shapes;
 //! * [`measure`] — wall-clock GFLOPS measurement used to calibrate the
 //!   dense time predictor (Figures 4–6 of the paper).
 //!
@@ -23,8 +24,9 @@ pub mod matrix;
 pub mod measure;
 
 pub use gemm::blocked::{
-    gemm, gemm_into, gemm_rows_with, gemm_with, gemm_with_prepacked_a, try_gemm_into,
-    try_gemm_with, try_gemm_with_prepacked_a, GemmWorkspace, GotoParams, PrepackedA, PrepackedB,
+    gemm, gemm_into, gemm_rows_with, gemm_trans_with, gemm_with, gemm_with_prepacked_a,
+    try_gemm_into, try_gemm_with, try_gemm_with_prepacked_a, GemmWorkspace, GotoParams, PrepackedA,
+    PrepackedB, Trans,
 };
 pub use gemm::naive::naive_gemm;
 pub use gemm::GemmShapeError;

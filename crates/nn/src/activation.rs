@@ -29,7 +29,11 @@ impl Activation {
     /// Derivative with respect to the *pre-activation* value.
     ///
     /// At the kinks (0 and 6) we use the right/left derivative 0, matching
-    /// the subgradient choice of mainstream frameworks.
+    /// the subgradient choice of mainstream frameworks. The value is the
+    /// same when read from the output: `derivative(apply(x)) ==
+    /// derivative(x)` for every `x`, since each function is the identity
+    /// exactly where its derivative is 1 — so training keeps activations,
+    /// not pre-activations.
     #[inline]
     pub fn derivative(self, x: f32) -> f32 {
         match self {
@@ -48,16 +52,6 @@ impl Activation {
                 }
             }
             Activation::Identity => 1.0,
-        }
-    }
-
-    /// Apply in place over a buffer.
-    pub fn apply_slice(self, xs: &mut [f32]) {
-        if self == Activation::Identity {
-            return;
-        }
-        for x in xs {
-            *x = self.apply(*x);
         }
     }
 }
@@ -96,16 +90,34 @@ mod tests {
     }
 
     #[test]
+    fn derivative_reads_the_same_from_the_output() {
+        let edges = [
+            f32::NEG_INFINITY,
+            -7.0,
+            -f32::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f32::MIN_POSITIVE,
+            0.5,
+            6.0 - f32::EPSILON * 4.0,
+            6.0,
+            6.0 + f32::EPSILON * 4.0,
+            1e30,
+            f32::INFINITY,
+            f32::NAN,
+        ];
+        for act in [Activation::Relu, Activation::Relu6, Activation::Identity] {
+            for x in edges {
+                let (at_input, at_output) = (act.derivative(x), act.derivative(act.apply(x)));
+                assert_eq!(at_input.to_bits(), at_output.to_bits(), "{act:?} at {x}");
+            }
+        }
+    }
+
+    #[test]
     fn derivative_zero_outside_linear_region() {
         assert_eq!(Activation::Relu6.derivative(-0.1), 0.0);
         assert_eq!(Activation::Relu6.derivative(6.1), 0.0);
         assert_eq!(Activation::Relu.derivative(-0.1), 0.0);
-    }
-
-    #[test]
-    fn apply_slice_matches_scalar() {
-        let mut v = vec![-1.0, 0.5, 7.0];
-        Activation::Relu6.apply_slice(&mut v);
-        assert_eq!(v, vec![0.0, 0.5, 6.0]);
     }
 }

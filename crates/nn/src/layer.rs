@@ -1,5 +1,6 @@
 //! Fully connected layers.
 
+use crate::activation::Activation;
 use crate::init::he_uniform;
 use dlr_dense::Matrix;
 
@@ -45,13 +46,19 @@ impl Linear {
         self.weights.rows() * self.weights.cols()
     }
 
-    /// Add the bias to a feature-major `out × n` pre-activation buffer.
-    pub fn add_bias(&self, z: &mut [f32], n: usize) {
+    /// Add the bias to a feature-major `out × n` pre-activation buffer and
+    /// apply `act`, in one pass: each row is still in L1 from the first
+    /// touch when the second would have come.
+    pub fn add_bias_and_activate(&self, z: &mut [f32], n: usize, act: Activation) {
         debug_assert_eq!(z.len(), self.out_features() * n);
         for (row, &b) in z.chunks_exact_mut(n).zip(&self.bias) {
             if b != 0.0 {
                 for v in row {
-                    *v += b;
+                    *v = act.apply(*v + b);
+                }
+            } else if act != Activation::Identity {
+                for v in row {
+                    *v = act.apply(*v);
                 }
             }
         }
@@ -81,10 +88,19 @@ mod tests {
         let mut l = Linear::new(2, 3, 2);
         l.bias = vec![1.0, 2.0, 3.0];
         let mut z = vec![0.0f32; 3 * 4]; // out=3, n=4, feature-major
-        l.add_bias(&mut z, 4);
+        l.add_bias_and_activate(&mut z, 4, Activation::Identity);
         assert_eq!(&z[0..4], &[1.0; 4]);
         assert_eq!(&z[4..8], &[2.0; 4]);
         assert_eq!(&z[8..12], &[3.0; 4]);
+    }
+
+    #[test]
+    fn activation_follows_the_bias_in_the_same_pass() {
+        let mut l = Linear::new(2, 3, 2);
+        l.bias = vec![-1.0, 0.0, 5.5];
+        let mut z = vec![0.5f32, 2.0, -0.0, 3.0, 0.25, 1.0];
+        l.add_bias_and_activate(&mut z, 2, Activation::Relu6);
+        assert_eq!(z, vec![0.0, 1.0, 0.0, 3.0, 5.75, 6.0]);
     }
 
     #[test]

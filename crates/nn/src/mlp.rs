@@ -211,8 +211,7 @@ impl Mlp {
                     &mut ws.gemm,
                 ),
             }
-            layer.add_bias(dst, n);
-            act.apply_slice(dst);
+            layer.add_bias_and_activate(dst, n, *act);
             src = &[]; // src only used for i == 0
         }
         ws.bufs.last().expect("at least one layer").as_slice()

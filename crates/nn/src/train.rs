@@ -14,9 +14,9 @@
 use crate::adam::{Adam, AdamState};
 use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointManager};
 use crate::fault::FaultInjector;
-use crate::mlp::{transpose_into, Mlp};
+use crate::mlp::Mlp;
 use crate::scheduler::StepLr;
-use dlr_dense::gemm::blocked::{gemm_with, GemmWorkspace, GotoParams};
+use dlr_dense::gemm::blocked::{gemm_trans_with, GemmWorkspace, GotoParams, Trans};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -236,16 +236,17 @@ pub struct SgdTrainer {
     /// Dropout probability after the first layer (0 disables).
     dropout: f32,
     rng: StdRng,
-    // Scratch, all feature-major.
-    input_fm: Vec<f32>,
-    zs: Vec<Vec<f32>>,
+    // Scratch, all feature-major (`features × n`).
+    /// Each layer's output; the backward pass reads activation
+    /// derivatives from it.
     acts: Vec<Vec<f32>>,
     da: Vec<f32>,
     da_prev: Vec<f32>,
-    trans: Vec<f32>,
     dw: Vec<f32>,
     db: Vec<f32>,
-    drop_mask: Vec<f32>,
+    /// Under dropout, the first layer's backward factor per element: its
+    /// activation's derivative times the dropout scale, 0 where dropped.
+    drop_grad: Vec<f32>,
     gemm: GemmWorkspace,
 }
 
@@ -267,15 +268,12 @@ impl SgdTrainer {
             adam_b,
             dropout,
             rng: StdRng::seed_from_u64(seed),
-            input_fm: Vec::new(),
-            zs: Vec::new(),
             acts: Vec::new(),
             da: Vec::new(),
             da_prev: Vec::new(),
-            trans: Vec::new(),
             dw: Vec::new(),
             db: Vec::new(),
-            drop_mask: Vec::new(),
+            drop_grad: Vec::new(),
             gemm: GemmWorkspace::default(),
         }
     }
@@ -455,54 +453,41 @@ impl SgdTrainer {
         assert_eq!(rows.len(), n * f, "rows must be n × input_dim");
         assert_eq!(mlp.output_dim(), 1, "training expects one output");
         let num_layers = mlp.layers().len();
-        self.zs.resize(num_layers, Vec::new());
         self.acts.resize(num_layers, Vec::new());
-        transpose_into(rows, n, f, &mut self.input_fm);
+        // Inverted dropout after the first layer only (Table 9).
+        let dropout = self.dropout > 0.0 && num_layers > 1;
 
-        // ---- Forward, caching pre-activations and activations. ----
+        // ---- Forward, keeping each layer's activations. ----
         let params = GotoParams::default();
         for i in 0..num_layers {
             let layer = &mlp.layers()[i];
+            let act = mlp.activations()[i];
             let (m, k) = (layer.out_features(), layer.in_features());
-            let a_prev: &[f32] = if i == 0 {
-                &self.input_fm
-            } else {
-                &self.acts[i - 1]
+            let (before, rest) = self.acts.split_at_mut(i);
+            let a = &mut rest[0];
+            a.resize(m * n, 0.0);
+            // Layer 0's input is the row-major batch: the transposed B.
+            let (a_prev, tb) = match before.last() {
+                None => (rows, Trans::T),
+                Some(prev) => (prev.as_slice(), Trans::N),
             };
-            // Work around simultaneous borrows with a take/put dance.
-            let mut z = std::mem::take(&mut self.zs[i]);
-            z.resize(m * n, 0.0);
-            gemm_with(
-                m,
-                k,
-                n,
-                layer.weights.as_slice(),
-                a_prev,
-                &mut z,
-                params,
-                &mut self.gemm,
-            );
-            layer.add_bias(&mut z, n);
-            let mut a = std::mem::take(&mut self.acts[i]);
-            a.clear();
-            a.extend_from_slice(&z);
-            mlp.activations()[i].apply_slice(&mut a);
-            // Inverted dropout after the first layer only (Table 9).
-            if i == 0 && self.dropout > 0.0 && num_layers > 1 {
+            let w = layer.weights.as_slice();
+            gemm_trans_with(Trans::N, tb, m, k, n, w, a_prev, a, params, &mut self.gemm);
+            layer.add_bias_and_activate(a, n, act);
+            if i == 0 && dropout {
                 let keep = 1.0 - self.dropout;
-                self.drop_mask.resize(a.len(), 0.0);
-                for (mask, v) in self.drop_mask.iter_mut().zip(a.iter_mut()) {
+                self.drop_grad.resize(a.len(), 0.0);
+                for (grad, v) in self.drop_grad.iter_mut().zip(a.iter_mut()) {
                     if self.rng.random::<f32>() < self.dropout {
-                        *mask = 0.0;
+                        *grad = 0.0;
                         *v = 0.0;
                     } else {
-                        *mask = 1.0 / keep;
-                        *v *= *mask;
+                        let scale = 1.0 / keep;
+                        *grad = act.derivative(*v) * scale;
+                        *v *= scale;
                     }
                 }
             }
-            self.zs[i] = z;
-            self.acts[i] = a;
         }
 
         // ---- Loss and output gradient (caller-supplied). ----
@@ -533,51 +518,56 @@ impl SgdTrainer {
         for i in (0..num_layers).rev() {
             let layer = &mlp.layers()[i];
             let (m, k) = (layer.out_features(), layer.in_features());
-            // dZ = dA ⊙ σ'(Z) (+ dropout backward on the first layer).
+            // dZ = dA ⊙ σ'(A) (the dropout layer's factor carries its
+            // scale too) and db = row sums of dZ, one row at a time.
             let act = mlp.activations()[i];
-            {
-                let z = &self.zs[i];
-                for (g, &zv) in self.da.iter_mut().zip(z) {
-                    *g *= act.derivative(zv);
-                }
-                if i == 0 && self.dropout > 0.0 && num_layers > 1 {
-                    for (g, &dm) in self.da.iter_mut().zip(&self.drop_mask) {
-                        *g *= dm;
-                    }
-                }
-            }
-            // db = row sums of dZ.
             self.db.resize(m, 0.0);
-            for (r, db) in self.da.chunks_exact(n).zip(self.db.iter_mut()) {
-                *db = r.iter().sum();
-            }
-            // dW = dZ (m×n) · A_prevᵀ (n×k).
-            let a_prev: &[f32] = if i == 0 {
-                &self.input_fm
+            let dz_rows = self.da.chunks_exact_mut(n).zip(&mut self.db);
+            if i == 0 && dropout {
+                for ((g_row, db), f_row) in dz_rows.zip(self.drop_grad.chunks_exact(n)) {
+                    for (g, &f) in g_row.iter_mut().zip(f_row) {
+                        *g *= f;
+                    }
+                    *db = g_row.iter().sum();
+                }
             } else {
-                &self.acts[i - 1]
+                for ((g_row, db), a_row) in dz_rows.zip(self.acts[i].chunks_exact(n)) {
+                    for (g, &a) in g_row.iter_mut().zip(a_row) {
+                        *g *= act.derivative(a);
+                    }
+                    *db = g_row.iter().sum();
+                }
+            }
+            // dW = dZ (m×n) · A_prevᵀ (n×k), A_prev read transposed in
+            // place; layer 0's A_prevᵀ is the batch as stored.
+            let (a_prev, tb) = match i.checked_sub(1) {
+                None => (rows, Trans::N),
+                Some(prev) => (self.acts[prev].as_slice(), Trans::T),
             };
-            transpose_into(a_prev, k, n, &mut self.trans); // (k×n) -> (n×k)
             self.dw.resize(m * k, 0.0);
-            gemm_with(
+            gemm_trans_with(
+                Trans::N,
+                tb,
                 m,
                 n,
                 k,
                 &self.da,
-                &self.trans,
+                a_prev,
                 &mut self.dw,
                 params,
                 &mut self.gemm,
             );
-            // dA_prev = Wᵀ (k×m) · dZ (m×n) — before updating W.
+            // dA_prev = Wᵀ (k×m) · dZ (m×n), W read transposed in place —
+            // before updating W.
             if i > 0 {
-                transpose_into(layer.weights.as_slice(), m, k, &mut self.trans);
                 self.da_prev.resize(k * n, 0.0);
-                gemm_with(
+                gemm_trans_with(
+                    Trans::T,
+                    Trans::N,
                     k,
                     m,
                     n,
-                    &self.trans,
+                    layer.weights.as_slice(),
                     &self.da,
                     &mut self.da_prev,
                     params,

@@ -1,37 +1,111 @@
-//! The Goto GEMM micro-kernel: an 8×8 register tile of C accumulated as
-//! `kcb` rank-1 updates over packed panel strips (§4.1).
+//! The Goto GEMM micro-kernels: a register tile of C accumulated as `kcb`
+//! rank-1 updates over packed panel strips (§4.1).
 //!
-//! The packed layout is the one `dlr-dense` produces: `astrip` holds 8
-//! rows of A column-major per reduction step (zero-padded past the edge),
-//! `bstrip` holds 8 columns of B row-major per step. Each reduction step
-//! broadcasts one A element against one B vector — on AVX2 that is a
-//! single `vfmadd231ps` per tile row, exactly the oneDNN inner loop.
+//! The packed layout is the one `dlr-dense` produces. A is packed in
+//! [`MR`]-row strips, column-major per reduction step (zero-padded past the
+//! edge); B in [`NR`]-column strips, row-major per step, except that a
+//! panel's last strip of at most [`NR_NARROW`] columns is packed that wide.
+//! Each reduction step broadcasts one A element against the B vectors of
+//! its row — on AVX2 one `vfmadd231ps` per 8 lanes, the oneDNN inner loop.
 //!
-//! Numeric contract: the scalar and SSE2 paths perform the same
-//! multiply-then-add per lane in the same order and are **bit-identical**.
-//! The AVX2 path fuses the multiply-add (single rounding per step), so its
-//! output differs from scalar by at most `kcb` half-ULP steps per element
-//! — the documented ULP policy (see the crate docs).
+//! Three tiles share one body per ISA, with the shape as const parameters:
+//!
+//! * [`micro_kernel_6x16`] — a full B strip: 6 rows × two 8-lane vectors,
+//!   12 accumulators. Per reduction step 2 B loads and 6 broadcasts feed
+//!   12 FMAs, so two FMA ports stay busy and twelve independent chains
+//!   cover their latency. The 8×8 tile has 8 chains and needs 9 loads per
+//!   8 FMAs: the load ports, not the FMA ports, bound it.
+//! * [`micro_kernel_12x8`] — a narrow B strip (≤ 8 columns): two
+//!   consecutive A strips against one vector, again 12 accumulators. A
+//!   4-document batch computes 8 columns, no more than the 8×8 tile did.
+//! * [`micro_kernel_8x8`] — the original 8×8 tile over 8-row strips. No
+//!   product path runs it; the benchmark times it (`simd.gemm_tile_ns`).
+//!
+//! Numeric contract: every tile accumulates each element as one
+//! multiply-add per reduction step from zero, then adds the tile to C, so
+//! the tile shape never changes a bit of the output. The scalar and SSE2
+//! paths perform the same multiply-then-add per lane in the same order and
+//! are **bit-identical**. The AVX2 path fuses the multiply-add (single
+//! rounding per step), so its output differs from scalar by at most `kcb`
+//! half-ULP steps per element — the documented ULP policy (see the crate
+//! docs).
 
 use crate::dispatch::{supported, Isa};
 use crate::LANES;
 
-/// Micro-tile height (rows of A per tile).
-pub const MR: usize = 8;
-/// Micro-tile width (columns of B per tile).
-pub const NR: usize = 8;
+/// Rows of one packed A strip: the height of the full tile.
+pub const MR: usize = 6;
+/// Columns of one full packed B strip: the width of the full tile.
+pub const NR: usize = 2 * LANES;
+/// Columns of a narrow packed B strip: a panel's last strip of at most
+/// this many columns, which [`micro_kernel_12x8`] multiplies.
+pub const NR_NARROW: usize = LANES;
 
-/// Accumulate `kcb` rank-1 updates of an `MR×NR` tile into
-/// `C[row0.., col0..]` with edge clipping (`rows ≤ MR`, `cols ≤ NR`).
+/// Accumulate `kcb` rank-1 updates of a 6×16 tile into
+/// `C[row0.., col0..]` with edge clipping (`rows ≤ 6`, `cols ≤ 16`).
 ///
-/// `astrip`/`bstrip` are one packed strip each (`kcb·MR` / `kcb·NR`
-/// elements); `c` is the row-major output with leading dimension `ldc`.
-/// An unsupported `isa` silently falls back to scalar, so the call is
-/// total on every host.
+/// `astrip` is one packed [`MR`]-row strip (`kcb·6` elements), `bstrip`
+/// one full packed [`NR`]-column strip (`kcb·16`); `c` is the row-major
+/// output with leading dimension `ldc`. An unsupported `isa` silently falls
+/// back to scalar, so the call is total on every host.
 ///
 /// # Panics
 /// Panics when the strips are shorter than `kcb` steps, the tile exceeds
-/// `MR×NR`, or the clipped tile does not fit inside `c`.
+/// 6×16, or the clipped tile does not fit inside `c`.
+#[allow(clippy::too_many_arguments)]
+pub fn micro_kernel_6x16(
+    isa: Isa,
+    astrip: &[f32],
+    bstrip: &[f32],
+    kcb: usize,
+    c: &mut [f32],
+    ldc: usize,
+    row0: usize,
+    col0: usize,
+    rows: usize,
+    cols: usize,
+) {
+    tile::<MR, 2, MR>(isa, astrip, bstrip, kcb, c, ldc, row0, col0, rows, cols);
+}
+
+/// Accumulate `kcb` rank-1 updates of a 12×8 tile into
+/// `C[row0.., col0..]` with edge clipping (`rows ≤ 12`, `cols ≤ 8`).
+///
+/// `astrips` is two consecutive packed [`MR`]-row strips (`kcb·12`
+/// elements: rows 0–5, then rows 6–11), `bstrip` one narrow packed
+/// [`NR_NARROW`]-column strip (`kcb·8`). Otherwise as
+/// [`micro_kernel_6x16`].
+///
+/// # Panics
+/// Panics when the strips are shorter than `kcb` steps, the tile exceeds
+/// 12×8, or the clipped tile does not fit inside `c`.
+#[allow(clippy::too_many_arguments)]
+pub fn micro_kernel_12x8(
+    isa: Isa,
+    astrips: &[f32],
+    bstrip: &[f32],
+    kcb: usize,
+    c: &mut [f32],
+    ldc: usize,
+    row0: usize,
+    col0: usize,
+    rows: usize,
+    cols: usize,
+) {
+    tile::<{ 2 * MR }, 1, MR>(isa, astrips, bstrip, kcb, c, ldc, row0, col0, rows, cols);
+}
+
+/// Accumulate `kcb` rank-1 updates of an 8×8 tile into
+/// `C[row0.., col0..]` with edge clipping (`rows ≤ 8`, `cols ≤ 8`).
+///
+/// `astrip` holds 8 rows of A column-major per reduction step (`kcb·8`
+/// elements), `bstrip` 8 columns of B row-major per step (`kcb·8`). No
+/// product path packs for this tile any more; it is kept, with its
+/// contract, as the instrument the benchmark times.
+///
+/// # Panics
+/// Panics when the strips are shorter than `kcb` steps, the tile exceeds
+/// 8×8, or the clipped tile does not fit inside `c`.
 #[allow(clippy::too_many_arguments)]
 pub fn micro_kernel_8x8(
     isa: Isa,
@@ -45,9 +119,28 @@ pub fn micro_kernel_8x8(
     rows: usize,
     cols: usize,
 ) {
-    assert!(astrip.len() >= kcb * MR, "A strip shorter than kcb steps");
-    assert!(bstrip.len() >= kcb * NR, "B strip shorter than kcb steps");
-    assert!(rows <= MR && cols <= NR, "tile exceeds MR x NR");
+    tile::<LANES, 1, LANES>(isa, astrip, bstrip, kcb, c, ldc, row0, col0, rows, cols);
+}
+
+/// The one tile: `R` rows × `V` 8-lane vectors, A read from one or two
+/// consecutive `H`-row strips. Checks the contract, then dispatches.
+#[allow(clippy::too_many_arguments)]
+fn tile<const R: usize, const V: usize, const H: usize>(
+    isa: Isa,
+    a: &[f32],
+    b: &[f32],
+    kcb: usize,
+    c: &mut [f32],
+    ldc: usize,
+    row0: usize,
+    col0: usize,
+    rows: usize,
+    cols: usize,
+) {
+    const { assert!(R == H || R == 2 * H) };
+    assert!(a.len() >= kcb * R, "A strip shorter than kcb steps");
+    assert!(b.len() >= kcb * V * LANES, "B strip shorter than kcb steps");
+    assert!(rows <= R && cols <= V * LANES, "tile exceeds its shape");
     if rows == 0 || cols == 0 {
         return;
     }
@@ -62,13 +155,13 @@ pub fn micro_kernel_8x8(
         Isa::Avx2 => {
             // SAFETY: AVX2+FMA availability was checked by `supported`
             // above; the slice-length and tile-bounds asserts above
-            // guarantee every pointer the kernel dereferences (strips up
-            // to `kcb` steps, C rows `row0..row0+rows` clipped to `cols`)
-            // stays inside the borrowed slices.
+            // guarantee every pointer the kernel dereferences (A up to
+            // `kcb·R`, B up to `kcb·8V`, C rows `row0..row0+rows` clipped
+            // to `cols`) stays inside the borrowed slices.
             unsafe {
-                x86::micro_8x8_avx2(
-                    astrip.as_ptr(),
-                    bstrip.as_ptr(),
+                x86::tile_avx2::<R, V, H>(
+                    a.as_ptr(),
+                    b.as_ptr(),
                     kcb,
                     c.as_mut_ptr().add(row0 * ldc + col0),
                     ldc,
@@ -81,12 +174,12 @@ pub fn micro_kernel_8x8(
         Isa::Sse2 => {
             // SAFETY: SSE2 is the x86-64 baseline (checked by `supported`);
             // pointer validity follows from the same asserts as the AVX2
-            // arm — the kernel touches at most `kcb*8` strip elements and
-            // the clipped `rows x cols` window of C.
+            // arm — the kernel touches at most `kcb·R` A and `kcb·8V` B
+            // elements and the clipped `rows × cols` window of C.
             unsafe {
-                x86::micro_8x8_sse2(
-                    astrip.as_ptr(),
-                    bstrip.as_ptr(),
+                x86::tile_sse2::<R, V, H>(
+                    a.as_ptr(),
+                    b.as_ptr(),
                     kcb,
                     c.as_mut_ptr().add(row0 * ldc + col0),
                     ldc,
@@ -95,17 +188,17 @@ pub fn micro_kernel_8x8(
                 );
             }
         }
-        _ => micro_8x8_scalar(astrip, bstrip, kcb, c, ldc, row0, col0, rows, cols),
+        _ => tile_scalar::<R, V, H>(a, b, kcb, c, ldc, row0, col0, rows, cols),
     }
 }
 
 /// Portable fallback: the fixed-size accumulator-array loop the compiler
-/// auto-vectorizes (the pre-dispatch kernel, kept as the semantic
-/// reference all SIMD paths are tested against).
+/// auto-vectorizes, kept as the semantic reference all SIMD paths are
+/// tested against.
 #[allow(clippy::too_many_arguments)]
-fn micro_8x8_scalar(
-    astrip: &[f32],
-    bstrip: &[f32],
+fn tile_scalar<const R: usize, const V: usize, const H: usize>(
+    a: &[f32],
+    b: &[f32],
     kcb: usize,
     c: &mut [f32],
     ldc: usize,
@@ -114,22 +207,25 @@ fn micro_8x8_scalar(
     rows: usize,
     cols: usize,
 ) {
-    let mut acc = [[0.0f32; NR]; MR];
+    let width = V * LANES;
+    let mut acc = [[[0.0f32; LANES]; V]; R];
+    let (first, second) = a.split_at((H * kcb).min(a.len()));
     for p in 0..kcb {
-        let avec: &[f32] = &astrip[p * MR..p * MR + MR];
-        let bvec: &[f32] = &bstrip[p * NR..p * NR + NR];
-        for i in 0..MR {
-            let ai = avec[i];
-            let row = &mut acc[i];
-            for j in 0..NR {
-                row[j] += ai * bvec[j];
+        let bvec = &b[p * width..(p + 1) * width];
+        for (i, row) in acc.iter_mut().enumerate() {
+            let strip = if i < H { first } else { second };
+            let ai = strip[p * H + i % H];
+            for (lanes, bl) in row.iter_mut().zip(bvec.chunks_exact(LANES)) {
+                for (x, &bv) in lanes.iter_mut().zip(bl) {
+                    *x += ai * bv;
+                }
             }
         }
     }
-    for i in 0..rows {
-        let crow = &mut c[(row0 + i) * ldc + col0..(row0 + i) * ldc + col0 + cols];
-        for (cv, &av) in crow.iter_mut().zip(&acc[i][..cols]) {
-            *cv += av;
+    for (i, row) in acc.iter().enumerate().take(rows) {
+        let start = (row0 + i) * ldc + col0;
+        for (cv, &x) in c[start..start + cols].iter_mut().zip(row.iter().flatten()) {
+            *cv += x;
         }
     }
 }
@@ -140,46 +236,64 @@ mod x86 {
     //! dispatch wrapper above (enforced by dlr-lint's
     //! `SIMD_TARGET_FEATURE` rule).
 
+    use crate::LANES;
     use core::arch::x86_64::*;
 
-    /// AVX2+FMA 8×8 tile: 8 ymm accumulators, one broadcast+FMA per tile
-    /// row per reduction step.
+    /// AVX2+FMA `R × 8V` tile: `R·V` ymm accumulators, one broadcast per
+    /// row and one FMA per accumulator per reduction step.
     ///
     /// # Safety
-    /// Caller must ensure AVX2 and FMA are available, `astrip`/`bstrip`
-    /// are readable for `kcb*8` floats, and `c` is writable for `rows`
+    /// Caller must ensure AVX2 and FMA are available, `a` is readable for
+    /// `kcb·R` floats and `b` for `kcb·8V`, and `c` is writable for `rows`
     /// rows of `ldc` stride with `cols` valid lanes each.
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn micro_8x8_avx2_impl(
-        astrip: *const f32,
-        bstrip: *const f32,
+    unsafe fn tile_avx2_impl<const R: usize, const V: usize, const H: usize>(
+        a: *const f32,
+        b: *const f32,
         kcb: usize,
         c: *mut f32,
         ldc: usize,
         rows: usize,
         cols: usize,
     ) {
-        let mut acc = [_mm256_setzero_ps(); 8];
+        let mut acc = [[_mm256_setzero_ps(); V]; R];
+        // The (at most two) A strips; the second is dereferenced only when
+        // the tile has rows in it.
+        let strips = [a, a.wrapping_add(H * kcb)];
+        // Index loops over the const shape unroll completely, so the tile
+        // stays in registers.
         for p in 0..kcb {
-            let b = _mm256_loadu_ps(bstrip.add(p * 8));
-            let ap = astrip.add(p * 8);
-            for (i, lane) in acc.iter_mut().enumerate() {
-                let a = _mm256_set1_ps(*ap.add(i));
-                *lane = _mm256_fmadd_ps(a, b, *lane);
+            let bp = b.add(p * V * LANES);
+            let mut bv = [_mm256_setzero_ps(); V];
+            #[allow(clippy::needless_range_loop)]
+            for v in 0..V {
+                bv[v] = _mm256_loadu_ps(bp.add(v * LANES));
+            }
+            #[allow(clippy::needless_range_loop)]
+            for i in 0..R {
+                let ai = _mm256_broadcast_ss(&*strips[i / H].add(p * H + i % H));
+                for v in 0..V {
+                    acc[i][v] = _mm256_fmadd_ps(ai, bv[v], acc[i][v]);
+                }
             }
         }
-        if cols == 8 {
-            for (i, &lane) in acc.iter().enumerate().take(rows) {
-                let cp = c.add(i * ldc);
-                _mm256_storeu_ps(cp, _mm256_add_ps(_mm256_loadu_ps(cp), lane));
+        let mut spill = [0.0f32; LANES];
+        #[allow(clippy::needless_range_loop)]
+        for i in 0..R {
+            if i == rows {
+                break;
             }
-        } else {
-            let mut spill = [0.0f32; 8];
-            for (i, &lane) in acc.iter().enumerate().take(rows) {
-                _mm256_storeu_ps(spill.as_mut_ptr(), lane);
-                let cp = c.add(i * ldc);
-                for (j, &s) in spill.iter().enumerate().take(cols) {
-                    *cp.add(j) += s;
+            let cp = c.add(i * ldc);
+            for v in 0..V {
+                let lanes = cols.saturating_sub(v * LANES).min(LANES);
+                let cv = cp.add(v * LANES);
+                if lanes == LANES {
+                    _mm256_storeu_ps(cv, _mm256_add_ps(_mm256_loadu_ps(cv), acc[i][v]));
+                } else if lanes > 0 {
+                    _mm256_storeu_ps(spill.as_mut_ptr(), acc[i][v]);
+                    for (j, &s) in spill.iter().enumerate().take(lanes) {
+                        *cv.add(j) += s;
+                    }
                 }
             }
         }
@@ -188,11 +302,11 @@ mod x86 {
     /// Dispatch-table entry for the AVX2 tile.
     ///
     /// # Safety
-    /// Same contract as [`micro_8x8_avx2_impl`].
+    /// Same contract as [`tile_avx2_impl`].
     #[allow(clippy::missing_safety_doc)]
-    pub(super) unsafe fn micro_8x8_avx2(
-        astrip: *const f32,
-        bstrip: *const f32,
+    pub(super) unsafe fn tile_avx2<const R: usize, const V: usize, const H: usize>(
+        a: *const f32,
+        b: *const f32,
         kcb: usize,
         c: *mut f32,
         ldc: usize,
@@ -201,95 +315,143 @@ mod x86 {
     ) {
         // SAFETY: forwarded verbatim; the caller upholds the target
         // feature and pointer-validity contract.
-        unsafe { micro_8x8_avx2_impl(astrip, bstrip, kcb, c, ldc, rows, cols) }
+        unsafe { tile_avx2_impl::<R, V, H>(a, b, kcb, c, ldc, rows, cols) }
     }
 
-    /// SSE2 8×8 tile as two 8×4 half-tiles (8 xmm accumulators each, so
-    /// the tile stays in registers). Multiply-then-add per lane in scalar
-    /// order: bit-identical to the scalar kernel.
+    /// SSE2 `RS × 8` sub-tile over one A strip: `2·RS` xmm accumulators
+    /// (at most 12, so the sub-tile stays in the 16 registers).
+    /// Multiply-then-add per lane in scalar order: bit-identical to the
+    /// scalar kernel.
+    ///
+    /// `a` points at the sub-tile's first row inside its strip (`a_step`
+    /// floats per reduction step), `b` at its first column (`b_step`
+    /// floats per step).
     ///
     /// # Safety
-    /// Caller must ensure `astrip`/`bstrip` are readable for `kcb*8`
-    /// floats and `c` is writable for `rows` rows of `ldc` stride with
-    /// `cols` valid lanes each (SSE2 itself is the x86-64 baseline).
+    /// Caller must ensure `a` is readable at `p·a_step + i` and `b` at
+    /// `p·b_step + j` for `p < kcb`, `i < RS`, `j < 8`, and `c` is
+    /// writable for `rows ≤ RS` rows of `ldc` stride with `cols ≤ 8` valid
+    /// lanes each (SSE2 itself is the x86-64 baseline).
+    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "sse2")]
-    unsafe fn micro_8x8_sse2_impl(
-        astrip: *const f32,
-        bstrip: *const f32,
+    unsafe fn block_sse2_impl<const RS: usize>(
+        a: *const f32,
+        a_step: usize,
+        b: *const f32,
+        b_step: usize,
         kcb: usize,
         c: *mut f32,
         ldc: usize,
         rows: usize,
         cols: usize,
     ) {
-        for half in 0..2 {
-            let base_row = half * 4;
-            if base_row >= rows {
-                break;
+        let mut acc = [[_mm_setzero_ps(); 2]; RS];
+        for p in 0..kcb {
+            let blo = _mm_loadu_ps(b.add(p * b_step));
+            let bhi = _mm_loadu_ps(b.add(p * b_step + 4));
+            let ap = a.add(p * a_step);
+            for (i, pair) in acc.iter_mut().enumerate() {
+                let ai = _mm_set1_ps(*ap.add(i));
+                pair[0] = _mm_add_ps(pair[0], _mm_mul_ps(ai, blo));
+                pair[1] = _mm_add_ps(pair[1], _mm_mul_ps(ai, bhi));
             }
-            let mut acc = [[_mm_setzero_ps(); 2]; 4];
-            for p in 0..kcb {
-                let blo = _mm_loadu_ps(bstrip.add(p * 8));
-                let bhi = _mm_loadu_ps(bstrip.add(p * 8 + 4));
-                let ap = astrip.add(p * 8 + base_row);
-                for (i, pair) in acc.iter_mut().enumerate() {
-                    let a = _mm_set1_ps(*ap.add(i));
-                    pair[0] = _mm_add_ps(pair[0], _mm_mul_ps(a, blo));
-                    pair[1] = _mm_add_ps(pair[1], _mm_mul_ps(a, bhi));
-                }
-            }
-            let half_rows = rows - base_row;
-            let mut spill = [0.0f32; 8];
-            for (i, pair) in acc.iter().enumerate().take(half_rows.min(4)) {
-                _mm_storeu_ps(spill.as_mut_ptr(), pair[0]);
-                _mm_storeu_ps(spill.as_mut_ptr().add(4), pair[1]);
-                let cp = c.add((base_row + i) * ldc);
-                for (j, &s) in spill.iter().enumerate().take(cols) {
-                    *cp.add(j) += s;
-                }
+        }
+        let mut spill = [0.0f32; LANES];
+        for (i, pair) in acc.iter().enumerate().take(rows) {
+            _mm_storeu_ps(spill.as_mut_ptr(), pair[0]);
+            _mm_storeu_ps(spill.as_mut_ptr().add(4), pair[1]);
+            let cp = c.add(i * ldc);
+            for (j, &s) in spill.iter().enumerate().take(cols) {
+                *cp.add(j) += s;
             }
         }
     }
 
-    /// Dispatch-table entry for the SSE2 tile.
+    /// Dispatch-table entry for the SSE2 tile: the `R × 8V` tile as two
+    /// sub-tiles of `R·V/2` rows × 8 columns — two column halves of a
+    /// 16-wide tile, or two row halves of an 8-wide one.
     ///
     /// # Safety
-    /// Same contract as [`micro_8x8_sse2_impl`].
+    /// Same contract as [`tile_avx2_impl`], minus the AVX2/FMA
+    /// requirement.
     #[allow(clippy::missing_safety_doc)]
-    pub(super) unsafe fn micro_8x8_sse2(
-        astrip: *const f32,
-        bstrip: *const f32,
+    pub(super) unsafe fn tile_sse2<const R: usize, const V: usize, const H: usize>(
+        a: *const f32,
+        b: *const f32,
         kcb: usize,
         c: *mut f32,
         ldc: usize,
         rows: usize,
         cols: usize,
     ) {
-        // SAFETY: forwarded verbatim; the caller upholds the pointer
-        // contract and SSE2 is the x86-64 baseline.
-        unsafe { micro_8x8_sse2_impl(astrip, bstrip, kcb, c, ldc, rows, cols) }
+        const { assert!(V <= 2 && (R * V == 12 || R * V == 8)) };
+        let sub_rows = R * V / 2;
+        for half in 0..2 {
+            let (r0, c0) = if V == 2 {
+                (0, half * LANES)
+            } else {
+                (half * sub_rows, 0)
+            };
+            let (rows, cols) = (
+                rows.saturating_sub(r0).min(sub_rows),
+                cols.saturating_sub(c0).min(LANES),
+            );
+            if rows == 0 || cols == 0 {
+                continue;
+            }
+            // A sub-tile's rows lie inside one strip, so they start at
+            // that strip's base plus their offset within it.
+            let (a, b, c) = (
+                a.add((r0 / H) * H * kcb + r0 % H),
+                b.add(c0),
+                c.add(r0 * ldc + c0),
+            );
+            let b_step = V * LANES;
+            // SAFETY: the caller's contract covers the whole tile; each
+            // sub-tile reads `sub_rows` rows of one strip and 8 columns of
+            // B inside it and writes its clipped window of C.
+            unsafe {
+                if sub_rows == 6 {
+                    block_sse2_impl::<6>(a, H, b, b_step, kcb, c, ldc, rows, cols);
+                } else {
+                    block_sse2_impl::<4>(a, H, b, b_step, kcb, c, ldc, rows, cols);
+                }
+            }
+        }
     }
 }
-
-// Keep the public LANES constant honest with the tile width.
-const _: () = assert!(NR == LANES && MR == LANES);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dispatch;
 
-    /// Build one packed strip pair + dirty C, run the kernel, and return C.
-    fn run(isa: Isa, kcb: usize, rows: usize, cols: usize) -> Vec<f32> {
-        let astrip: Vec<f32> = (0..kcb * MR)
+    /// The three tiles by shape: (rows, cols, entry point).
+    type Kernel = fn(Isa, &[f32], &[f32], usize, &mut [f32], usize, usize, usize, usize, usize);
+    const TILES: [(usize, usize, Kernel); 3] = [
+        (6, 16, micro_kernel_6x16),
+        (12, 8, micro_kernel_12x8),
+        (8, 8, micro_kernel_8x8),
+    ];
+
+    /// Build one packed strip pair + dirty C, run `kernel`, and return C.
+    fn run(
+        kernel: Kernel,
+        (tr, tc): (usize, usize),
+        isa: Isa,
+        kcb: usize,
+        rows: usize,
+        cols: usize,
+    ) -> Vec<f32> {
+        let astrip: Vec<f32> = (0..kcb * tr)
             .map(|i| ((i * 7) % 13) as f32 * 0.25 - 1.0)
             .collect();
-        let bstrip: Vec<f32> = (0..kcb * NR)
+        let bstrip: Vec<f32> = (0..kcb * tc)
             .map(|i| ((i * 5) % 11) as f32 * 0.5 - 2.0)
             .collect();
-        let ldc = 10;
-        let mut c = vec![1.0f32; 9 * ldc];
-        micro_kernel_8x8(isa, &astrip, &bstrip, kcb, &mut c, ldc, 1, 1, rows, cols);
+        let ldc = tc + 2;
+        let mut c = vec![1.0f32; (tr + 1) * ldc];
+        kernel(isa, &astrip, &bstrip, kcb, &mut c, ldc, 1, 1, rows, cols);
         c
     }
 
@@ -298,13 +460,17 @@ mod tests {
         if !dispatch::supported(Isa::Sse2) {
             return;
         }
-        for kcb in [0usize, 1, 3, 8, 57] {
-            for (rows, cols) in [(8, 8), (1, 8), (8, 1), (3, 5), (5, 3), (8, 7)] {
-                assert_eq!(
-                    run(Isa::Scalar, kcb, rows, cols),
-                    run(Isa::Sse2, kcb, rows, cols),
-                    "kcb={kcb} rows={rows} cols={cols}"
-                );
+        for (tr, tc, kernel) in TILES {
+            for kcb in [0usize, 1, 3, 8, 57] {
+                for rows in 1..=tr {
+                    for cols in 1..=tc {
+                        assert_eq!(
+                            run(kernel, (tr, tc), Isa::Scalar, kcb, rows, cols),
+                            run(kernel, (tr, tc), Isa::Sse2, kcb, rows, cols),
+                            "{tr}x{tc} kcb={kcb} rows={rows} cols={cols}"
+                        );
+                    }
+                }
             }
         }
     }
@@ -314,13 +480,80 @@ mod tests {
         if !dispatch::supported(Isa::Avx2) {
             return;
         }
-        for kcb in [1usize, 4, 33, 128] {
-            for (rows, cols) in [(8, 8), (2, 8), (8, 3), (7, 7)] {
-                let s = run(Isa::Scalar, kcb, rows, cols);
-                let v = run(Isa::Avx2, kcb, rows, cols);
-                for (a, b) in s.iter().zip(&v) {
-                    let tol = kcb as f32 * f32::EPSILON * 16.0 * a.abs().max(1.0);
-                    assert!((a - b).abs() <= tol, "kcb={kcb}: {a} vs {b}");
+        for (tr, tc, kernel) in TILES {
+            for kcb in [1usize, 4, 33, 128] {
+                for (rows, cols) in [(tr, tc), (2, tc), (tr, 3), (tr - 1, tc - 1), (5, 9)] {
+                    let cols = cols.min(tc);
+                    let s = run(kernel, (tr, tc), Isa::Scalar, kcb, rows, cols);
+                    let v = run(kernel, (tr, tc), Isa::Avx2, kcb, rows, cols);
+                    for (a, b) in s.iter().zip(&v) {
+                        let tol = kcb as f32 * f32::EPSILON * 16.0 * a.abs().max(1.0);
+                        assert!((a - b).abs() <= tol, "{tr}x{tc} kcb={kcb}: {a} vs {b}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_tile_computes_each_element_alike() {
+        // The same element through every tile shape reads the same bits:
+        // the shape never changes the reduction chain.
+        let kcb = 37;
+        let a_rows: Vec<f32> = (0..12 * kcb)
+            .map(|i| ((i * 29) % 31) as f32 / 7.0 - 2.0)
+            .collect();
+        let b_cols: Vec<f32> = (0..16 * kcb)
+            .map(|i| ((i * 13) % 17) as f32 / 5.0 - 1.5)
+            .collect();
+        // Pack rows `r0..r0+h` of the 12×kcb A into one strip of height h.
+        let strip = |r0: usize, h: usize| -> Vec<f32> {
+            (0..kcb)
+                .flat_map(|p| (0..h).map(move |r| (p, r)))
+                .map(|(p, r)| a_rows[(r0 + r) * kcb + p])
+                .collect()
+        };
+        let bpack = |w: usize| -> Vec<f32> {
+            (0..kcb)
+                .flat_map(|p| (0..w).map(move |j| (p, j)))
+                .map(|(p, j)| b_cols[j * kcb + p])
+                .collect()
+        };
+        for isa in Isa::ALL.into_iter().filter(|&i| dispatch::supported(i)) {
+            let mut full = vec![0.0f32; 6 * 16];
+            micro_kernel_6x16(
+                isa,
+                &strip(0, 6),
+                &bpack(16),
+                kcb,
+                &mut full,
+                16,
+                0,
+                0,
+                6,
+                16,
+            );
+            let mut narrow = vec![0.0f32; 12 * 8];
+            let pair = [strip(0, 6), strip(6, 6)].concat();
+            micro_kernel_12x8(isa, &pair, &bpack(8), kcb, &mut narrow, 8, 0, 0, 12, 8);
+            let mut square = vec![0.0f32; 8 * 8];
+            micro_kernel_8x8(
+                isa,
+                &strip(0, 8),
+                &bpack(8),
+                kcb,
+                &mut square,
+                8,
+                0,
+                0,
+                8,
+                8,
+            );
+            for i in 0..6 {
+                for j in 0..8 {
+                    let f = full[i * 16 + j].to_bits();
+                    assert_eq!(f, narrow[i * 8 + j].to_bits(), "{isa} ({i},{j}) 12x8");
+                    assert_eq!(f, square[i * 8 + j].to_bits(), "{isa} ({i},{j}) 8x8");
                 }
             }
         }
@@ -328,22 +561,28 @@ mod tests {
 
     #[test]
     fn untouched_c_region_stays_dirty() {
-        let c = run(Isa::Scalar, 4, 2, 3);
-        // Row 0 and column 0 are outside the (row0=1, col0=1) tile.
-        assert!(c[..10].iter().all(|&v| v == 1.0));
-        assert_eq!(c[10], 1.0);
-        // Beyond the 2x3 tile too.
-        assert_eq!(c[10 + 4], 1.0);
-        assert_eq!(c[3 * 10 + 1], 1.0);
+        for (tr, tc, kernel) in TILES {
+            let c = run(kernel, (tr, tc), Isa::Scalar, 4, 2, 3);
+            let ldc = tc + 2;
+            // Row 0 and column 0 are outside the (row0=1, col0=1) tile.
+            assert!(c[..ldc].iter().all(|&v| v == 1.0));
+            assert_eq!(c[ldc], 1.0);
+            // Beyond the 2x3 tile too.
+            assert_eq!(c[ldc + 4], 1.0);
+            assert_eq!(c[3 * ldc + 1], 1.0);
+        }
     }
 
     #[test]
     fn zero_sized_tiles_are_noops() {
         let before = vec![5.0f32; 40];
-        let mut c = before.clone();
-        micro_kernel_8x8(Isa::Scalar, &[0.0; 8], &[0.0; 8], 1, &mut c, 8, 0, 0, 0, 5);
-        micro_kernel_8x8(Isa::Scalar, &[0.0; 8], &[0.0; 8], 1, &mut c, 8, 0, 0, 5, 0);
-        assert_eq!(before, c);
+        for (tr, tc, kernel) in TILES {
+            let mut c = before.clone();
+            let (a, b) = (vec![0.0; tr], vec![0.0; tc]);
+            kernel(Isa::Scalar, &a, &b, 1, &mut c, 8, 0, 0, 0, 5);
+            kernel(Isa::Scalar, &a, &b, 1, &mut c, 8, 0, 0, 5, 0);
+            assert_eq!(before, c);
+        }
     }
 
     #[test]
@@ -351,5 +590,23 @@ mod tests {
     fn oversized_tile_is_rejected() {
         let mut c = vec![0.0f32; 16];
         micro_kernel_8x8(Isa::Scalar, &[0.0; 8], &[0.0; 8], 1, &mut c, 8, 1, 0, 2, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "tile exceeds its shape")]
+    fn a_narrow_tile_rejects_a_full_strip_width() {
+        let mut c = vec![0.0f32; 64];
+        micro_kernel_12x8(
+            Isa::Scalar,
+            &[0.0; 12],
+            &[0.0; 16],
+            1,
+            &mut c,
+            16,
+            0,
+            0,
+            1,
+            9,
+        );
     }
 }

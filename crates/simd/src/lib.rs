@@ -16,12 +16,15 @@
 //! `results/benchmark/`) do not show it losing to the portable loop; a
 //! level without one runs scalar:
 //!
-//! * [`gemm::micro_kernel_8x8`] — the Goto micro-kernel: an 8×8 `f32`
-//!   register tile accumulated as `kcb` rank-1 updates over packed A/B
-//!   strips. Paths: scalar, SSE2, AVX2+FMA. The AVX2 path uses FMA, so
-//!   its results differ from scalar by bounded rounding (see the ULP
-//!   policy below); the SSE2 path is mul-then-add and bit-identical to
-//!   scalar.
+//! * [`gemm::micro_kernel_6x16`] and [`gemm::micro_kernel_12x8`] — the
+//!   Goto micro-kernel: a register tile of `f32` accumulated as `kcb`
+//!   rank-1 updates over packed A/B strips, 6×16 for a full B strip and
+//!   12×8 for a strip of at most 8 columns, 12 accumulators each
+//!   ([`gemm::micro_kernel_8x8`], the former tile, is kept for the
+//!   benchmark). Paths: scalar, SSE2, AVX2+FMA, one body per path with the
+//!   shape as const parameters. The AVX2 path uses FMA, so its results
+//!   differ from scalar by bounded rounding (see the ULP policy below);
+//!   the SSE2 path is mul-then-add and bit-identical to scalar.
 //! * [`sdmm::row_kernel`] — the LIBXSMM sparse-row kernel: broadcast one
 //!   non-zero, multiply-add against packed B rows. Paths: scalar, AVX2.
 //!   Both use separate multiply and add (never FMA) in the same per-lane
@@ -68,5 +71,6 @@ pub mod sdmm;
 pub use dispatch::{active, detect_best, force, supported, Isa};
 
 /// Register width the kernels block on: 8 × f32 = 256 bits (AVX2), the
-/// configuration the paper analyzes. Callers pack panels to this width.
+/// configuration the paper analyzes. Callers pack panels to multiples of
+/// this width.
 pub const LANES: usize = 8;

@@ -11,6 +11,8 @@
 //!   step instead of two), so its output may differ from scalar by a
 //!   bounded number of half-ULP steps — at most `kcb` per element. The
 //!   SSE2 GEMM path keeps the separate multiply/add and stays bit-exact.
+//!   This holds for each of the three tiles: 6×16 and 12×8, which the
+//!   blocked GEMM runs, and 8×8, which the benchmark times.
 //!
 //! Both arms are exercised: explicit-ISA entry points (no global state,
 //! proptest-friendly) and the process-wide `force()` dispatch the
@@ -20,7 +22,7 @@ use distilled_ltr::dense::{gemm_with, GemmWorkspace, GotoParams, Matrix};
 use distilled_ltr::gbdt::tree::leaf_ref;
 use distilled_ltr::gbdt::{Ensemble, RegressionTree};
 use distilled_ltr::quickscorer::{QuickScorer, VectorizedQuickScorer};
-use distilled_ltr::simd::gemm::{micro_kernel_8x8, MR, NR};
+use distilled_ltr::simd::gemm::{micro_kernel_12x8, micro_kernel_6x16, micro_kernel_8x8, MR};
 use distilled_ltr::simd::Isa;
 use distilled_ltr::sparse::xsmm::spmm_xsmm_rows_with_isa;
 use distilled_ltr::sparse::{spmm_xsmm_packed, CsrMatrix, PackedB};
@@ -111,7 +113,7 @@ proptest! {
         }
     }
 
-    /// GEMM micro-kernel: SSE2 is bit-identical to scalar; AVX2's fused
+    /// The 8×8 GEMM tile: SSE2 is bit-identical to scalar; AVX2's fused
     /// multiply-add stays within the documented per-element ULP budget
     /// (`kcb` fusions, each saving one rounding).
     #[test]
@@ -119,31 +121,73 @@ proptest! {
         kcb in 0usize..40, rows in 1usize..9, cols in 1usize..9,
         seed in 0u64..500
     ) {
-        let astrip = Matrix::random(kcb.max(1), MR, 1.0, seed);
-        let bstrip = Matrix::random(kcb.max(1), NR, 1.0, seed + 3);
-        let ldc = NR + 2;
-        let run = |isa: Isa| {
-            let mut c = vec![1.0f32; MR * ldc];
-            micro_kernel_8x8(
-                isa, astrip.as_slice(), bstrip.as_slice(), kcb,
-                &mut c, ldc, 0, 0, rows, cols,
-            );
-            c
-        };
-        let want = run(Isa::Scalar);
-        for isa in simd_isas() {
-            let got = run(isa);
-            if isa == Isa::Avx2 {
-                for (w, g) in want.iter().zip(&got) {
-                    let tol = kcb as f32 * f32::EPSILON * 16.0 * w.abs().max(1.0);
-                    prop_assert!((w - g).abs() <= tol,
-                        "avx2 kcb={}: {} vs {}", kcb, w, g);
-                }
-            } else {
-                prop_assert!(want == got, "{} kcb={}", isa, kcb);
+        check_tile(micro_kernel_8x8, (8, 8), kcb, rows, cols, seed)?;
+    }
+
+    /// The tiles the blocked GEMM runs — 6×16 for full B strips, 12×8 for
+    /// narrow ones — under the same contract, at every edge.
+    #[test]
+    fn gemm_product_tile_paths_match_scalar(
+        kcb in 0usize..40, rows in 1usize..13, cols in 1usize..17,
+        seed in 0u64..500
+    ) {
+        check_tile(micro_kernel_6x16, (MR, 16), kcb, rows.min(MR), cols, seed)?;
+        check_tile(micro_kernel_12x8, (2 * MR, 8), kcb, rows, cols.min(8), seed)?;
+    }
+}
+
+type Tile = fn(Isa, &[f32], &[f32], usize, &mut [f32], usize, usize, usize, usize, usize);
+
+/// Run `tile` (of `tr × tc`) on every supported ISA over random strips
+/// and dirty C: SSE2 bit-identical to scalar, AVX2 inside the ULP budget.
+fn check_tile(
+    tile: Tile,
+    (tr, tc): (usize, usize),
+    kcb: usize,
+    rows: usize,
+    cols: usize,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let astrip = Matrix::random(kcb.max(1), tr, 1.0, seed);
+    let bstrip = Matrix::random(kcb.max(1), tc, 1.0, seed + 3);
+    let ldc = tc + 2;
+    let run = |isa: Isa| {
+        let mut c = vec![1.0f32; tr * ldc];
+        tile(
+            isa,
+            astrip.as_slice(),
+            bstrip.as_slice(),
+            kcb,
+            &mut c,
+            ldc,
+            0,
+            0,
+            rows,
+            cols,
+        );
+        c
+    };
+    let want = run(Isa::Scalar);
+    for isa in simd_isas() {
+        let got = run(isa);
+        if isa == Isa::Avx2 {
+            for (w, g) in want.iter().zip(&got) {
+                let tol = kcb as f32 * f32::EPSILON * 16.0 * w.abs().max(1.0);
+                prop_assert!(
+                    (w - g).abs() <= tol,
+                    "avx2 {}x{} kcb={}: {} vs {}",
+                    tr,
+                    tc,
+                    kcb,
+                    w,
+                    g
+                );
             }
+        } else {
+            prop_assert!(want == got, "{} {}x{} kcb={}", isa, tr, tc, kcb);
         }
     }
+    Ok(())
 }
 
 /// `force()` mutates process-wide dispatch state; the forced-arm tests
