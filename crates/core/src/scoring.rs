@@ -271,28 +271,40 @@ impl DocumentScorer for MlpScorer {
 
 /// Hybrid (sparse first layer) MLP over Z-normalized features — the
 /// paper's winning configuration.
+///
+/// The batch is normalized in the pass that packs it for the first layer,
+/// and only in the features the frozen network reads
+/// ([`HybridMlp::score_batch_normalizing_with`]): no full-width normalized
+/// copy is made. Scores are bit-identical to normalizing the rows and
+/// calling [`HybridMlp::score_batch_with`].
 pub struct HybridScorer {
     /// The frozen hybrid network.
     pub hybrid: HybridMlp,
     normalizer: Normalizer,
     ws: HybridWorkspace,
-    norm_buf: Vec<f32>,
     label: String,
     obs: Option<Arc<dlr_obs::Obs>>,
 }
 
 impl HybridScorer {
     /// Wrap a hybrid model and its normalizer.
+    ///
+    /// # Panics
+    /// Panics when the normalizer's width is not the model's input width.
     pub fn new(
         hybrid: HybridMlp,
         normalizer: Normalizer,
         label: impl Into<String>,
     ) -> HybridScorer {
+        assert_eq!(
+            normalizer.num_features(),
+            hybrid.input_dim(),
+            "normalizer and network must agree on the feature count"
+        );
         HybridScorer {
             hybrid,
             normalizer,
             ws: HybridWorkspace::default(),
-            norm_buf: Vec::new(),
             label: label.into(),
             obs: None,
         }
@@ -316,11 +328,13 @@ impl DocumentScorer for HybridScorer {
             .obs
             .as_deref()
             .map(|o| o.scope(dlr_obs::Stage::KernelSdmm));
-        self.norm_buf.clear();
-        self.norm_buf.extend_from_slice(rows);
-        self.normalizer.apply_matrix(&mut self.norm_buf);
-        self.hybrid
-            .score_batch_with(&self.norm_buf, out, &mut self.ws);
+        self.hybrid.score_batch_normalizing_with(
+            rows,
+            self.normalizer.mean(),
+            self.normalizer.inv_std(),
+            out,
+            &mut self.ws,
+        );
     }
 
     fn name(&self) -> String {
@@ -444,5 +458,27 @@ mod tests {
                 b[i]
             );
         }
+    }
+
+    #[test]
+    fn hybrid_scorer_is_normalize_then_score_bit_for_bit() {
+        let (_, data) = forest();
+        let normalizer = Normalizer::fit(&data).unwrap();
+        let mut mlp = Mlp::from_hidden(10, &[8, 4], 7);
+        // Leave feature 3 unread and neuron 5 dead.
+        let first = &mut mlp.layers_mut()[0];
+        first.weights.row_mut(5).fill(0.0);
+        for j in 0..8 {
+            first.weights.set(j, 3, 0.0);
+        }
+        let hybrid = HybridMlp::from_mlp(&mlp, 0.0);
+        let n = data.num_docs();
+        let mut want = vec![0.0f32; n];
+        hybrid.score_batch(normalizer.normalized(&data).features(), &mut want);
+        let mut scorer = HybridScorer::new(hybrid, normalizer, "hybrid");
+        let mut got = vec![0.0f32; n];
+        scorer.score_batch(data.features(), &mut got);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
     }
 }

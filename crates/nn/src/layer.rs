@@ -51,7 +51,7 @@ impl Linear {
     /// touch when the second would have come.
     pub fn add_bias_and_activate(&self, z: &mut [f32], n: usize, act: Activation) {
         debug_assert_eq!(z.len(), self.out_features() * n);
-        for (row, &b) in z.chunks_exact_mut(n).zip(&self.bias) {
+        for (row, &b) in z.chunks_exact_mut(n.max(1)).zip(&self.bias) {
             if b != 0.0 {
                 for v in row {
                     *v = act.apply(*v + b);

@@ -14,7 +14,8 @@
 //! * [`HybridMlp`] — first layer pruned to CSR and multiplied with the
 //!   LIBXSMM-style sparse kernel (`dlr-sparse`), the rest dense: the
 //!   paper's winning "hybrid model — first layer sparse, other layers
-//!   dense" (Table 8).
+//!   dense" (Table 8), frozen to the neurons and features pruning left
+//!   alive.
 //!
 //! Batch convention: the public API takes documents as row-major
 //! `n × features` blocks (the way datasets store them); internally

@@ -76,6 +76,51 @@ impl PackedB {
     /// Panics when `b.len() != k * n`.
     pub fn pack_into(&mut self, b: &[f32], k: usize, n: usize) {
         assert_eq!(b.len(), k * n, "B must be k×n");
+        for (dst, src) in self.reset(k, n).zip(b.chunks_exact(n.max(1))) {
+            dst[..n].copy_from_slice(src);
+        }
+    }
+
+    /// Gather, normalize and pack in one pass: column `cols[c]` of the
+    /// row-major `n × row_len` batch `rows` becomes packed row `c`, each
+    /// value written as `(x − shift[j]) · scale[j]` with `j = cols[c]`.
+    /// `shift` and `scale` hold one entry per batch column, so `row_len`
+    /// is their length.
+    ///
+    /// This is a normalize, a transpose to `row_len × n` and
+    /// [`Self::pack_into`] of the rows `cols` selects, without the two
+    /// full-width intermediate copies; columns not in `cols` are never
+    /// read. With `shift = 0` and `scale = 1` it packs the rows as they
+    /// are, bit for bit (`(x − 0) · 1 = x` for every `x`, −0 and NaN
+    /// included). Reuses the allocation as `pack_into` does.
+    ///
+    /// # Panics
+    /// Panics when `shift` and `scale` differ in length, when
+    /// `rows.len() != n · row_len`, or when a column is `>= row_len`.
+    pub fn gather_into(
+        &mut self,
+        rows: &[f32],
+        n: usize,
+        cols: &[u32],
+        shift: &[f32],
+        scale: &[f32],
+    ) {
+        let row_len = shift.len();
+        assert_eq!(scale.len(), row_len, "one shift and one scale per column");
+        assert_eq!(rows.len(), n * row_len, "rows must be n × row_len");
+        for (dst, &j) in self.reset(cols.len(), n).zip(cols) {
+            let j = j as usize;
+            let (s, sc) = (shift[j], scale[j]);
+            for (lane, row) in dst.iter_mut().zip(rows.chunks_exact(row_len)) {
+                *lane = (row[j] - s) * sc;
+            }
+        }
+    }
+
+    /// Shape the buffer for a `k × n` operand, every lane zero, and hand
+    /// out its `k` packed rows (each `N_b · n_b` floats, the padding lanes
+    /// last).
+    fn reset(&mut self, k: usize, n: usize) -> std::slice::ChunksExactMut<'_, f32> {
         let blocks = n.div_ceil(SIMD_WIDTH).max(1);
         self.k = k;
         self.n = n;
@@ -88,11 +133,8 @@ impl PackedB {
         // least 4-byte aligned, so the byte gap is divisible by 4).
         let base = self.data.as_ptr() as usize;
         self.offset = (base.wrapping_neg() % 64) / 4;
-        for row in 0..k {
-            let src = &b[row * n..(row + 1) * n];
-            let start = self.offset + row * blocks * SIMD_WIDTH;
-            self.data[start..start + n].copy_from_slice(src);
-        }
+        let width = blocks * SIMD_WIDTH;
+        self.data[self.offset..self.offset + k * width].chunks_exact_mut(width)
     }
 
     /// The packed `k × N_b × n_b` floats, starting 64-byte aligned.
@@ -394,6 +436,88 @@ mod tests {
         // floats at different 64-byte offsets.
         assert_eq!(p.packed(), fresh.packed());
         assert_eq!((p.k(), p.n(), p.blocks()), (4, 5, 1));
+    }
+
+    /// Columns `cols` of the row-major `n × f` batch, normalized, as the
+    /// feature-major `cols.len() × n` operand `pack_into` takes.
+    fn normalized_columns(
+        rows: &[f32],
+        n: usize,
+        cols: &[u32],
+        shift: &[f32],
+        scale: &[f32],
+    ) -> Vec<f32> {
+        let f = shift.len();
+        cols.iter()
+            .flat_map(|&j| {
+                let j = j as usize;
+                (0..n).map(move |d| (rows[d * f + j] - shift[j]) * scale[j])
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn gather_matches_normalize_transpose_and_pack() {
+        let (n, f) = (11, 7);
+        let mut rows = Matrix::random(n, f, 3.0, 5).into_vec();
+        rows[3] = -0.0;
+        rows[f + 2] = f32::NAN;
+        let cols = [0u32, 2, 3, 6];
+        let shift: Vec<f32> = (0..f).map(|j| j as f32 * 0.25 - 0.5).collect();
+        let scale: Vec<f32> = (0..f).map(|j| 1.0 / (j as f32 + 1.5)).collect();
+        let mut gathered = PackedB::default();
+        gathered.gather_into(&rows, n, &cols, &shift, &scale);
+        let want = PackedB::pack(&normalized_columns(&rows, n, &cols, &shift, &scale), 4, n);
+        assert_eq!(bits(gathered.packed()), bits(want.packed()));
+        assert_eq!((gathered.k(), gathered.n(), gathered.blocks()), (4, n, 2));
+
+        // The identity packs the raw values bit for bit, −0 and NaN too.
+        let (zeros, ones) = (vec![0.0; f], vec![1.0; f]);
+        gathered.gather_into(&rows, n, &cols, &zeros, &ones);
+        let raw = PackedB::pack(&normalized_columns(&rows, n, &cols, &zeros, &ones), 4, n);
+        assert_eq!(bits(gathered.packed()), bits(raw.packed()));
+        let lanes = gathered.packed();
+        assert_eq!(lanes[2 * 16].to_bits(), (-0.0f32).to_bits());
+        assert!(lanes[16 + 1].is_nan());
+    }
+
+    #[test]
+    fn gather_into_reuses_allocation_and_matches_fresh_gather() {
+        let (zeros, ones) = (vec![0.0; 9], vec![1.0; 9]);
+        let big = Matrix::random(20, 9, 1.0, 3).into_vec();
+        let mut p = PackedB::default();
+        p.gather_into(&big, 20, &[0, 1, 4, 5, 8], &zeros, &ones);
+        let cap = p.data.capacity();
+        let small = Matrix::random(6, 9, 1.0, 4).into_vec();
+        p.gather_into(&small, 6, &[1, 8], &zeros, &ones);
+        assert_eq!(p.data.capacity(), cap);
+        let mut fresh = PackedB::default();
+        fresh.gather_into(&small, 6, &[1, 8], &zeros, &ones);
+        // Stale lanes of the larger fill are zero again.
+        assert_eq!(p.packed(), fresh.packed());
+        assert_eq!((p.k(), p.n(), p.blocks()), (2, 6, 1));
+    }
+
+    #[test]
+    fn gather_handles_empty_batches_and_empty_column_sets() {
+        let (zeros, ones) = (vec![0.0; 3], vec![1.0; 3]);
+        let mut p = PackedB::default();
+        p.gather_into(&[], 0, &[0, 2], &zeros, &ones);
+        assert_eq!((p.k(), p.n()), (2, 0));
+        assert!(p.packed().iter().all(|&v| v == 0.0));
+        p.gather_into(&[1.0; 6], 2, &[], &zeros, &ones);
+        assert_eq!((p.k(), p.n()), (0, 2));
+        assert!(p.packed().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "rows must be n × row_len")]
+    fn gather_checks_the_batch_shape() {
+        PackedB::default().gather_into(&[0.0; 5], 2, &[0], &[0.0; 3], &[1.0; 3]);
     }
 
     #[test]
