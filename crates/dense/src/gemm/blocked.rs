@@ -23,8 +23,9 @@
 //! The micro-kernels are `dlr-simd`'s register tiles: 6×16
 //! ([`dlr_simd::gemm::micro_kernel_6x16`]) for full 16-column B strips and
 //! 12×8 ([`dlr_simd::gemm::micro_kernel_12x8`], two 6-row A strips) for a
-//! panel's last strip of at most 8 columns, which is packed 8 wide — so a
-//! 4-document batch computes 8 columns, not 16. Each has hand-written
+//! panel's last strip of at most 8 columns, which is packed 8 wide; on
+//! AVX2 a strip of 1–6 columns multiplies only those, so a 4-document
+//! batch computes 4 columns, not 16. Each has hand-written
 //! AVX2+FMA and SSE2 `std::arch` paths behind a safe wrapper,
 //! runtime-dispatched per macro-kernel call with a portable scalar
 //! fallback — the role the JIT-generated kernels play in oneDNN/BLIS.

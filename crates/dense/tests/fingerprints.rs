@@ -12,12 +12,14 @@
 //! change to tile shape, packing or loop order that keeps the contract
 //! leaves every value here unchanged. Scalar and SSE2 are bit-identical
 //! to each other by that contract; AVX2 fuses the multiply-add and has its
-//! own value. The expected values were taken on the 8×8-tile GEMM before
-//! the tile was reshaped.
+//! own value. The expected values were taken on the GEMM whose 12×8 tile
+//! ran all 8 lanes at every strip width, before its AVX2 path gained the
+//! body that computes only a narrow strip's columns.
 //!
 //! The grid straddles every edge the blocking has: rows around the tile
 //! heights, reductions at and past `k_c` = 256, columns around the tile
-//! widths and the serving batch sizes.
+//! widths and the serving batch sizes — every narrow-strip width 1–7, as a
+//! whole batch and as the remainder of 17 and 21.
 
 use dlr_dense::{
     gemm_rows_with, gemm_with, gemm_with_prepacked_a, GemmWorkspace, GotoParams, Matrix,
@@ -27,13 +29,13 @@ use dlr_simd::Isa;
 
 const MS: [usize; 9] = [1, 6, 7, 12, 13, 50, 100, 200, 400];
 const KS: [usize; 5] = [1, 136, 256, 257, 400];
-const NS: [usize; 8] = [1, 4, 8, 9, 16, 17, 64, 256];
+const NS: [usize; 14] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 21, 64, 256];
 
 /// Golden fingerprint per ISA (scalar and SSE2 share one by contract).
 const GOLDEN: [(Isa, u64); 3] = [
-    (Isa::Scalar, 0x147d_5d88_98b7_c4a3),
-    (Isa::Sse2, 0x147d_5d88_98b7_c4a3),
-    (Isa::Avx2, 0x6d33_aa22_a1ec_1dcc),
+    (Isa::Scalar, 0x57ae_cb33_c743_8ed0),
+    (Isa::Sse2, 0x57ae_cb33_c743_8ed0),
+    (Isa::Avx2, 0x10b8_27cb_b5f0_6dd7),
 ];
 
 /// FNV-1a over `f32` bit patterns.

@@ -8,7 +8,8 @@
 //! Each reduction step broadcasts one A element against the B vectors of
 //! its row — on AVX2 one `vfmadd231ps` per 8 lanes, the oneDNN inner loop.
 //!
-//! Three tiles share one body per ISA, with the shape as const parameters:
+//! Three tiles share one body per ISA, with the shape as const parameters
+//! (AVX2 adds a second body for the 12×8 tile over at most 6 columns):
 //!
 //! * [`micro_kernel_6x16`] — a full B strip: 6 rows × two 8-lane vectors,
 //!   12 accumulators. Per reduction step 2 B loads and 6 broadcasts feed
@@ -16,19 +17,23 @@
 //!   cover their latency. The 8×8 tile has 8 chains and needs 9 loads per
 //!   8 FMAs: the load ports, not the FMA ports, bound it.
 //! * [`micro_kernel_12x8`] — a narrow B strip (≤ 8 columns): two
-//!   consecutive A strips against one vector, again 12 accumulators. A
-//!   4-document batch computes 8 columns, no more than the 8×8 tile did.
+//!   consecutive A strips against one vector, again 12 accumulators. On
+//!   AVX2 a strip of 1–6 columns takes a second body with rows as lanes:
+//!   each A strip is one vector per step, each real B column a broadcast,
+//!   `2·cols` FMAs per step instead of 12. A 4-document batch computes 4
+//!   columns, not 8. At 7 columns that body would need 17 ymm registers
+//!   and 14 FMAs, so 7 and 8 keep the 12-accumulator body.
 //! * [`micro_kernel_8x8`] — the original 8×8 tile over 8-row strips. No
 //!   product path runs it; the benchmark times it (`simd.gemm_tile_ns`).
 //!
 //! Numeric contract: every tile accumulates each element as one
 //! multiply-add per reduction step from zero, then adds the tile to C, so
-//! the tile shape never changes a bit of the output. The scalar and SSE2
-//! paths perform the same multiply-then-add per lane in the same order and
-//! are **bit-identical**. The AVX2 path fuses the multiply-add (single
-//! rounding per step), so its output differs from scalar by at most `kcb`
-//! half-ULP steps per element — the documented ULP policy (see the crate
-//! docs).
+//! neither the tile shape nor the body that runs it changes a bit of the
+//! output. The scalar and SSE2 paths perform the same multiply-then-add
+//! per lane in the same order and are **bit-identical**. The AVX2 path
+//! fuses the multiply-add (single rounding per step), so its output
+//! differs from scalar by at most `kcb` half-ULP steps per element — the
+//! documented ULP policy (see the crate docs).
 
 use crate::dispatch::{supported, Isa};
 use crate::LANES;
@@ -73,8 +78,9 @@ pub fn micro_kernel_6x16(
 ///
 /// `astrips` is two consecutive packed [`MR`]-row strips (`kcb·12`
 /// elements: rows 0–5, then rows 6–11), `bstrip` one narrow packed
-/// [`NR_NARROW`]-column strip (`kcb·8`). Otherwise as
-/// [`micro_kernel_6x16`].
+/// [`NR_NARROW`]-column strip (`kcb·8`). On AVX2, `cols ≤ 6` runs a body
+/// that multiplies only those columns, with the same output bits.
+/// Otherwise as [`micro_kernel_6x16`].
 ///
 /// # Panics
 /// Panics when the strips are shorter than `kcb` steps, the tile exceeds
@@ -236,6 +242,7 @@ mod x86 {
     //! dispatch wrapper above (enforced by dlr-lint's
     //! `SIMD_TARGET_FEATURE` rule).
 
+    use super::MR;
     use crate::LANES;
     use core::arch::x86_64::*;
 
@@ -299,7 +306,85 @@ mod x86 {
         }
     }
 
-    /// Dispatch-table entry for the AVX2 tile.
+    /// Widest strip [`narrow_avx2_impl`] takes. Up to 6 columns its `2N`
+    /// accumulators, two A vectors and a broadcast fit the 16 ymm
+    /// registers, and it issues no more FMAs than the 12 of
+    /// [`tile_avx2_impl`]; at 7 one accumulator would round-trip through
+    /// the stack every step and 14 FMAs would do the work of 12.
+    const NARROW_MAX_COLS: usize = 6;
+
+    /// AVX2+FMA `12 × N` tile for a narrow strip of `N ≤ 6` columns, with
+    /// rows as lanes: each 6-row A strip is loaded as one vector per
+    /// reduction step (lanes 6–7 hold the next step's first rows and never
+    /// reach C), each of the `N` B columns is broadcast, and the `2N`
+    /// accumulators (column, strip) take one FMA each per step — `2N`
+    /// FMAs where [`tile_avx2_impl`] spends 12 at any width. Every lane is
+    /// the same fused multiply-add chain from zero as there, so the
+    /// output bits are the same.
+    ///
+    /// # Safety
+    /// Same contract as [`tile_avx2_impl`] with `R = 12`, `V = 1`,
+    /// `H = 6` and `cols = N`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn narrow_avx2_impl<const N: usize>(
+        a: *const f32,
+        b: *const f32,
+        kcb: usize,
+        c: *mut f32,
+        ldc: usize,
+        rows: usize,
+    ) {
+        let strips = [a, a.wrapping_add(MR * kcb)];
+        let mut acc = [[_mm256_setzero_ps(); 2]; N];
+        // Every step but the last reads its own 6 floats of a strip and
+        // the next step's first 2, still inside the strip.
+        for p in 0..kcb.saturating_sub(1) {
+            let av = strips.map(|s| _mm256_loadu_ps(s.add(p * MR)));
+            narrow_step(&mut acc, av, b.add(p * LANES));
+        }
+        if kcb > 0 {
+            // The last step masks lanes 6–7 off: nothing past a strip is
+            // read.
+            let p = kcb - 1;
+            let keep = _mm256_setr_epi32(-1, -1, -1, -1, -1, -1, 0, 0);
+            let av = strips.map(|s| _mm256_maskload_ps(s.add(p * MR), keep));
+            narrow_step(&mut acc, av, b.add(p * LANES));
+        }
+        let mut spill = [0.0f32; LANES];
+        for (j, pair) in acc.iter().enumerate() {
+            for (s, &v) in pair.iter().enumerate() {
+                _mm256_storeu_ps(spill.as_mut_ptr(), v);
+                let strip_rows = rows.saturating_sub(s * MR).min(MR);
+                for (i, &x) in spill.iter().enumerate().take(strip_rows) {
+                    *c.add((s * MR + i) * ldc + j) += x;
+                }
+            }
+        }
+    }
+
+    /// One reduction step of [`narrow_avx2_impl`]: broadcast each of the
+    /// `N` B elements at `b` against both A strip vectors.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2 and FMA are available and `b` is readable
+    /// for `N` floats.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn narrow_step<const N: usize>(
+        acc: &mut [[__m256; 2]; N],
+        av: [__m256; 2],
+        b: *const f32,
+    ) {
+        for (j, pair) in acc.iter_mut().enumerate() {
+            let bj = _mm256_broadcast_ss(&*b.add(j));
+            pair[0] = _mm256_fmadd_ps(av[0], bj, pair[0]);
+            pair[1] = _mm256_fmadd_ps(av[1], bj, pair[1]);
+        }
+    }
+
+    /// Dispatch-table entry for the AVX2 tile: a 12×8 tile over at most
+    /// [`NARROW_MAX_COLS`] columns takes [`narrow_avx2_impl`] at its width,
+    /// every other tile [`tile_avx2_impl`].
     ///
     /// # Safety
     /// Same contract as [`tile_avx2_impl`].
@@ -314,8 +399,23 @@ mod x86 {
         cols: usize,
     ) {
         // SAFETY: forwarded verbatim; the caller upholds the target
-        // feature and pointer-validity contract.
-        unsafe { tile_avx2_impl::<R, V, H>(a, b, kcb, c, ldc, rows, cols) }
+        // feature and pointer-validity contract, and a narrow body reads
+        // the same `kcb·12` A and `cols` of each `kcb·8` B floats.
+        unsafe {
+            if (R, V, H) != (2 * MR, 1, MR) || cols > NARROW_MAX_COLS {
+                tile_avx2_impl::<R, V, H>(a, b, kcb, c, ldc, rows, cols)
+            } else {
+                // `cols` is 1..=NARROW_MAX_COLS here (`tile` returns on 0).
+                match cols {
+                    1 => narrow_avx2_impl::<1>(a, b, kcb, c, ldc, rows),
+                    2 => narrow_avx2_impl::<2>(a, b, kcb, c, ldc, rows),
+                    3 => narrow_avx2_impl::<3>(a, b, kcb, c, ldc, rows),
+                    4 => narrow_avx2_impl::<4>(a, b, kcb, c, ldc, rows),
+                    5 => narrow_avx2_impl::<5>(a, b, kcb, c, ldc, rows),
+                    _ => narrow_avx2_impl::<6>(a, b, kcb, c, ldc, rows),
+                }
+            }
+        }
     }
 
     /// SSE2 `RS × 8` sub-tile over one A strip: `2·RS` xmm accumulators
@@ -461,7 +561,7 @@ mod tests {
             return;
         }
         for (tr, tc, kernel) in TILES {
-            for kcb in [0usize, 1, 3, 8, 57] {
+            for kcb in [0usize, 1, 3, 8, 57, 257] {
                 for rows in 1..=tr {
                     for cols in 1..=tc {
                         assert_eq!(
@@ -480,15 +580,21 @@ mod tests {
         if !dispatch::supported(Isa::Avx2) {
             return;
         }
+        // Every clipped shape of every tile: a 12×8 tile over at most 6
+        // columns runs the narrow body, over 7 or 8 the full one.
         for (tr, tc, kernel) in TILES {
-            for kcb in [1usize, 4, 33, 128] {
-                for (rows, cols) in [(tr, tc), (2, tc), (tr, 3), (tr - 1, tc - 1), (5, 9)] {
-                    let cols = cols.min(tc);
-                    let s = run(kernel, (tr, tc), Isa::Scalar, kcb, rows, cols);
-                    let v = run(kernel, (tr, tc), Isa::Avx2, kcb, rows, cols);
-                    for (a, b) in s.iter().zip(&v) {
-                        let tol = kcb as f32 * f32::EPSILON * 16.0 * a.abs().max(1.0);
-                        assert!((a - b).abs() <= tol, "{tr}x{tc} kcb={kcb}: {a} vs {b}");
+            for kcb in [0usize, 1, 3, 4, 33, 57, 128, 257] {
+                for rows in 1..=tr {
+                    for cols in 1..=tc {
+                        let s = run(kernel, (tr, tc), Isa::Scalar, kcb, rows, cols);
+                        let v = run(kernel, (tr, tc), Isa::Avx2, kcb, rows, cols);
+                        for (a, b) in s.iter().zip(&v) {
+                            let tol = kcb as f32 * f32::EPSILON * 16.0 * a.abs().max(1.0);
+                            assert!(
+                                (a - b).abs() <= tol,
+                                "{tr}x{tc} kcb={kcb} rows={rows} cols={cols}: {a} vs {b}"
+                            );
+                        }
                     }
                 }
             }
@@ -498,7 +604,8 @@ mod tests {
     #[test]
     fn every_tile_computes_each_element_alike() {
         // The same element through every tile shape reads the same bits:
-        // the shape never changes the reduction chain.
+        // neither the shape nor the body a 12×8 tile takes at its width
+        // changes the reduction chain.
         let kcb = 37;
         let a_rows: Vec<f32> = (0..12 * kcb)
             .map(|i| ((i * 29) % 31) as f32 / 7.0 - 2.0)
@@ -513,47 +620,55 @@ mod tests {
                 .map(|(p, r)| a_rows[(r0 + r) * kcb + p])
                 .collect()
         };
-        let bpack = |w: usize| -> Vec<f32> {
+        // Pack the first `w` columns of B into a strip `width` wide, zero
+        // past `w`, as `dlr-dense` packs a panel's last strip.
+        let bpack = |w: usize, width: usize| -> Vec<f32> {
             (0..kcb)
-                .flat_map(|p| (0..w).map(move |j| (p, j)))
-                .map(|(p, j)| b_cols[j * kcb + p])
+                .flat_map(|p| (0..width).map(move |j| (p, j)))
+                .map(|(p, j)| if j < w { b_cols[j * kcb + p] } else { 0.0 })
                 .collect()
         };
+        let pair = [strip(0, 6), strip(6, 6)].concat();
+        let padded = [strip(0, 6), vec![0.0; 6 * kcb]].concat();
+        // C starts dirty, so an element written that should not be shows.
+        let dirty = 1.0f32;
         for isa in Isa::ALL.into_iter().filter(|&i| dispatch::supported(i)) {
-            let mut full = vec![0.0f32; 6 * 16];
-            micro_kernel_6x16(
-                isa,
-                &strip(0, 6),
-                &bpack(16),
-                kcb,
-                &mut full,
-                16,
-                0,
-                0,
-                6,
-                16,
-            );
-            let mut narrow = vec![0.0f32; 12 * 8];
-            let pair = [strip(0, 6), strip(6, 6)].concat();
-            micro_kernel_12x8(isa, &pair, &bpack(8), kcb, &mut narrow, 8, 0, 0, 12, 8);
-            let mut square = vec![0.0f32; 8 * 8];
-            micro_kernel_8x8(
-                isa,
-                &strip(0, 8),
-                &bpack(8),
-                kcb,
-                &mut square,
-                8,
-                0,
-                0,
-                8,
-                8,
-            );
-            for i in 0..6 {
+            // The reference: rows 0–5 and 6–11 as two 6×16 tiles.
+            let mut full = vec![dirty; 12 * 16];
+            for r0 in [0, 6] {
+                let a = strip(r0, 6);
+                micro_kernel_6x16(isa, &a, &bpack(16, 16), kcb, &mut full, 16, r0, 0, 6, 16);
+            }
+            let mut square = vec![dirty; 8 * 8];
+            let a = strip(0, 8);
+            micro_kernel_8x8(isa, &a, &bpack(8, 8), kcb, &mut square, 8, 0, 0, 8, 8);
+            for i in 0..8 {
                 for j in 0..8 {
                     let f = full[i * 16 + j].to_bits();
-                    assert_eq!(f, narrow[i * 8 + j].to_bits(), "{isa} ({i},{j}) 12x8");
                     assert_eq!(f, square[i * 8 + j].to_bits(), "{isa} ({i},{j}) 8x8");
+                }
+            }
+            for cols in 1..=8 {
+                // All 12 rows over a full strip pair, and 5 rows over a
+                // pair whose second strip is the zero pad.
+                for (a, rows) in [(&pair, 12), (&padded, 5)] {
+                    let mut narrow = vec![dirty; 12 * 8];
+                    let b = bpack(cols, 8);
+                    micro_kernel_12x8(isa, a, &b, kcb, &mut narrow, 8, 0, 0, rows, cols);
+                    for i in 0..12 {
+                        for j in 0..8 {
+                            let want = if i < rows && j < cols {
+                                full[i * 16 + j]
+                            } else {
+                                dirty
+                            };
+                            assert_eq!(
+                                want.to_bits(),
+                                narrow[i * 8 + j].to_bits(),
+                                "{isa} ({i},{j}) 12x8 rows={rows} cols={cols}"
+                            );
+                        }
+                    }
                 }
             }
         }

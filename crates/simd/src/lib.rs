@@ -22,9 +22,11 @@
 //!   12×8 for a strip of at most 8 columns, 12 accumulators each
 //!   ([`gemm::micro_kernel_8x8`], the former tile, is kept for the
 //!   benchmark). Paths: scalar, SSE2, AVX2+FMA, one body per path with the
-//!   shape as const parameters. The AVX2 path uses FMA, so its results
-//!   differ from scalar by bounded rounding (see the ULP policy below);
-//!   the SSE2 path is mul-then-add and bit-identical to scalar.
+//!   shape as const parameters, plus an AVX2 body for a 12×8 tile over
+//!   1–6 columns that broadcasts only those columns against the A strips
+//!   (`2·cols` FMAs per step, not 12). The AVX2 paths use FMA, so their
+//!   results differ from scalar by bounded rounding (see the ULP policy
+//!   below); the SSE2 path is mul-then-add and bit-identical to scalar.
 //! * [`sdmm::row_kernel`] — the LIBXSMM sparse-row kernel: broadcast one
 //!   non-zero, multiply-add against packed B rows. Paths: scalar, AVX2.
 //!   Both use separate multiply and add (never FMA) in the same per-lane
