@@ -1,19 +1,24 @@
 //! Deterministic fault injection for serving-path tests.
 //!
-//! [`FaultInjectingScorer`] wraps any [`DocumentScorer`] and injects the
-//! failure modes a production reranker actually sees — latency spikes,
-//! NaN scores, panics, and short writes — on a deterministic schedule, so
-//! the integration suite can prove that [`crate::serve::RobustScorer`]
+//! Faults enter from outside the serving stack, through the seams it
+//! already has. [`FaultInjectingScorer`] wraps any [`DocumentScorer`] and
+//! injects the failure modes a production reranker actually sees —
+//! latency spikes, NaN scores, panics, and short writes — so the
+//! integration suite can prove that [`crate::serve::RobustScorer`]
 //! survives each one and that its [`crate::serve::ServeStats`] counters
-//! match the injected fault counts exactly.
+//! match the injected fault counts exactly. The [`ServerFault`]s —
+//! stalls, batch panics, deadline storms and trace pressure — are the
+//! same idea one level up: `dlr-serve`'s `FaultInjectingEngine` applies
+//! them around any batch engine, so the server's dispatcher runs only
+//! what production runs. [`corrupt_artifact`] damages a model file
+//! before it is loaded.
 //!
-//! Faults come either from an explicit per-batch schedule
-//! ([`FaultInjectingScorer::with_schedule`], cycled) or from a seeded
-//! generator ([`FaultInjectingScorer::seeded`]) that draws one fault per
-//! batch from configured probabilities. Both are reproducible: the same
-//! schedule or seed yields the same fault sequence for the same batch
-//! order. Injected counts are tracked in shared [`FaultCounters`] readable
-//! after the scorer has been moved into a wrapper.
+//! Both wrappers draw one fault per batch from a [`FaultPlan`]: an
+//! explicit per-batch script, or a seeded generator that draws from
+//! configured probabilities. Both are reproducible: the same script or
+//! seed yields the same fault sequence for the same batch order.
+//! Injected counts are tracked in shared counters readable after the
+//! wrapper has been moved into a server or a robust scorer.
 
 use crate::scoring::DocumentScorer;
 use rand::rngs::StdRng;
@@ -22,10 +27,76 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Which fault each batch gets, advanced once per batch.
+pub struct FaultPlan<F> {
+    pick: Box<dyn FnMut(usize) -> F + Send>,
+    batch: usize,
+}
+
+impl<F: Copy + Default + Send + 'static> FaultPlan<F> {
+    /// A finite script: batch `i` gets `script[i]`, and every batch past
+    /// its end the clean default — so a test can poison exactly batch `k`.
+    pub fn script(script: Vec<F>) -> FaultPlan<F> {
+        FaultPlan::from_fn(move |i| script.get(i).copied().unwrap_or_default())
+    }
+
+    /// A script cycled over the batches; an empty one injects nothing.
+    pub fn cycled(script: Vec<F>) -> FaultPlan<F> {
+        FaultPlan::from_fn(move |i| match script.len() {
+            0 => F::default(),
+            n => script[i % n],
+        })
+    }
+
+    /// A seeded draw: each batch gets `draw(u)` for the next uniform
+    /// `u ∈ [0, 1)` of a generator seeded with `seed`.
+    pub fn seeded(seed: u64, draw: impl Fn(f64) -> F + Send + 'static) -> FaultPlan<F> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        FaultPlan::from_fn(move |_| draw(rng.random()))
+    }
+
+    fn from_fn(pick: impl FnMut(usize) -> F + Send + 'static) -> FaultPlan<F> {
+        FaultPlan {
+            pick: Box::new(pick),
+            batch: 0,
+        }
+    }
+
+    /// The next batch's fault.
+    pub fn next_fault(&mut self) -> F {
+        let fault = (self.pick)(self.batch);
+        self.batch += 1;
+        fault
+    }
+}
+
+/// Panics unless `probabilities` sum to at most 1.
+fn check_odds(probabilities: &[f64]) {
+    let total: f64 = probabilities.iter().sum();
+    assert!(
+        (0.0..=1.0).contains(&total),
+        "fault probabilities must sum to at most 1, got {total}"
+    );
+}
+
+/// The fault of the first bucket whose cumulative probability exceeds
+/// `u`, or the clean default when `u` falls past them all.
+fn pick<F: Copy + Default>(u: f64, buckets: &[(f64, F)]) -> F {
+    let mut edge = 0.0;
+    for &(p, fault) in buckets {
+        edge += p;
+        if u < edge {
+            return fault;
+        }
+    }
+    F::default()
+}
+
 /// One injected failure mode.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum Fault {
     /// Score normally.
+    #[default]
     None,
     /// Score normally, then stall for the given duration.
     LatencySpike(Duration),
@@ -108,20 +179,28 @@ impl Default for FaultConfig {
     }
 }
 
-/// How the per-batch fault is chosen.
-enum Plan {
-    /// Explicit schedule, cycled by batch index.
-    Schedule(Vec<Fault>),
-    /// Seeded draw per batch.
-    Random(Box<StdRng>, FaultConfig),
+impl FaultConfig {
+    /// The seeded plan these probabilities describe.
+    ///
+    /// # Panics
+    /// Panics when the probabilities sum above 1.
+    pub fn plan(self, seed: u64) -> FaultPlan<Fault> {
+        check_odds(&[self.p_spike, self.p_nan, self.p_panic, self.p_short]);
+        let buckets = [
+            (self.p_spike, Fault::LatencySpike(self.spike)),
+            (self.p_nan, Fault::NanOutputs { count: 1 }),
+            (self.p_panic, Fault::Panic),
+            (self.p_short, Fault::ShortWrite { missing: 1 }),
+        ];
+        FaultPlan::seeded(seed, move |u| pick(u, &buckets))
+    }
 }
 
 /// A [`DocumentScorer`] wrapper that misbehaves on purpose.
 pub struct FaultInjectingScorer<S> {
     /// The well-behaved scorer underneath.
     pub inner: S,
-    plan: Plan,
-    batch_idx: usize,
+    plan: FaultPlan<Fault>,
     counters: Arc<FaultCounters>,
 }
 
@@ -131,24 +210,20 @@ impl<S: DocumentScorer> FaultInjectingScorer<S> {
     pub fn with_schedule(inner: S, schedule: Vec<Fault>) -> FaultInjectingScorer<S> {
         FaultInjectingScorer {
             inner,
-            plan: Plan::Schedule(schedule),
-            batch_idx: 0,
+            plan: FaultPlan::cycled(schedule),
             counters: Arc::new(FaultCounters::default()),
         }
     }
 
     /// Inject faults drawn per batch from `config`'s probabilities using a
     /// seeded generator — deterministic for a fixed seed and batch order.
+    ///
+    /// # Panics
+    /// Panics when the probabilities sum above 1.
     pub fn seeded(inner: S, seed: u64, config: FaultConfig) -> FaultInjectingScorer<S> {
-        let total = config.p_spike + config.p_nan + config.p_panic + config.p_short;
-        assert!(
-            (0.0..=1.0).contains(&total),
-            "fault probabilities must sum to at most 1, got {total}"
-        );
         FaultInjectingScorer {
             inner,
-            plan: Plan::Random(Box::new(StdRng::seed_from_u64(seed)), config),
-            batch_idx: 0,
+            plan: config.plan(seed),
             counters: Arc::new(FaultCounters::default()),
         }
     }
@@ -157,35 +232,6 @@ impl<S: DocumentScorer> FaultInjectingScorer<S> {
     /// scorer moves into a wrapper.
     pub fn counters(&self) -> Arc<FaultCounters> {
         Arc::clone(&self.counters)
-    }
-
-    /// Which fault the next batch will get (advances the plan).
-    fn next_fault(&mut self) -> Fault {
-        let fault = match &mut self.plan {
-            Plan::Schedule(s) => {
-                if s.is_empty() {
-                    Fault::None
-                } else {
-                    s[self.batch_idx % s.len()]
-                }
-            }
-            Plan::Random(rng, cfg) => {
-                let u: f64 = rng.random();
-                if u < cfg.p_spike {
-                    Fault::LatencySpike(cfg.spike)
-                } else if u < cfg.p_spike + cfg.p_nan {
-                    Fault::NanOutputs { count: 1 }
-                } else if u < cfg.p_spike + cfg.p_nan + cfg.p_panic {
-                    Fault::Panic
-                } else if u < cfg.p_spike + cfg.p_nan + cfg.p_panic + cfg.p_short {
-                    Fault::ShortWrite { missing: 1 }
-                } else {
-                    Fault::None
-                }
-            }
-        };
-        self.batch_idx += 1;
-        fault
     }
 }
 
@@ -196,7 +242,7 @@ impl<S: DocumentScorer> DocumentScorer for FaultInjectingScorer<S> {
 
     fn score_batch(&mut self, rows: &[f32], out: &mut [f32]) {
         let nf = self.inner.num_features();
-        match self.next_fault() {
+        match self.plan.next_fault() {
             Fault::None => {
                 self.counters.clean.fetch_add(1, Ordering::Relaxed);
                 self.inner.score_batch(rows, out);
@@ -214,7 +260,7 @@ impl<S: DocumentScorer> DocumentScorer for FaultInjectingScorer<S> {
             }
             Fault::Panic => {
                 self.counters.panics.fetch_add(1, Ordering::Relaxed);
-                panic!("injected fault: panic at batch {}", self.batch_idx - 1);
+                panic!("injected fault: scorer panic");
             }
             Fault::ShortWrite { missing } => {
                 self.counters.short_writes.fetch_add(1, Ordering::Relaxed);
@@ -239,32 +285,33 @@ impl<S: DocumentScorer> DocumentScorer for FaultInjectingScorer<S> {
 }
 
 /// One injected *server-level* failure mode — the things that go wrong
-/// around the scorer rather than inside it: a stalled dispatcher, a slow
-/// response consumer, a poisoned batch, or a storm of requests whose
-/// deadlines are already hopeless.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// around the model rather than inside it: a batch that stalls the
+/// dispatcher, a poisoned batch, a storm of requests whose deadlines are
+/// already hopeless, or a flood of trace spans. `dlr-serve`'s
+/// `FaultInjectingEngine` applies one per batch before the engine it
+/// wraps scores.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ServerFault {
-    /// Dispatch normally.
+    /// Score normally.
+    #[default]
     None,
-    /// Stall the dispatcher for the given duration after the batch is
-    /// taken from the queue — queued requests age (and may expire).
-    QueueStall(Duration),
-    /// Stall between scoring and response delivery — a slow consumer on
-    /// the response path.
-    SlowConsumer(Duration),
-    /// Panic inside the batch execution scope. A well-built server fails
-    /// only this batch's requests.
+    /// Hold the batch for the given duration before scoring it — the
+    /// dispatcher is busy, so the requests queued behind it age (and
+    /// may expire) and the queue fills.
+    Stall(Duration),
+    /// Panic before scoring. A well-built server fails only this
+    /// batch's requests.
     BatchPanic,
     /// Collapse this batch's propagated deadline budget to zero, as if
     /// every request in it arrived already out of time.
     DeadlineStorm,
     /// Flood the observability trace sink with a burst of synthetic
-    /// spans before this batch executes, forcing its rings to wrap. A
+    /// spans before this batch is scored, forcing its rings to wrap. A
     /// well-built sink overwrites its oldest spans without ever blocking
     /// or reordering the dispatcher, so the batch's own requests are
     /// answered normally and the span accounting still balances.
     TracePressure {
-        /// Synthetic spans to record before the batch executes.
+        /// Synthetic spans to record before the batch is scored.
         spans: u32,
     },
 }
@@ -272,12 +319,10 @@ pub enum ServerFault {
 /// Shared tallies of injected server faults (cloneable handle).
 #[derive(Debug, Default)]
 pub struct ServerFaultCounters {
-    /// Batches dispatched without an injected fault.
+    /// Batches scored without an injected fault.
     pub clean: AtomicU64,
-    /// Injected dispatcher stalls.
-    pub queue_stalls: AtomicU64,
-    /// Injected slow-consumer stalls.
-    pub slow_consumers: AtomicU64,
+    /// Injected stalls.
+    pub stalls: AtomicU64,
     /// Injected batch panics.
     pub batch_panics: AtomicU64,
     /// Injected deadline storms.
@@ -289,26 +334,34 @@ pub struct ServerFaultCounters {
 impl ServerFaultCounters {
     /// Total batches that had any server fault injected.
     pub fn total_faults(&self) -> u64 {
-        self.queue_stalls.load(Ordering::Relaxed)
-            + self.slow_consumers.load(Ordering::Relaxed)
+        self.stalls.load(Ordering::Relaxed)
             + self.batch_panics.load(Ordering::Relaxed)
             + self.deadline_storms.load(Ordering::Relaxed)
             + self.trace_pressure.load(Ordering::Relaxed)
     }
+
+    /// Count one applied fault.
+    pub fn record(&self, fault: ServerFault) {
+        let counter = match fault {
+            ServerFault::None => &self.clean,
+            ServerFault::Stall(_) => &self.stalls,
+            ServerFault::BatchPanic => &self.batch_panics,
+            ServerFault::DeadlineStorm => &self.deadline_storms,
+            ServerFault::TracePressure { .. } => &self.trace_pressure,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// Probabilities for the seeded server-fault generator. Remaining mass
-/// dispatches cleanly; the four probabilities must sum to at most 1.
+/// scores cleanly; the three probabilities must sum to at most 1. Trace
+/// pressure is never drawn — it exists to script sink-wrap tests exactly.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerFaultConfig {
-    /// Probability of a dispatcher stall.
+    /// Probability of a stall.
     pub p_stall: f64,
-    /// Stall duration of an injected dispatcher stall.
+    /// Duration of an injected stall.
     pub stall: Duration,
-    /// Probability of a slow consumer.
-    pub p_slow: f64,
-    /// Stall duration of an injected slow consumer.
-    pub slow: Duration,
     /// Probability of a batch panic.
     pub p_panic: f64,
     /// Probability of a deadline storm.
@@ -318,104 +371,27 @@ pub struct ServerFaultConfig {
 impl Default for ServerFaultConfig {
     fn default() -> ServerFaultConfig {
         ServerFaultConfig {
-            p_stall: 0.03,
+            p_stall: 0.06,
             stall: Duration::from_millis(2),
-            p_slow: 0.03,
-            slow: Duration::from_millis(2),
             p_panic: 0.02,
             p_storm: 0.02,
         }
     }
 }
 
-/// How the per-batch server fault is chosen.
-enum ServerPlan {
-    /// Explicit schedule, indexed by batch (batches past the end of the
-    /// schedule dispatch cleanly — a schedule is a finite script, not a
-    /// cycle, so a test can poison exactly batch `k`).
-    Schedule(Vec<ServerFault>),
-    /// Seeded draw per batch.
-    Random(Box<StdRng>, ServerFaultConfig),
-}
-
-/// A deterministic per-batch plan of [`ServerFault`]s that a serving
-/// front-end consults at dispatch time — the server-level counterpart of
-/// [`FaultInjectingScorer`]. The plan is advanced once per dispatched
-/// batch; injected counts land in shared [`ServerFaultCounters`] readable
-/// after the plan has been moved into the server.
-pub struct ServerFaultPlan {
-    plan: ServerPlan,
-    batch_idx: usize,
-    counters: Arc<ServerFaultCounters>,
-}
-
-impl ServerFaultPlan {
-    /// Inject faults from an explicit per-batch schedule; batches beyond
-    /// the schedule dispatch cleanly.
-    pub fn from_schedule(schedule: Vec<ServerFault>) -> ServerFaultPlan {
-        ServerFaultPlan {
-            plan: ServerPlan::Schedule(schedule),
-            batch_idx: 0,
-            counters: Arc::new(ServerFaultCounters::default()),
-        }
-    }
-
-    /// Inject faults drawn per batch from `config`'s probabilities using
-    /// a seeded generator — deterministic for a fixed seed and batch
-    /// order.
+impl ServerFaultConfig {
+    /// The seeded plan these probabilities describe.
     ///
     /// # Panics
     /// Panics when the probabilities sum above 1.
-    pub fn seeded(seed: u64, config: ServerFaultConfig) -> ServerFaultPlan {
-        let total = config.p_stall + config.p_slow + config.p_panic + config.p_storm;
-        assert!(
-            (0.0..=1.0).contains(&total),
-            "server fault probabilities must sum to at most 1, got {total}"
-        );
-        ServerFaultPlan {
-            plan: ServerPlan::Random(Box::new(StdRng::seed_from_u64(seed)), config),
-            batch_idx: 0,
-            counters: Arc::new(ServerFaultCounters::default()),
-        }
-    }
-
-    /// Handle to the injected-fault tallies; stays readable after the
-    /// plan moves into a server.
-    pub fn counters(&self) -> Arc<ServerFaultCounters> {
-        Arc::clone(&self.counters)
-    }
-
-    /// Which fault the next dispatched batch gets (advances the plan and
-    /// counts the draw).
-    pub fn next_fault(&mut self) -> ServerFault {
-        let fault = match &mut self.plan {
-            ServerPlan::Schedule(s) => s.get(self.batch_idx).copied().unwrap_or(ServerFault::None),
-            ServerPlan::Random(rng, cfg) => {
-                let u: f64 = rng.random();
-                if u < cfg.p_stall {
-                    ServerFault::QueueStall(cfg.stall)
-                } else if u < cfg.p_stall + cfg.p_slow {
-                    ServerFault::SlowConsumer(cfg.slow)
-                } else if u < cfg.p_stall + cfg.p_slow + cfg.p_panic {
-                    ServerFault::BatchPanic
-                } else if u < cfg.p_stall + cfg.p_slow + cfg.p_panic + cfg.p_storm {
-                    ServerFault::DeadlineStorm
-                } else {
-                    ServerFault::None
-                }
-            }
-        };
-        self.batch_idx += 1;
-        let counter = match fault {
-            ServerFault::None => &self.counters.clean,
-            ServerFault::QueueStall(_) => &self.counters.queue_stalls,
-            ServerFault::SlowConsumer(_) => &self.counters.slow_consumers,
-            ServerFault::BatchPanic => &self.counters.batch_panics,
-            ServerFault::DeadlineStorm => &self.counters.deadline_storms,
-            ServerFault::TracePressure { .. } => &self.counters.trace_pressure,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        fault
+    pub fn plan(self, seed: u64) -> FaultPlan<ServerFault> {
+        check_odds(&[self.p_stall, self.p_panic, self.p_storm]);
+        let buckets = [
+            (self.p_stall, ServerFault::Stall(self.stall)),
+            (self.p_panic, ServerFault::BatchPanic),
+            (self.p_storm, ServerFault::DeadlineStorm),
+        ];
+        FaultPlan::seeded(seed, move |u| pick(u, &buckets))
     }
 }
 
@@ -570,62 +546,47 @@ mod tests {
     fn seeded_plan_is_deterministic() {
         let seq = |seed: u64| -> Vec<Fault> {
             let mut f = FaultInjectingScorer::seeded(Sum, seed, FaultConfig::default());
-            (0..50).map(|_| f.next_fault()).collect()
+            (0..50).map(|_| f.plan.next_fault()).collect()
         };
         assert_eq!(seq(9), seq(9));
         assert_ne!(seq(9), seq(10), "different seeds should differ");
     }
 
     #[test]
-    fn server_schedule_is_a_finite_script_with_exact_counts() {
-        let mut p = ServerFaultPlan::from_schedule(vec![
+    fn a_script_is_finite_and_counts_are_exact() {
+        let mut p = FaultPlan::script(vec![
             ServerFault::None,
             ServerFault::BatchPanic,
             ServerFault::DeadlineStorm,
-            ServerFault::QueueStall(Duration::from_millis(1)),
-            ServerFault::SlowConsumer(Duration::from_millis(1)),
+            ServerFault::Stall(Duration::from_millis(1)),
+            ServerFault::TracePressure { spans: 500 },
         ]);
-        let counters = p.counters();
+        let counters = ServerFaultCounters::default();
         let drawn: Vec<ServerFault> = (0..8).map(|_| p.next_fault()).collect();
+        drawn.iter().for_each(|&f| counters.record(f));
         assert_eq!(drawn[1], ServerFault::BatchPanic);
-        assert_eq!(drawn[2], ServerFault::DeadlineStorm);
+        assert_eq!(drawn[4], ServerFault::TracePressure { spans: 500 });
         // Past the end of the script the plan is clean, not cyclic.
         assert_eq!(drawn[5..], [ServerFault::None; 3]);
         assert_eq!(counters.batch_panics.load(Ordering::Relaxed), 1);
         assert_eq!(counters.deadline_storms.load(Ordering::Relaxed), 1);
-        assert_eq!(counters.queue_stalls.load(Ordering::Relaxed), 1);
-        assert_eq!(counters.slow_consumers.load(Ordering::Relaxed), 1);
+        assert_eq!(counters.stalls.load(Ordering::Relaxed), 1);
+        assert_eq!(counters.trace_pressure.load(Ordering::Relaxed), 1);
         assert_eq!(counters.clean.load(Ordering::Relaxed), 4);
         assert_eq!(counters.total_faults(), 4);
     }
 
     #[test]
-    fn trace_pressure_is_schedule_only_and_counted() {
-        let mut p = ServerFaultPlan::from_schedule(vec![
-            ServerFault::TracePressure { spans: 500 },
-            ServerFault::None,
-        ]);
-        let counters = p.counters();
-        assert_eq!(p.next_fault(), ServerFault::TracePressure { spans: 500 });
-        assert_eq!(p.next_fault(), ServerFault::None);
-        assert_eq!(counters.trace_pressure.load(Ordering::Relaxed), 1);
-        assert_eq!(counters.total_faults(), 1);
-        // The seeded generator never draws trace pressure — it exists to
-        // script sink-wrap tests exactly.
-        let mut seeded = ServerFaultPlan::seeded(11, ServerFaultConfig::default());
-        assert!((0..200)
-            .map(|_| seeded.next_fault())
-            .all(|f| !matches!(f, ServerFault::TracePressure { .. })));
-    }
-
-    #[test]
-    fn seeded_server_plan_is_deterministic() {
+    fn seeded_server_plan_is_deterministic_and_never_draws_trace_pressure() {
         let seq = |seed: u64| -> Vec<ServerFault> {
-            let mut p = ServerFaultPlan::seeded(seed, ServerFaultConfig::default());
-            (0..100).map(|_| p.next_fault()).collect()
+            let mut p = ServerFaultConfig::default().plan(seed);
+            (0..200).map(|_| p.next_fault()).collect()
         };
         assert_eq!(seq(3), seq(3));
         assert_ne!(seq(3), seq(4), "different seeds should differ");
+        assert!(seq(11)
+            .iter()
+            .all(|f| !matches!(f, ServerFault::TracePressure { .. })));
     }
 
     #[test]
@@ -636,7 +597,7 @@ mod tests {
             p_panic: 0.6,
             ..Default::default()
         };
-        ServerFaultPlan::seeded(1, cfg);
+        let _ = cfg.plan(1);
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod timing;
 
 pub use fault::{
     corrupt_artifact, ArtifactCorruption, Fault, FaultConfig, FaultCounters, FaultInjectingScorer,
-    ServerFault, ServerFaultConfig, ServerFaultCounters, ServerFaultPlan,
+    FaultPlan, ServerFault, ServerFaultConfig, ServerFaultCounters,
 };
 pub use parallel::{par_bwqs, par_gemm, par_gemm_into, par_spmm};
 pub use pareto::{pareto_frontier, ParetoPoint};

@@ -10,7 +10,7 @@
 
 pub use crate::fault::{
     corrupt_artifact, ArtifactCorruption, Fault, FaultConfig, FaultCounters, FaultInjectingScorer,
-    ServerFault, ServerFaultConfig, ServerFaultCounters, ServerFaultPlan,
+    FaultPlan, ServerFault, ServerFaultConfig, ServerFaultCounters,
 };
 pub use crate::parallel::{par_bwqs, par_gemm, par_gemm_into, par_spmm};
 pub use crate::pareto::{frontier_dominates, pareto_frontier, ParetoPoint};

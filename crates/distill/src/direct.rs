@@ -113,7 +113,6 @@ pub fn train_direct(train: &Dataset, hidden: &[usize], cfg: &DirectConfig) -> Di
                 cfg.epochs,
                 &ResilienceConfig::default(),
                 None,
-                None,
                 &mut |_, _| {},
             )
             .map(|report| report.epoch_loss)

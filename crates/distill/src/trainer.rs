@@ -21,8 +21,8 @@ use dlr_data::{Dataset, FeatureStats, Normalizer};
 use dlr_gbdt::Ensemble;
 use dlr_nn::train::SgdTrainer;
 use dlr_nn::{
-    run_epochs, BatchSource, FaultInjector, LayerMasks, LoopState, Mlp, ResilienceConfig,
-    ResilientReport, StepLr, TrainError,
+    run_epochs, BatchSource, LayerMasks, LoopState, Mlp, ResilienceConfig, ResilientReport, StepLr,
+    TrainError,
 };
 use dlr_quickscorer::VectorizedQuickScorer;
 use std::path::Path;
@@ -201,7 +201,6 @@ impl<'a> DistillSession<'a> {
             range.end,
             &ResilienceConfig::default(),
             None,
-            None,
             &mut |_, _| {},
         )
         .map(|report| report.epoch_loss)
@@ -212,7 +211,6 @@ impl<'a> DistillSession<'a> {
     /// checkpoints in `ckpt_dir` (see [`dlr_nn::run_epochs`]): invoked
     /// again after an interruption it finishes on the bits of an
     /// uninterrupted run, which are the bits [`Self::run_epochs`] produces.
-    /// `injector`, when armed, drives a deterministic fault plan (tests).
     ///
     /// # Errors
     /// See [`dlr_nn::run_epochs`].
@@ -223,7 +221,6 @@ impl<'a> DistillSession<'a> {
         total_epochs: usize,
         res: &ResilienceConfig,
         ckpt_dir: &Path,
-        injector: Option<&mut FaultInjector>,
     ) -> Result<ResilientReport, TrainError> {
         let mut st = self.loop_state(mlp, None, 0);
         run_epochs(
@@ -234,7 +231,6 @@ impl<'a> DistillSession<'a> {
             total_epochs,
             res,
             Some(ckpt_dir),
-            injector,
             &mut |_, _| {},
         )
     }

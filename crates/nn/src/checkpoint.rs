@@ -811,6 +811,31 @@ mod tests {
     }
 
     #[test]
+    fn a_stray_tmp_from_a_torn_save_is_neither_adopted_nor_skipped() {
+        let dir = std::env::temp_dir().join(format!("dlr-ckpt-tmp-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mgr = CheckpointManager::new(&dir, 3).unwrap();
+        let mut ck = sample_checkpoint();
+        ck.epoch = 1;
+        mgr.save(&ck).unwrap();
+        // A crash while saving epoch 2 leaves a torn temporary sibling.
+        ck.epoch = 2;
+        let mut bytes = Vec::new();
+        ck.write_to(&mut bytes).unwrap();
+        let tmp = dir.join("ckpt-00000002.dlrck.tmp");
+        std::fs::write(&tmp, &bytes[..bytes.len() / 2]).unwrap();
+
+        let (found, skipped) = mgr.load_latest_valid().unwrap();
+        assert_eq!(found.unwrap().epoch, 1, "the stray is not a checkpoint");
+        assert!(skipped.is_empty(), "nor a corrupt one");
+        // The retried save of epoch 2 writes through the stray.
+        assert_eq!(mgr.save(&ck).unwrap(), mgr.path_for(2));
+        assert!(!tmp.exists());
+        assert_eq!(mgr.load_latest_valid().unwrap().0, Some(ck));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn trainer_state_restores_into_a_fresh_trainer() {
         let ck = sample_checkpoint();
         let mut restored = SgdTrainer::new(&ck.mlp, 0.0, 0);

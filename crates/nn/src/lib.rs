@@ -26,7 +26,6 @@ pub mod activation;
 pub mod adam;
 pub mod checkpoint;
 pub mod checksum;
-pub mod fault;
 pub mod hybrid;
 pub mod init;
 pub mod layer;
@@ -39,7 +38,6 @@ pub use activation::Activation;
 pub use adam::{Adam, AdamState};
 pub use checkpoint::{Checkpoint, CheckpointError, CheckpointManager, SkippedCheckpoint};
 pub use checksum::crc32;
-pub use fault::{CorruptMode, FaultCounters, FaultInjector, FaultPlan};
 pub use hybrid::HybridMlp;
 pub use layer::Linear;
 pub use mlp::{Mlp, MlpWorkspace};

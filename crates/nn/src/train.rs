@@ -13,7 +13,6 @@
 
 use crate::adam::{Adam, AdamState};
 use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointManager};
-use crate::fault::FaultInjector;
 use crate::mlp::Mlp;
 use crate::scheduler::StepLr;
 use dlr_dense::gemm::blocked::{gemm_trans_with, GemmWorkspace, GotoParams, Trans};
@@ -102,7 +101,8 @@ impl Default for GuardConfig {
 }
 
 /// What the divergence guard caught and did, with exact counts — the
-/// fault-injection suite asserts these match the injected faults.
+/// fault-injection suite asserts these match the NaN batches it feeds
+/// the loop.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GuardStats {
     /// Batches whose loss came back NaN or infinite.
@@ -164,11 +164,6 @@ pub enum TrainError {
         /// The final anomaly.
         anomaly: BatchAnomaly,
     },
-    /// A [`FaultInjector`] crash fault fired (tests and drills only).
-    InjectedCrash {
-        /// Epoch after which the simulated crash hit.
-        epoch: usize,
-    },
     /// Reading or writing a checkpoint failed.
     Checkpoint(CheckpointError),
     /// A checkpoint does not match the current model/optimizer shapes.
@@ -186,9 +181,6 @@ impl std::fmt::Display for TrainError {
                 f,
                 "epoch {epoch} kept diverging after {rollbacks} rollbacks: {anomaly}"
             ),
-            TrainError::InjectedCrash { epoch } => {
-                write!(f, "injected crash after epoch {epoch}")
-            }
             TrainError::Checkpoint(e) => write!(f, "checkpoint error: {e}"),
             TrainError::Incompatible(m) => write!(f, "incompatible checkpoint: {m}"),
         }
@@ -370,9 +362,7 @@ impl SgdTrainer {
     /// [`Self::train_batch`] under a divergence guard: the loss and every
     /// gradient tensor are checked for NaN/infinity before each layer's
     /// update, and per-layer gradients are norm-clipped when
-    /// `guard.max_grad_norm > 0`. `poison` forces a NaN loss (the
-    /// training fault injector's hook — deterministic stand-in for a
-    /// numerical blow-up).
+    /// `guard.max_grad_norm > 0`.
     ///
     /// # Errors
     /// [`BatchAnomaly`] when a non-finite value is detected; the model
@@ -380,7 +370,6 @@ impl SgdTrainer {
     ///
     /// # Panics
     /// Panics on shape mismatches.
-    #[allow(clippy::too_many_arguments)]
     pub fn train_batch_guarded(
         &mut self,
         mlp: &mut Mlp,
@@ -389,7 +378,6 @@ impl SgdTrainer {
         lr: f32,
         masks: Option<&LayerMasks>,
         guard: &GuardConfig,
-        poison: bool,
     ) -> Result<GuardedBatch, BatchAnomaly> {
         self.train_batch_impl(
             mlp,
@@ -398,7 +386,6 @@ impl SgdTrainer {
             lr,
             masks,
             Some(guard),
-            poison,
             |preds, grad| mse_loss_grad(preds, targets, grad),
         )
     }
@@ -424,16 +411,16 @@ impl SgdTrainer {
     where
         F: FnOnce(&[f32], &mut [f32]) -> f64,
     {
-        match self.train_batch_impl(mlp, rows, n, lr, masks, None, false, loss_grad) {
+        match self.train_batch_impl(mlp, rows, n, lr, masks, None, loss_grad) {
             Ok(b) => b.loss,
             Err(_) => unreachable!("anomaly detection is disabled without a guard"),
         }
     }
 
     /// Shared batch engine behind [`Self::train_batch_custom`] and
-    /// [`Self::train_batch_guarded`]. With `guard: None` and
-    /// `poison: false` it is bit-identical to the historical unguarded
-    /// path and never returns `Err`.
+    /// [`Self::train_batch_guarded`]. With `guard: None` it is
+    /// bit-identical to the historical unguarded path and never returns
+    /// `Err`.
     #[allow(clippy::too_many_arguments)]
     fn train_batch_impl<F>(
         &mut self,
@@ -443,7 +430,6 @@ impl SgdTrainer {
         lr: f32,
         masks: Option<&LayerMasks>,
         guard: Option<&GuardConfig>,
-        poison: bool,
         loss_grad: F,
     ) -> Result<GuardedBatch, BatchAnomaly>
     where
@@ -494,14 +480,7 @@ impl SgdTrainer {
         let preds = &self.acts[num_layers - 1];
         debug_assert_eq!(preds.len(), n);
         self.da.resize(n, 0.0);
-        let mut loss = loss_grad(preds, &mut self.da);
-        if poison {
-            // Injected fault: the batch "blew up". The dropout RNG has
-            // already advanced exactly as in a clean batch, so rollback +
-            // replay stays on the uninterrupted trajectory.
-            loss = f64::NAN;
-            self.da.iter_mut().for_each(|g| *g = f32::NAN);
-        }
+        let loss = loss_grad(preds, &mut self.da);
         let mut clipped = false;
         if guard.is_some() {
             if !loss.is_finite() {
@@ -793,9 +772,6 @@ pub struct ResilientReport {
 /// `res.checkpoint_every` epochs and after the last. A checkpoint carries
 /// the whole [`LoopState`], so an interrupted and resumed run ends on the
 /// bits of an uninterrupted one, and checkpointing itself changes none.
-/// An armed `injector` (tests and drills) poisons scheduled batches with
-/// NaN and, at checkpoint boundaries, corrupts the file just written or
-/// stops the run with [`TrainError::InjectedCrash`].
 ///
 /// # Errors
 /// [`TrainError::Diverged`] when one epoch spends `guard.max_rollbacks`
@@ -814,7 +790,6 @@ pub fn run_epochs<S: BatchSource>(
     total_epochs: usize,
     res: &ResilienceConfig,
     ckpt_dir: Option<&Path>,
-    mut injector: Option<&mut FaultInjector>,
     hook: &mut dyn FnMut(&mut LoopState, &mut Mlp),
 ) -> Result<ResilientReport, TrainError> {
     assert_eq!(st.order.len(), source.num_docs(), "order/source mismatch");
@@ -846,7 +821,6 @@ pub fn run_epochs<S: BatchSource>(
     // checkpoint writes. Allocated once, overwritten per epoch.
     let mut boundary = Checkpoint::of(st, mlp);
     let (mut rows, mut targets) = (Vec::new(), Vec::new());
-    let mut global_step = 0u64;
     while st.epoch < total_epochs {
         let epoch = st.epoch;
         let mut attempts = 0u32;
@@ -860,13 +834,9 @@ pub fn run_epochs<S: BatchSource>(
                 rows.clear();
                 targets.clear();
                 source.gather(docs, &mut st.synth_seed, &mut rows, &mut targets);
-                let poison = injector
-                    .as_mut()
-                    .is_some_and(|inj| inj.poison_step(global_step));
-                global_step += 1;
                 match st
                     .trainer
-                    .train_batch_guarded(mlp, &rows, &targets, lr, masks, &res.guard, poison)
+                    .train_batch_guarded(mlp, &rows, &targets, lr, masks, &res.guard)
                 {
                     Ok(b) => {
                         loss_sum += b.loss;
@@ -901,14 +871,7 @@ pub fn run_epochs<S: BatchSource>(
 
         let Some(manager) = &manager else { continue };
         if st.epoch.is_multiple_of(res.checkpoint_every.max(1)) || st.epoch == total_epochs {
-            let path = manager.save(&boundary)?;
-            if let Some(inj) = injector.as_mut() {
-                inj.corrupt_checkpoint(epoch, &path)
-                    .map_err(CheckpointError::from)?;
-                if inj.should_crash_after(epoch) {
-                    return Err(TrainError::InjectedCrash { epoch });
-                }
-            }
+            manager.save(&boundary)?;
         }
     }
     Ok(report)
@@ -918,7 +881,6 @@ pub fn run_epochs<S: BatchSource>(
 mod tests {
     use super::*;
     use crate::activation::Activation;
-    use crate::fault::FaultPlan;
     use crate::layer::Linear;
     use dlr_dense::Matrix;
 
@@ -945,29 +907,70 @@ mod tests {
         }
     }
 
-    /// Drive [`run_epochs`] over a plain `(rows, targets)` source, no
-    /// checkpoints, no hook.
+    /// A source that writes NaN into the first target of the gather
+    /// calls numbered in `at` (0-based, counting the replays after a
+    /// rollback) — a batch that blows up, fed from outside the loop.
+    struct NanAt<S> {
+        inner: S,
+        at: Vec<usize>,
+        calls: usize,
+        written: usize,
+    }
+
+    impl<S: BatchSource> BatchSource for NanAt<S> {
+        fn num_docs(&self) -> usize {
+            self.inner.num_docs()
+        }
+
+        fn docs_per_batch(&self) -> usize {
+            self.inner.docs_per_batch()
+        }
+
+        fn gather(
+            &mut self,
+            docs: &[usize],
+            seed: &mut u64,
+            rows: &mut Vec<f32>,
+            targets: &mut Vec<f32>,
+        ) {
+            self.inner.gather(docs, seed, rows, targets);
+            if self.at.contains(&self.calls) {
+                targets[0] = f32::NAN;
+                self.written += 1;
+            }
+            self.calls += 1;
+        }
+    }
+
+    /// Drive [`run_epochs`] over a `(rows, targets)` source, no
+    /// checkpoints, no hook, fed NaN at the gather calls in `nan_at`.
+    /// Also returns how many NaN batches the loop was fed.
     fn fit(
         mlp: &mut Mlp,
         rows: &[f32],
         targets: &[f32],
         cfg: &Fit,
         masks: Option<&LayerMasks>,
-        injector: Option<&mut FaultInjector>,
-    ) -> Result<ResilientReport, TrainError> {
+        nan_at: &[usize],
+    ) -> (Result<ResilientReport, TrainError>, usize) {
         let trainer = SgdTrainer::new(mlp, cfg.dropout, cfg.seed ^ 0x5eed);
         let masks = masks.map_or_else(|| LayerMasks::none(mlp.layers().len()), Clone::clone);
         let mut st = LoopState::new("test", trainer, masks, targets.len(), cfg.seed);
-        let mut source = Rows {
-            rows,
-            targets,
-            batch_size: cfg.batch_size,
+        let mut source = NanAt {
+            inner: Rows {
+                rows,
+                targets,
+                batch_size: cfg.batch_size,
+            },
+            at: nan_at.to_vec(),
+            calls: 0,
+            written: 0,
         };
         let res = ResilienceConfig {
             guard: cfg.guard,
             ..Default::default()
         };
-        run_epochs(
+        let report = run_epochs(
             mlp,
             &mut st,
             &mut source,
@@ -975,9 +978,9 @@ mod tests {
             cfg.epochs,
             &res,
             None,
-            injector,
             &mut |_, _| {},
-        )
+        );
+        (report, source.written)
     }
 
     /// Finite-difference gradient check on a tiny network: the definitive
@@ -1061,7 +1064,7 @@ mod tests {
             schedule: StepLr::constant(5e-3),
             ..Default::default()
         };
-        let report = fit(&mut mlp, &rows, &targets, &cfg, None, None).unwrap();
+        let report = fit(&mut mlp, &rows, &targets, &cfg, None, &[]).0.unwrap();
         let first = report.epoch_loss[0];
         let last = *report.epoch_loss.last().unwrap();
         assert!(last < first * 0.05, "loss {first} -> {last}");
@@ -1088,7 +1091,9 @@ mod tests {
             batch_size: 16,
             ..Default::default()
         };
-        fit(&mut mlp, &rows, &targets, &cfg, Some(&masks), None).unwrap();
+        fit(&mut mlp, &rows, &targets, &cfg, Some(&masks), &[])
+            .0
+            .unwrap();
         for (i, &w) in mlp.layers()[0].weights.as_slice().iter().enumerate() {
             if mask[i] == 0.0 {
                 assert_eq!(w, 0.0, "pruned weight {i} drifted to {w}");
@@ -1110,8 +1115,12 @@ mod tests {
             dropout,
             ..Default::default()
         };
-        fit(&mut with, &rows, &targets, &mk(0.5), None, None).unwrap();
-        fit(&mut without, &rows, &targets, &mk(0.0), None, None).unwrap();
+        fit(&mut with, &rows, &targets, &mk(0.5), None, &[])
+            .0
+            .unwrap();
+        fit(&mut without, &rows, &targets, &mk(0.0), None, &[])
+            .0
+            .unwrap();
         assert_ne!(with, without, "dropout must perturb training");
         // Inference is deterministic for a fixed model.
         let mut a = vec![0.0f32; 32];
@@ -1153,7 +1162,7 @@ mod tests {
             seed: 3,
             ..Default::default()
         };
-        fit(&mut mlp, &rows, &targets, &cfg, None, None).unwrap();
+        fit(&mut mlp, &rows, &targets, &cfg, None, &[]).0.unwrap();
         let after_one = mlp.clone();
         // Continue for epochs 1..5 at lr 0 (fresh call replays epoch 0 at
         // full lr; so instead check lr(≥1) = 0 directly through StepLr).
@@ -1179,7 +1188,7 @@ mod tests {
         for _ in 0..4 {
             let la = ta.train_batch(&mut a, &rows, &targets, 1e-3, None);
             let gb = tb
-                .train_batch_guarded(&mut b, &rows, &targets, 1e-3, None, &guard, false)
+                .train_batch_guarded(&mut b, &rows, &targets, 1e-3, None, &guard)
                 .unwrap();
             assert_eq!(la, gb.loss);
             assert!(!gb.clipped);
@@ -1189,9 +1198,11 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_batch_reports_nonfinite_loss() {
-        let (rows, targets) = toy_data(8, 2);
+    fn a_nan_target_reports_nonfinite_loss() {
+        let (rows, mut targets) = toy_data(8, 2);
+        targets[0] = f32::NAN;
         let mut mlp = Mlp::from_hidden(2, &[4], 3);
+        let before = mlp.clone();
         let mut trainer = SgdTrainer::new(&mlp, 0.0, 1);
         let err = trainer
             .train_batch_guarded(
@@ -1201,10 +1212,10 @@ mod tests {
                 1e-3,
                 None,
                 &GuardConfig::default(),
-                true,
             )
             .unwrap_err();
         assert_eq!(err, BatchAnomaly::NonFiniteLoss);
+        assert_eq!(mlp, before, "a bad loss stops the step before any update");
     }
 
     #[test]
@@ -1223,7 +1234,6 @@ mod tests {
                 1e-3,
                 None,
                 &GuardConfig::default(),
-                false,
             )
             .unwrap_err();
         assert!(
@@ -1245,7 +1255,7 @@ mod tests {
             ..Default::default()
         };
         let b = trainer
-            .train_batch_guarded(&mut mlp, &rows, &targets, 1e-3, None, &guard, false)
+            .train_batch_guarded(&mut mlp, &rows, &targets, 1e-3, None, &guard)
             .unwrap();
         assert!(b.clipped, "a 1e-4 norm budget must clip a real gradient");
         assert!(mlp.layers()[0]
@@ -1319,13 +1329,15 @@ mod tests {
         };
         let mut clean = Mlp::from_hidden(2, &[6], 2);
         let mut faulted = clean.clone();
-        let rep_clean = fit(&mut clean, &rows, &targets, &cfg, None, None).unwrap();
-        // Step 5 is the second batch of epoch 1: the rollback must also
-        // return the cumulative order to what epoch 0 left.
-        let mut inj = FaultInjector::new(FaultPlan::nan_at(&[5]));
-        let rep_faulted = fit(&mut faulted, &rows, &targets, &cfg, None, Some(&mut inj)).unwrap();
+        let rep_clean = fit(&mut clean, &rows, &targets, &cfg, None, &[]).0.unwrap();
+        // Batch 5 is the second batch of epoch 1: the rollback must also
+        // return the cumulative order to what epoch 0 left. The forward
+        // pass runs before the loss, so the dropout stream advances as
+        // in a clean batch and the replay stays on the clean trajectory.
+        let (rep_faulted, fed) = fit(&mut faulted, &rows, &targets, &cfg, None, &[5]);
+        let rep_faulted = rep_faulted.unwrap();
         let stats = &rep_faulted.stats;
-        assert_eq!(inj.counters.nan_injected, 1);
+        assert_eq!(fed, 1);
         assert_eq!(stats.nonfinite_losses, 1);
         assert_eq!(stats.rollbacks, 1);
         assert_eq!(clean, faulted, "post-rollback trajectory must rejoin");
@@ -1346,16 +1358,14 @@ mod tests {
             },
             ..Default::default()
         };
-        // Two NaNs on consecutive attempts of epoch 0 (step 1, then the
-        // first replayed batch which lands at global step 2).
-        let mut inj = FaultInjector::new(FaultPlan::nan_at(&[1, 2]));
+        // Two NaNs on consecutive attempts of epoch 0 (gather call 1,
+        // then the first replayed batch, which is call 2).
         let mut mlp = Mlp::from_hidden(2, &[4], 6);
-        let stats = fit(&mut mlp, &rows, &targets, &cfg, None, Some(&mut inj))
-            .unwrap()
-            .stats;
+        let (report, fed) = fit(&mut mlp, &rows, &targets, &cfg, None, &[1, 2]);
+        let stats = report.unwrap().stats;
         assert_eq!(stats.rollbacks, 2);
         assert_eq!(stats.nonfinite_losses, 2);
-        assert_eq!(inj.counters.nan_injected, 2);
+        assert_eq!(fed, 2);
     }
 
     #[test]
@@ -1371,12 +1381,16 @@ mod tests {
             },
             ..Default::default()
         };
-        // Poison a dense run of steps so every retry of epoch 0 hits one:
-        // attempt 0 dies at step 0, attempt 1 at step 1, attempt 2 at
-        // step 2 — budget (2 rollbacks) exhausted.
-        let mut inj = FaultInjector::new(FaultPlan::nan_at(&[0, 1, 2]));
+        // NaN in a dense run of gather calls so every retry of epoch 0
+        // hits one: attempt 0 dies at call 0, attempt 1 at call 1,
+        // attempt 2 at call 2 — budget (2 rollbacks) exhausted.
         let mut mlp = Mlp::from_hidden(2, &[4], 6);
-        let err = fit(&mut mlp, &rows, &targets, &cfg, None, Some(&mut inj)).unwrap_err();
+        let (report, fed) = fit(&mut mlp, &rows, &targets, &cfg, None, &[0, 1, 2]);
+        let err = report.unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "epoch 0 kept diverging after 2 rollbacks: non-finite loss"
+        );
         match err {
             TrainError::Diverged {
                 epoch,
@@ -1389,6 +1403,6 @@ mod tests {
             }
             other => panic!("expected Diverged, got {other:?}"),
         }
-        assert_eq!(inj.counters.nan_injected, 3);
+        assert_eq!(fed, 3);
     }
 }

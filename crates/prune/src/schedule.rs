@@ -14,8 +14,7 @@ use crate::magnitude::{han_threshold, level_mask, mask_below, mask_sparsity, Pru
 use dlr_distill::DistillSession;
 use dlr_nn::train::SgdTrainer;
 use dlr_nn::{
-    BatchSource, FaultInjector, GuardStats, LayerMasks, LoopState, Mlp, ResilienceConfig, StepLr,
-    TrainError,
+    BatchSource, GuardStats, LayerMasks, LoopState, Mlp, ResilienceConfig, StepLr, TrainError,
 };
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -81,7 +80,7 @@ pub fn prune_first_layer(
     mlp: &mut Mlp,
     cfg: &PruneConfig,
 ) -> PruneOutcome {
-    run_schedule(session, mlp, cfg, &ResilienceConfig::default(), None, None)
+    run_schedule(session, mlp, cfg, &ResilienceConfig::default(), None)
         .unwrap_or_else(|e| panic!("{e}"))
 }
 
@@ -103,9 +102,8 @@ pub fn prune_first_layer_resilient(
     cfg: &PruneConfig,
     res: &ResilienceConfig,
     ckpt_dir: &Path,
-    injector: Option<&mut FaultInjector>,
 ) -> Result<PruneOutcome, TrainError> {
-    run_schedule(session, mlp, cfg, res, Some(ckpt_dir), injector)
+    run_schedule(session, mlp, cfg, res, Some(ckpt_dir))
 }
 
 /// The schedule: one [`dlr_nn::run_epochs`] call of `E_p + E_ft` epochs
@@ -116,7 +114,6 @@ fn run_schedule(
     cfg: &PruneConfig,
     res: &ResilienceConfig,
     ckpt_dir: Option<&Path>,
-    injector: Option<&mut FaultInjector>,
 ) -> Result<PruneOutcome, TrainError> {
     let PruneConfig { layer, method } = *cfg;
     assert!(layer < mlp.layers().len(), "layer {layer} out of range");
@@ -171,7 +168,6 @@ fn run_schedule(
         hyper.prune_epochs + hyper.finetune_epochs,
         res,
         ckpt_dir,
-        injector,
         &mut hook,
     )?;
     Ok(PruneOutcome {

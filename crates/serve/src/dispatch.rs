@@ -14,8 +14,7 @@
 //!
 //! This module computes with server nanos handed to it by the queue and
 //! the injected [`Clock`] — it is inside both lint fences (no panicking
-//! calls, no ambient time), which is why injected faults panic via
-//! `panic_any` and every slice access is checked.
+//! calls, no ambient time), which is why every slice access is checked.
 
 use crate::batch::{assemble, batch_budget, split_expired, BatchConfig};
 use crate::engine::{BatchEngine, RequestMeta};
@@ -24,7 +23,6 @@ use crate::request::{Delivery, Response};
 use crate::stats::{version_mut, ServerCells, ServerStats, VersionStats};
 use crate::sync::Mutex;
 use crate::Clock;
-use dlr_core::fault::{ServerFault, ServerFaultPlan};
 use dlr_core::serve::{LatencyForecaster, ServedBy};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicU64;
@@ -68,12 +66,7 @@ impl Shared {
 /// The dispatcher loop. Runs until the queue is closed *and* fully
 /// drained, so every admitted request is answered before this returns —
 /// the server's drain guarantee.
-pub(crate) fn run<E: BatchEngine>(
-    shared: &Shared,
-    engine: &mut E,
-    cfg: BatchConfig,
-    mut faults: Option<ServerFaultPlan>,
-) {
+pub(crate) fn run<E: BatchEngine>(shared: &Shared, engine: &mut E, cfg: BatchConfig) {
     loop {
         match shared.queue.wait_nonempty() {
             Ready::Drained => return,
@@ -84,10 +77,7 @@ pub(crate) fn run<E: BatchEngine>(
         if items.is_empty() {
             continue;
         }
-        let fault = faults
-            .as_mut()
-            .map_or(ServerFault::None, ServerFaultPlan::next_fault);
-        execute(shared, engine, items, fault);
+        execute(shared, engine, items);
     }
 }
 
@@ -114,31 +104,10 @@ fn coalesce(shared: &Shared, cfg: BatchConfig) {
     }
 }
 
-/// Execute one taken batch end-to-end: apply the injected fault, expire,
-/// assemble, score under `catch_unwind`, account, and deliver exactly one
-/// response per request.
-fn execute<E: BatchEngine>(
-    shared: &Shared,
-    engine: &mut E,
-    items: Vec<Admitted>,
-    fault: ServerFault,
-) {
-    if let ServerFault::QueueStall(stall) = fault {
-        // Injected: the consumer deschedules holding the batch, so the
-        // requests age exactly as under a real queue stall.
-        std::thread::sleep(stall);
-    }
-
+/// Execute one taken batch end-to-end: expire, assemble, score under
+/// `catch_unwind`, account, and deliver exactly one response per request.
+fn execute<E: BatchEngine>(shared: &Shared, engine: &mut E, items: Vec<Admitted>) {
     let now = shared.clock.now_nanos();
-    if let ServerFault::TracePressure { spans } = fault {
-        // Injected: a synthetic span burst forces the trace ring to wrap
-        // mid-dispatch, proving overwrite-oldest never blocks this loop.
-        if let Some(obs) = &shared.obs {
-            for _ in 0..spans {
-                obs.record_span(0, dlr_obs::Stage::Synthetic, None, now, now);
-            }
-        }
-    }
     let cells = &shared.cells;
     let (live, expired) = split_expired(items, now);
     for item in &expired {
@@ -167,11 +136,7 @@ fn execute<E: BatchEngine>(
         return;
     }
 
-    let mut budget = batch_budget(&live, now);
-    if fault == ServerFault::DeadlineStorm {
-        // Injected: every deadline in the batch collapses to "now".
-        budget = Some(Duration::ZERO);
-    }
+    let budget = batch_budget(&live, now);
     let (rows, ranges) = assemble(&live);
     let docs: usize = live.iter().map(|i| i.docs).sum();
     let metas: Vec<RequestMeta<'_>> = live
@@ -195,17 +160,10 @@ fn execute<E: BatchEngine>(
         }
         None => now,
     };
-    let poisoned = fault == ServerFault::BatchPanic;
     let result = catch_unwind(AssertUnwindSafe(|| {
-        if poisoned {
-            std::panic::panic_any("injected fault: batch panic");
-        }
         engine.score_batch_meta(&rows, &mut out, budget, &metas)
     }));
     drop(metas);
-    if let ServerFault::SlowConsumer(lag) = fault {
-        std::thread::sleep(lag);
-    }
     let done = shared.clock.now_nanos();
     // Which model version answered, when the engine serves versioned
     // models (a registry): only meaningful after a successful score.

@@ -70,7 +70,7 @@ mod sync;
 
 pub use batch::BatchConfig;
 pub use dlr_obs::{ManualClock, MonotonicClock, NanoClock as Clock};
-pub use engine::{BatchEngine, PlainEngine, RequestMeta};
+pub use engine::{BatchEngine, FaultInjectingEngine, PlainEngine, RequestMeta};
 pub use queue::Backpressure;
 pub use registry::{
     CandidateOutcome, CandidateReport, CandidateStats, LifecycleError, LifecycleEvent,

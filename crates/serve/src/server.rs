@@ -17,14 +17,13 @@ use crate::stats::{ServerCells, ServerStats};
 use crate::sync::thread::JoinHandle;
 use crate::sync::{thread, Mutex};
 use crate::{BatchConfig, Clock, MonotonicClock};
-use dlr_core::fault::ServerFaultPlan;
 use dlr_core::serve::LatencyForecaster;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Everything tunable about a server.
 ///
-/// Not `Clone`: the admission forecaster and fault plan are owned moves.
+/// Not `Clone`: the admission forecaster is an owned move.
 pub struct ServerConfig {
     /// Micro-batch formation policy.
     pub batch: BatchConfig,
@@ -36,9 +35,6 @@ pub struct ServerConfig {
     /// when the forecast for the queued documents plus its own exceeds
     /// its budget. `None` disables shedding.
     pub admission: Option<Box<dyn LatencyForecaster + Send + Sync>>,
-    /// Injected server faults, drawn once per taken batch. `None` in
-    /// production.
-    pub faults: Option<ServerFaultPlan>,
     /// The server-nanos source. `None` uses a fresh [`MonotonicClock`];
     /// tests inject a [`ManualClock`](crate::ManualClock) to drive the
     /// queue, batcher, and every trace span deterministically.
@@ -58,7 +54,6 @@ impl Default for ServerConfig {
             queue_capacity: 1024,
             backpressure: Backpressure::Reject,
             admission: None,
-            faults: None,
             clock: None,
             obs: None,
         }
@@ -94,11 +89,10 @@ impl<E: BatchEngine + 'static> Server<E> {
             obs: config.obs,
         });
         let batch = config.batch;
-        let faults = config.faults;
         let dispatcher = thread::spawn({
             let shared = Arc::clone(&shared);
             move || {
-                dispatch::run(&shared, &mut engine, batch, faults);
+                dispatch::run(&shared, &mut engine, batch);
                 engine
             }
         });

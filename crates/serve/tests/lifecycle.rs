@@ -12,15 +12,16 @@
 //! Latency-based triggers are driven through the engine directly with a
 //! hand-advanced [`ManualClock`].
 
-use dlr_core::fault::{ServerFault, ServerFaultPlan};
+use dlr_core::fault::{FaultPlan, ServerFault};
 use dlr_core::scoring::DocumentScorer;
 use dlr_core::serve::ServedBy;
 use dlr_metrics::GateConfig;
 use dlr_obs::Obs;
 use dlr_serve::{
-    BatchConfig, BatchEngine, CandidateOutcome, CandidateReport, CandidateStats, LifecycleError,
-    LifecycleEvent, ManualClock, ModelRegistry, MonotonicClock, RegistryEngine, RequestMeta,
-    RollbackReason, RolloutConfig, ScoreRequest, Server, ServerConfig, Stage,
+    BatchConfig, BatchEngine, CandidateOutcome, CandidateReport, CandidateStats,
+    FaultInjectingEngine, LifecycleError, LifecycleEvent, ManualClock, ModelRegistry,
+    MonotonicClock, RegistryEngine, RequestMeta, RollbackReason, RolloutConfig, ScoreRequest,
+    Server, ServerConfig, Stage,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -634,20 +635,20 @@ fn hold_rollback_under_storm_restores_the_incumbent() {
             b"artifact v2".to_vec(),
         )
         .expect("load");
+    let storms = FaultPlan::script(vec![
+        ServerFault::None,
+        ServerFault::DeadlineStorm,
+        ServerFault::None,
+        ServerFault::DeadlineStorm,
+        ServerFault::DeadlineStorm,
+        ServerFault::None,
+        ServerFault::DeadlineStorm,
+        ServerFault::None,
+    ]);
     let server = Server::start(
-        engine,
+        FaultInjectingEngine::new(engine, storms),
         ServerConfig {
             batch: one_doc_batches(),
-            faults: Some(ServerFaultPlan::from_schedule(vec![
-                ServerFault::None,
-                ServerFault::DeadlineStorm,
-                ServerFault::None,
-                ServerFault::DeadlineStorm,
-                ServerFault::DeadlineStorm,
-                ServerFault::None,
-                ServerFault::DeadlineStorm,
-                ServerFault::None,
-            ])),
             ..ServerConfig::default()
         },
     );

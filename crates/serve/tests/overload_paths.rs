@@ -7,19 +7,25 @@
 //! request is ever lost or answered twice** — after a drain,
 //! `admitted == scored + expired + failed` exactly.
 //!
+//! Server faults enter through the engine, as [`FaultInjectingEngine`]
+//! applies them: its fault script is indexed by the batches that reach
+//! the engine, so a batch whose every request expired in the queue draws
+//! no fault.
+//!
 //! Determinism notes: sequential submit-and-wait with
-//! `max_batch_docs = 1` makes batch boundaries (and so fault-schedule
+//! `max_batch_docs = 1` makes batch boundaries (and so fault-script
 //! indices and queue high-water marks) exact; expiry uses stalls much
 //! longer than the deadline; shedding uses a forecaster that always
 //! predicts far over budget.
 
-use dlr_core::fault::{ServerFault, ServerFaultPlan};
+use dlr_core::fault::{FaultPlan, ServerFault};
 use dlr_core::scoring::DocumentScorer;
 use dlr_core::serve::{LatencyForecaster, RobustScorer, ServedBy};
 use dlr_obs::{Obs, ObsConfig};
 use dlr_serve::{
-    Backpressure, BatchConfig, BatchEngine, Delivery, ManualClock, PlainEngine, Response,
-    ResponseHandle, ScoreRequest, Server, ServerConfig, ServerStats, SubmitError,
+    Backpressure, BatchConfig, BatchEngine, Delivery, FaultInjectingEngine, ManualClock,
+    PlainEngine, Response, ResponseHandle, ScoreRequest, Server, ServerConfig, ServerStats,
+    SubmitError,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -65,6 +71,23 @@ fn one_doc_batches() -> BatchConfig {
 
 fn req(q: u32) -> ScoreRequest {
     ScoreRequest::new(vec![q as f32, 0.0])
+}
+
+/// `engine` wrapped to draw its batches' faults from `script`.
+fn faulty<E: BatchEngine>(engine: E, script: Vec<ServerFault>) -> FaultInjectingEngine<E> {
+    FaultInjectingEngine::new(engine, FaultPlan::script(script))
+}
+
+/// Block until the dispatcher has taken everything queued.
+fn wait_until_taken<E: BatchEngine + 'static>(server: &Server<E>) {
+    let start = std::time::Instant::now();
+    while server.queue_depth().0 > 0 {
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "dispatcher never took the queued request"
+        );
+        std::thread::yield_now();
+    }
 }
 
 /// Expected stats must match ACTUAL exactly, except the histogram which
@@ -210,13 +233,15 @@ fn shutdown_drains_every_admitted_request() {
 fn a_panicking_batch_fails_only_itself() {
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let plan = ServerFaultPlan::from_schedule(vec![ServerFault::None, ServerFault::BatchPanic]);
-    let counters = plan.counters();
-    let server = Server::start(
+    let engine = faulty(
         PlainEngine::new(Tagged),
+        vec![ServerFault::None, ServerFault::BatchPanic],
+    );
+    let counters = engine.counters();
+    let server = Server::start(
+        engine,
         ServerConfig {
             batch: one_doc_batches(),
-            faults: Some(plan),
             ..ServerConfig::default()
         },
     );
@@ -254,14 +279,12 @@ fn a_panicking_batch_fails_only_itself() {
 /// served primary again.
 #[test]
 fn deadline_storm_degrades_one_batch() {
-    let plan = ServerFaultPlan::from_schedule(vec![ServerFault::DeadlineStorm]);
     let engine = RobustScorer::new(Tagged, Const(7.0), "storm-test")
         .with_forecaster(|_docs: usize| Some(Duration::from_micros(1)));
     let server = Server::start(
-        engine,
+        faulty(engine, vec![ServerFault::DeadlineStorm]),
         ServerConfig {
             batch: one_doc_batches(),
-            faults: Some(plan),
             ..ServerConfig::default()
         },
     );
@@ -284,22 +307,26 @@ fn deadline_storm_degrades_one_batch() {
     assert_books(&stats, &expected);
 }
 
-/// Injected **queue stall**: the consumer deschedules long enough for a
-/// queued deadline to lapse; the request is answered `Expired` without
-/// being scored, and is still fully accounted.
+/// Injected **queue stall**: the engine holds one batch long enough for
+/// a deadline queued behind it to lapse; that request is answered
+/// `Expired` without being scored, and is still fully accounted.
 #[test]
 fn queue_stall_expires_deadlined_requests() {
-    let plan =
-        ServerFaultPlan::from_schedule(vec![ServerFault::QueueStall(Duration::from_millis(50))]);
-    let counters = plan.counters();
-    let server = Server::start(
+    let engine = faulty(
         PlainEngine::new(Tagged),
+        vec![ServerFault::Stall(Duration::from_millis(100))],
+    );
+    let counters = engine.counters();
+    let server = Server::start(
+        engine,
         ServerConfig {
             batch: one_doc_batches(),
-            faults: Some(plan),
             ..ServerConfig::default()
         },
     );
+    // The stalled batch: taken, then held by the engine for 100 ms.
+    let stalled = server.submit(req(0)).expect("admitted");
+    wait_until_taken(&server);
     let got = server
         .submit(req(1).with_deadline(Duration::from_millis(5)))
         .expect("admitted")
@@ -310,10 +337,14 @@ fn queue_stall_expires_deadlined_requests() {
         "expiry cannot precede the deadline; measured {}ns",
         got.latency_nanos
     );
+    assert_eq!(stalled.wait().response.scores(), Some(&[0.0][..]));
     let (_engine, stats) = server.shutdown();
     let expected = ServerStats {
-        submitted: 1,
-        admitted: 1,
+        submitted: 2,
+        admitted: 2,
+        batches: 1,
+        batched_docs: 1,
+        scored_primary: 1,
         expired: 1,
         max_queue_depth: 1,
         max_queued_docs: 1,
@@ -321,9 +352,7 @@ fn queue_stall_expires_deadlined_requests() {
     };
     assert_books(&stats, &expected);
     assert_eq!(
-        counters
-            .queue_stalls
-            .load(std::sync::atomic::Ordering::Relaxed),
+        counters.stalls.load(std::sync::atomic::Ordering::Relaxed),
         1
     );
 }
@@ -446,28 +475,22 @@ fn a_server_without_a_forecast_never_waits() {
 /// counts; everything admitted is still answered.
 #[test]
 fn reject_backpressure_bounds_the_queue_exactly() {
-    let plan =
-        ServerFaultPlan::from_schedule(vec![ServerFault::QueueStall(Duration::from_millis(60))]);
     let server = Server::start(
-        PlainEngine::new(Tagged),
+        faulty(
+            PlainEngine::new(Tagged),
+            vec![ServerFault::Stall(Duration::from_millis(60))],
+        ),
         ServerConfig {
             batch: one_doc_batches(),
             queue_capacity: 2,
             backpressure: Backpressure::Reject,
-            faults: Some(plan),
             ..ServerConfig::default()
         },
     );
-    // First request: taken by the dispatcher, which then stalls 60ms.
+    // First request: taken by the dispatcher, whose engine then stalls
+    // 60ms.
     let h0 = server.submit(req(0)).expect("admitted");
-    let start = std::time::Instant::now();
-    while server.queue_depth().0 > 0 {
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "dispatcher never took r0"
-        );
-        std::thread::yield_now();
-    }
+    wait_until_taken(&server);
     // Queue (capacity 2) fills behind the stalled dispatcher.
     let h1 = server.submit(req(1)).expect("fits");
     let h2 = server.submit(req(2)).expect("fits");
@@ -490,27 +513,20 @@ fn reject_backpressure_bounds_the_queue_exactly() {
 /// closed-loop alternative to rejection.
 #[test]
 fn block_backpressure_parks_the_submitter() {
-    let plan =
-        ServerFaultPlan::from_schedule(vec![ServerFault::QueueStall(Duration::from_millis(40))]);
     let server = std::sync::Arc::new(Server::start(
-        PlainEngine::new(Tagged),
+        faulty(
+            PlainEngine::new(Tagged),
+            vec![ServerFault::Stall(Duration::from_millis(40))],
+        ),
         ServerConfig {
             batch: one_doc_batches(),
             queue_capacity: 1,
             backpressure: Backpressure::Block,
-            faults: Some(plan),
             ..ServerConfig::default()
         },
     ));
     let h0 = server.submit(req(0)).expect("admitted");
-    let start = std::time::Instant::now();
-    while server.queue_depth().0 > 0 {
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "dispatcher never took r0"
-        );
-        std::thread::yield_now();
-    }
+    wait_until_taken(&server);
     let h1 = server.submit(req(1)).expect("fills the queue");
     let blocked = std::thread::spawn({
         let server = std::sync::Arc::clone(&server);
@@ -556,14 +572,14 @@ fn shed_expire_panic_score<E: BatchEngine + 'static>(
     engine: E,
     clock: &Arc<ManualClock>,
     obs: &Arc<Obs>,
-) -> Server<E> {
+) -> Server<FaultInjectingEngine<E>> {
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    // Batch #1 is the expired request (a taken batch even though nothing
-    // is scored), batch #2 the panic victim, batch #3 the healthy one.
-    let plan = ServerFaultPlan::from_schedule(vec![ServerFault::None, ServerFault::BatchPanic]);
+    // The expired request's batch never reaches the engine, so the
+    // engine's first batch is the panic victim and its second the
+    // healthy one.
     let server = Server::start(
-        engine,
+        faulty(engine, vec![ServerFault::BatchPanic]),
         ServerConfig {
             batch: one_doc_batches(),
             // Forecasts only multi-doc requests, so the one-doc expiry
@@ -571,7 +587,6 @@ fn shed_expire_panic_score<E: BatchEngine + 'static>(
             admission: Some(Box::new(|docs: usize| {
                 (docs >= 2).then(|| Duration::from_secs(10))
             })),
-            faults: Some(plan),
             clock: Some(Arc::clone(clock) as Arc<dyn dlr_serve::Clock>),
             obs: Some(Arc::clone(obs)),
             ..ServerConfig::default()
@@ -651,8 +666,8 @@ fn every_stats_field_is_exported_under_its_metric_name() {
     let server = shed_expire_panic_score(engine, &clock, &obs);
     let (engine, s) = server.shutdown();
     assert_books(&s, &shed_expire_panic_score_books());
-    // The panicked batch never reached the engine.
-    let r = engine.stats();
+    // The panicked batch never reached the robust engine.
+    let r = engine.inner.stats();
     assert_eq!((r.batches, r.primary_batches), (1, 1));
 
     // In publication order: the engine's cells, then the server's.
@@ -711,8 +726,8 @@ fn every_stats_field_is_exported_under_its_metric_name() {
     }
 }
 
-/// Injected **trace pressure**: a synthetic span burst wraps the ring
-/// mid-dispatch. Overwrite-oldest must never block or reorder the
+/// Injected **trace pressure**: a synthetic span burst from the engine
+/// wraps the ring mid-dispatch. Overwrite-oldest must never block or reorder the
 /// dispatcher — both requests still score, in order, and the
 /// conservation law accounts for every overwritten span.
 #[test]
@@ -727,13 +742,16 @@ fn trace_pressure_wraps_the_ring_without_blocking_the_dispatcher() {
             drift_window: 16,
         },
     ));
-    let plan = ServerFaultPlan::from_schedule(vec![ServerFault::TracePressure { spans: 64 }]);
-    let counters = plan.counters();
-    let server = Server::start(
+    let engine = faulty(
         PlainEngine::new(Tagged),
+        vec![ServerFault::TracePressure { spans: 64 }],
+    )
+    .with_obs(Arc::clone(&obs));
+    let counters = engine.counters();
+    let server = Server::start(
+        engine,
         ServerConfig {
             batch: one_doc_batches(),
-            faults: Some(plan),
             clock: Some(Arc::clone(&clock) as Arc<dyn dlr_serve::Clock>),
             obs: Some(Arc::clone(&obs)),
             ..ServerConfig::default()

@@ -11,10 +11,12 @@
 //!    back in submission order);
 //! 4. the accounting identities balance exactly, panics included.
 
-use dlr_core::fault::{ServerFault, ServerFaultPlan};
+use dlr_core::fault::{FaultPlan, ServerFault};
 use dlr_core::scoring::DocumentScorer;
 use dlr_core::serve::LatencyForecaster;
-use dlr_serve::{BatchConfig, PlainEngine, Response, ScoreRequest, Server, ServerConfig};
+use dlr_serve::{
+    BatchConfig, FaultInjectingEngine, PlainEngine, Response, ScoreRequest, Server, ServerConfig,
+};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -133,17 +135,16 @@ proptest! {
             .iter()
             .map(|&poison| if poison == 1 { ServerFault::BatchPanic } else { ServerFault::None })
             .collect();
-        let plan = ServerFaultPlan::from_schedule(schedule);
-        let counters = plan.counters();
+        let engine = FaultInjectingEngine::new(PlainEngine::new(Tagged), FaultPlan::script(schedule));
+        let counters = engine.counters();
         let server = Server::start(
-            PlainEngine::new(Tagged),
+            engine,
             ServerConfig {
                 batch: BatchConfig {
                     max_batch_docs,
                     max_wait: Duration::from_micros(50),
                 },
                 admission: forecaster(forecaster_kind),
-                faults: Some(plan),
                 ..ServerConfig::default()
             },
         );

@@ -1,7 +1,8 @@
 //! Live model lifecycle under fire: hot-swap, shadow, canary, promote,
 //! and automatic rollback — while paced open-loop traffic with deadlines
-//! flows through the server and injected server faults (queue stalls,
-//! slow consumers, batch panics, deadline storms) try to knock it over.
+//! flows through the server and injected server faults (stalls, batch
+//! panics, deadline storms — applied by a `FaultInjectingEngine` around
+//! the registry's engine) try to knock it over.
 //!
 //! The script this example runs:
 //!
@@ -25,16 +26,14 @@
 //! cargo run --release --example model_lifecycle -- --seed 42 --out /tmp/active.dlr
 //! ```
 
-use distilled_ltr::core::fault::{
-    corrupt_artifact, ArtifactCorruption, ServerFaultConfig, ServerFaultPlan,
-};
+use distilled_ltr::core::fault::{corrupt_artifact, ArtifactCorruption, ServerFaultConfig};
 use distilled_ltr::core::scoring::DocumentScorer;
 use distilled_ltr::metrics::GateConfig;
 use distilled_ltr::nn::{write_mlp, Mlp};
 use distilled_ltr::obs::Obs;
 use distilled_ltr::serve::{
-    BatchConfig, Clock, LifecycleEvent, ModelRegistry, MonotonicClock, RegistryEngine, Response,
-    ResponseHandle, RolloutConfig, ScoreRequest, Server, ServerConfig,
+    BatchConfig, Clock, FaultInjectingEngine, LifecycleEvent, ModelRegistry, MonotonicClock,
+    RegistryEngine, Response, ResponseHandle, RolloutConfig, ScoreRequest, Server, ServerConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -45,6 +44,9 @@ const NUM_FEATURES: usize = 25;
 const DOCS_PER_QUERY: usize = 8;
 const DEADLINE: Duration = Duration::from_millis(10);
 const PROMOTIONS: usize = 10;
+
+/// The served engine: the registry's, with server faults injected.
+type Engine = FaultInjectingEngine<RegistryEngine>;
 
 /// A candidate that looked fine offline but emits NaN in production.
 struct BrokenScorer;
@@ -82,7 +84,7 @@ impl Traffic {
     /// Submit `n` paced queries open-loop (never waiting for responses):
     /// random features, graded labels for the shadow NDCG comparison,
     /// and a per-request deadline.
-    fn drive(&mut self, server: &Server<RegistryEngine>, n: usize) {
+    fn drive(&mut self, server: &Server<Engine>, n: usize) {
         for _ in 0..n {
             self.next_query += 1;
             let mut features = Vec::with_capacity(DOCS_PER_QUERY * NUM_FEATURES);
@@ -107,11 +109,7 @@ impl Traffic {
 
 /// Drive traffic until the in-flight candidate's journey ends (settled
 /// or rolled back), with a hard cap so a bug cannot hang the example.
-fn drive_until_resolved(
-    traffic: &mut Traffic,
-    server: &Server<RegistryEngine>,
-    reg: &ModelRegistry,
-) {
+fn drive_until_resolved(traffic: &mut Traffic, server: &Server<Engine>, reg: &ModelRegistry) {
     for _ in 0..400 {
         if reg.candidate_version().is_none() {
             return;
@@ -169,18 +167,14 @@ fn main() {
             .expect("v1 artifact is valid");
     registry.attach_obs(Arc::clone(&obs));
 
-    let faults = ServerFaultPlan::seeded(
-        seed ^ 0xFA017,
-        ServerFaultConfig {
-            p_stall: 0.05,
-            stall: Duration::from_millis(2),
-            p_slow: 0.05,
-            slow: Duration::from_micros(500),
-            p_panic: 0.03,
-            p_storm: 0.08,
-        },
-    );
-    let fault_counters = faults.counters();
+    let faults = ServerFaultConfig {
+        p_stall: 0.10,
+        stall: Duration::from_micros(1_250),
+        p_panic: 0.03,
+        p_storm: 0.08,
+    };
+    let engine = FaultInjectingEngine::new(engine, faults.plan(seed ^ 0xFA017));
+    let fault_counters = engine.counters();
     let server = Server::start(
         engine,
         ServerConfig {
@@ -193,7 +187,6 @@ fn main() {
                 max_wait: Duration::from_micros(300),
             },
             queue_capacity: 64,
-            faults: Some(faults),
             clock: Some(Arc::clone(&clock) as Arc<dyn Clock>),
             obs: Some(Arc::clone(&obs)),
             ..ServerConfig::default()
@@ -325,10 +318,9 @@ fn main() {
     );
     use std::sync::atomic::Ordering;
     println!(
-        "injected server faults: {} (stalls {}, slow consumers {}, batch panics {}, deadline storms {})",
+        "injected server faults: {} (stalls {}, batch panics {}, deadline storms {})",
         fault_counters.total_faults(),
-        fault_counters.queue_stalls.load(Ordering::Relaxed),
-        fault_counters.slow_consumers.load(Ordering::Relaxed),
+        fault_counters.stalls.load(Ordering::Relaxed),
         fault_counters.batch_panics.load(Ordering::Relaxed),
         fault_counters.deadline_storms.load(Ordering::Relaxed),
     );

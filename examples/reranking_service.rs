@@ -18,7 +18,8 @@
 use distilled_ltr::obs::Obs;
 use distilled_ltr::prelude::*;
 use distilled_ltr::serve::{
-    BatchConfig, Clock, MonotonicClock, Response, ScoreRequest, Server, ServerConfig,
+    BatchConfig, Clock, FaultInjectingEngine, MonotonicClock, Response, ScoreRequest, Server,
+    ServerConfig,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -83,9 +84,9 @@ fn main() {
     // micro-batching, admission control, backpressure, and per-request
     // deadline propagation into the robust degradation path. Faults are
     // injected at BOTH levels — scorer faults (latency spikes, NaNs,
-    // panics, short writes) and server faults (queue stalls, slow
-    // consumers, batch panics, deadline storms) — standing in for the
-    // failures a long-running reranker actually sees.
+    // panics, short writes) wrapped around the scorer, and server faults
+    // (stalls, batch panics, deadline storms) wrapped around the engine —
+    // standing in for the failures a long-running reranker actually sees.
     println!("\nserving the same stream through the dlr-serve front-end");
     println!("(micro-batching + admission control + deadline propagation)");
     println!("with injected scorer AND server faults (net primary, forest fallback)...\n");
@@ -133,20 +134,17 @@ fn main() {
     .with_forecaster(engine_forecast.into_forecaster())
     .with_obs(Arc::clone(&obs));
 
-    let server_faults = ServerFaultPlan::seeded(
-        7,
-        ServerFaultConfig {
-            p_stall: 0.10,
-            stall: Duration::from_millis(3), // longer than the deadline: expiry
-            p_slow: 0.10,
-            slow: Duration::from_millis(1),
-            p_panic: 0.05,
-            p_storm: 0.10,
-        },
-    );
-    let server_counters = server_faults.counters();
+    let server_faults = ServerFaultConfig {
+        p_stall: 0.20,
+        // Longer than the deadline: requests queued behind it expire.
+        stall: Duration::from_millis(3),
+        p_panic: 0.05,
+        p_storm: 0.10,
+    };
+    let faulty_engine = FaultInjectingEngine::new(robust, server_faults.plan(7));
+    let server_counters = faulty_engine.counters();
     let server = Server::start(
-        robust,
+        faulty_engine,
         ServerConfig {
             batch: BatchConfig {
                 max_batch_docs: 200, // coalesce up to two 100-doc queries
@@ -159,7 +157,6 @@ fn main() {
             },
             queue_capacity: 16,
             admission: Some(Box::new(admission_forecast.into_forecaster())),
-            faults: Some(server_faults),
             clock: Some(Arc::clone(&clock) as Arc<dyn Clock>),
             obs: Some(Arc::clone(&obs)),
             ..ServerConfig::default()
@@ -216,14 +213,16 @@ fn main() {
         injected.short_writes.load(Ordering::Relaxed),
     );
     println!(
-        "injected server faults: {} (stalls {}, slow consumers {}, batch panics {}, deadline storms {})",
+        "injected server faults: {} (stalls {}, batch panics {}, deadline storms {})",
         server_counters.total_faults(),
-        server_counters.queue_stalls.load(Ordering::Relaxed),
-        server_counters.slow_consumers.load(Ordering::Relaxed),
+        server_counters.stalls.load(Ordering::Relaxed),
         server_counters.batch_panics.load(Ordering::Relaxed),
         server_counters.deadline_storms.load(Ordering::Relaxed),
     );
-    println!("\nrobust engine stats after drain:\n{}", engine.stats());
+    println!(
+        "\nrobust engine stats after drain:\n{}",
+        engine.inner.stats()
+    );
 
     // The shutdown dump: the same snapshot a scraper would pull from a
     // live process, plus waterfalls of the three slowest requests.

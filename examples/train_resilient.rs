@@ -17,19 +17,26 @@
 //! cargo run --release --example train_resilient -- --ckpt-dir /tmp/ck --epochs 6 --out /tmp/model.dlr
 //! ```
 //!
+//! `--crash-after k` stops the run once epoch `k` (0-based) has been
+//! checkpointed — it trains epochs `0..=k` and exits 42, leaving the
+//! directory exactly as a run killed there would. `k` must leave an
+//! epoch to resume (`k + 1 < --epochs`); anything else exits 2.
+//!
 //! The CI crash/resume smoke job drives exactly this sequence and
-//! `cmp`s the resumed model against an uninterrupted one.
+//! `cmp`s the resumed model against an uninterrupted one, then truncates
+//! the newest checkpoint of a second interrupted run and checks that the
+//! resume falls back past it to the same model.
 
 use distilled_ltr::data::SyntheticConfig;
 use distilled_ltr::distill::{DistillConfig, DistillHyper, DistillSession, ResilienceConfig};
 use distilled_ltr::gbdt::{GrowthParams, LambdaMartParams, LambdaMartTrainer};
 use distilled_ltr::metrics::evaluate_scores;
-use distilled_ltr::nn::{write_mlp, FaultInjector, FaultPlan, Mlp, StepLr, TrainError};
+use distilled_ltr::nn::{write_mlp, Mlp, StepLr};
 use std::path::PathBuf;
 use std::process::exit;
 
-/// Exit code of a simulated crash, so the harness can tell "injected
-/// fault fired as planned" from a real failure.
+/// Exit code of a simulated crash, so the harness can tell "stopped as
+/// planned" from a real failure.
 const CRASH_EXIT_CODE: i32 = 42;
 
 struct Args {
@@ -65,6 +72,15 @@ fn parse_args() -> Args {
                 eprintln!("unknown flag {other}; see the module docs for usage");
                 exit(2);
             }
+        }
+    }
+    if let Some(k) = args.crash_after {
+        if k.saturating_add(1) >= args.epochs {
+            eprintln!(
+                "--crash-after {k} leaves no epoch of {} to resume; use k + 1 < --epochs",
+                args.epochs
+            );
+            exit(2);
         }
     }
     args
@@ -111,30 +127,22 @@ fn main() {
         ..Default::default()
     };
 
-    let mut injector = args
-        .crash_after
-        .map(|e| FaultInjector::new(FaultPlan::default().with_crash_after(e)));
+    // A crash after epoch k leaves what a run of k + 1 epochs leaves:
+    // every checkpoint up to the boundary after epoch k, nothing later.
+    let epochs = args.crash_after.map_or(args.epochs, |k| k + 1);
     let mut mlp = Mlp::from_hidden(data.num_features(), &[32, 16], 0xD157);
-    let outcome = session.run_epochs_resilient(
-        &mut mlp,
-        &schedule,
-        args.epochs,
-        &res,
-        &args.ckpt_dir,
-        injector.as_mut(),
-    );
-
-    let report = match outcome {
-        Ok(report) => report,
-        Err(TrainError::InjectedCrash { epoch }) => {
-            eprintln!("simulated crash after epoch {epoch}; checkpoint retained, exiting {CRASH_EXIT_CODE}");
-            exit(CRASH_EXIT_CODE);
-        }
-        Err(e) => {
+    let report = session
+        .run_epochs_resilient(&mut mlp, &schedule, epochs, &res, &args.ckpt_dir)
+        .unwrap_or_else(|e| {
             eprintln!("training failed: {e}");
             exit(1);
-        }
-    };
+        });
+    if let Some(k) = args.crash_after {
+        eprintln!(
+            "simulated crash after epoch {k}; checkpoint retained, exiting {CRASH_EXIT_CODE}"
+        );
+        exit(CRASH_EXIT_CODE);
+    }
 
     match report.resumed_from {
         Some(epoch) => eprintln!(

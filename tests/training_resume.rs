@@ -5,17 +5,26 @@
 //! its latest checkpoint must produce **bit-identical** final weights to
 //! a run that was never interrupted — and to a run that never wrote a
 //! checkpoint at all — and every injected fault must be detected and
-//! recovered with statistics that match the injected counts exactly. All faults here are scripted through `FaultInjector` — no
-//! real process is killed (the CI smoke job covers that path end to end).
+//! recovered with statistics that match the injected counts exactly.
+//!
+//! Faults come from outside the loop, through seams production already
+//! has: a NaN batch is a `BatchSource` that writes NaN into one target,
+//! and a crash or a corrupt checkpoint is a state of the checkpoint
+//! directory, rebuilt from the files of a run that kept them all. No
+//! real process is killed (the CI smoke job covers that path end to
+//! end).
 
+use distilled_ltr::core::fault::{corrupt_artifact, ArtifactCorruption};
 use distilled_ltr::data::{Dataset, SyntheticConfig};
 use distilled_ltr::distill::{DistillConfig, DistillHyper, DistillSession, ResilienceConfig};
 use distilled_ltr::gbdt::{Ensemble, GrowthParams, LambdaMartParams, LambdaMartTrainer};
+use distilled_ltr::nn::train::SgdTrainer;
 use distilled_ltr::nn::{
-    write_mlp, CorruptMode, FaultInjector, FaultPlan, GuardConfig, Mlp, StepLr, TrainError,
+    run_epochs, write_mlp, BatchSource, CheckpointManager, GuardConfig, LayerMasks, LoopState, Mlp,
+    StepLr, TrainError,
 };
 use distilled_ltr::prune::{prune_first_layer, prune_first_layer_resilient, PruneConfig};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn small_setup() -> (Ensemble, Dataset) {
     let mut cfg = SyntheticConfig::msn30k_like(30);
@@ -72,6 +81,68 @@ fn student(session_features: usize) -> Mlp {
     Mlp::from_hidden(session_features, &[16, 8], 0xD15_7111)
 }
 
+/// `res` keeping every checkpoint it writes.
+fn keep_all(res: &ResilienceConfig) -> ResilienceConfig {
+    ResilienceConfig {
+        keep_last: 0,
+        ..res.clone()
+    }
+}
+
+/// The directory a run killed right after epoch `epoch`'s checkpoint
+/// leaves, rebuilt from `full`, where a run of the same schedule kept
+/// every checkpoint: the newest `keep_last` of those written up to the
+/// boundary after `epoch`.
+fn crashed_after(full: &Path, epoch: usize, keep_last: usize, tag: &str) -> PathBuf {
+    let dir = scratch(tag);
+    std::fs::create_dir_all(&dir).unwrap();
+    let written: Vec<(usize, PathBuf)> = CheckpointManager::new(full, 0)
+        .unwrap()
+        .list()
+        .unwrap()
+        .into_iter()
+        .filter(|&(e, _)| e <= epoch + 1)
+        .collect();
+    for (_, path) in &written[written.len().saturating_sub(keep_last)..] {
+        std::fs::copy(path, dir.join(path.file_name().unwrap())).unwrap();
+    }
+    dir
+}
+
+/// A source that writes NaN into the first target of the gather calls
+/// numbered in `at` (0-based, counting the replays after a rollback).
+struct NanAt<S> {
+    inner: S,
+    at: Vec<usize>,
+    calls: usize,
+    written: usize,
+}
+
+impl<S: BatchSource> BatchSource for NanAt<S> {
+    fn num_docs(&self) -> usize {
+        self.inner.num_docs()
+    }
+
+    fn docs_per_batch(&self) -> usize {
+        self.inner.docs_per_batch()
+    }
+
+    fn gather(
+        &mut self,
+        docs: &[usize],
+        seed: &mut u64,
+        rows: &mut Vec<f32>,
+        targets: &mut Vec<f32>,
+    ) {
+        self.inner.gather(docs, seed, rows, targets);
+        if self.at.contains(&self.calls) {
+            targets[0] = f32::NAN;
+            self.written += 1;
+        }
+        self.calls += 1;
+    }
+}
+
 fn model_bytes(mlp: &Mlp) -> Vec<u8> {
     let mut bytes = Vec::new();
     write_mlp(mlp, &mut bytes).unwrap();
@@ -93,7 +164,7 @@ fn checkpointing_changes_no_bit() {
     let dir = scratch("onoff-distill");
     let mut checkpointed = student(data.num_features());
     let report = session
-        .run_epochs_resilient(&mut checkpointed, &schedule, 3, &res, &dir, None)
+        .run_epochs_resilient(&mut checkpointed, &schedule, 3, &res, &dir)
         .unwrap();
     assert_eq!(model_bytes(&plain), model_bytes(&checkpointed));
     assert_eq!(plain_loss, report.epoch_loss);
@@ -108,7 +179,7 @@ fn checkpointing_changes_no_bit() {
         let dir = scratch(&format!("onoff-{name}"));
         let mut on = plain.clone();
         let on_out =
-            prune_first_layer_resilient(&session, &mut on, &prune_cfg, &res, &dir, None).unwrap();
+            prune_first_layer_resilient(&session, &mut on, &prune_cfg, &res, &dir).unwrap();
         assert_eq!(model_bytes(&off), model_bytes(&on), "{name} prune");
         assert_eq!(off_out.epoch_loss, on_out.epoch_loss, "{name} prune");
         assert_eq!(
@@ -135,39 +206,33 @@ fn distill_resume_is_bit_identical_to_uninterrupted() {
         ..Default::default()
     };
 
-    // Uninterrupted reference run.
-    let clean_dir = scratch("distill-clean");
+    // Uninterrupted reference run, every checkpoint kept.
+    let full_dir = scratch("distill-full");
     let mut clean = student(data.num_features());
     let clean_report = session
-        .run_epochs_resilient(&mut clean, &schedule, 6, &res, &clean_dir, None)
+        .run_epochs_resilient(&mut clean, &schedule, 6, &keep_all(&res), &full_dir)
         .unwrap();
     assert_eq!(clean_report.resumed_from, None);
     assert_eq!(clean_report.epoch_loss.len(), 6);
 
-    // Interrupted run: simulated crash right after epoch 3's checkpoint.
-    let dir = scratch("distill-crash");
-    let mut interrupted = student(data.num_features());
-    let mut inj = FaultInjector::new(FaultPlan::default().with_crash_after(3));
-    let err = session
-        .run_epochs_resilient(&mut interrupted, &schedule, 6, &res, &dir, Some(&mut inj))
-        .unwrap_err();
-    assert!(matches!(err, TrainError::InjectedCrash { epoch: 3 }));
-    assert_eq!(inj.counters.crashes, 1);
+    // Interrupted run: killed right after epoch 3's checkpoint.
+    let dir = crashed_after(&full_dir, 3, res.keep_last, "distill-crash");
 
     // Resume from the directory with a *fresh* model argument: recovery
     // must come entirely from the checkpoint.
     let mut resumed = student(data.num_features());
     let report = session
-        .run_epochs_resilient(&mut resumed, &schedule, 6, &res, &dir, None)
+        .run_epochs_resilient(&mut resumed, &schedule, 6, &res, &dir)
         .unwrap();
     assert_eq!(report.resumed_from, Some(4));
     assert_eq!(report.epoch_loss.len(), 2);
+    assert_eq!(report.epoch_loss, clean_report.epoch_loss[4..]);
     assert_eq!(
         resumed, clean,
         "resumed weights must match the uninterrupted run bit-for-bit"
     );
 
-    let _ = std::fs::remove_dir_all(&clean_dir);
+    let _ = std::fs::remove_dir_all(&full_dir);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -182,24 +247,24 @@ fn crash_at_every_epoch_boundary_resumes_equivalently() {
         ..Default::default()
     };
 
-    let clean_dir = scratch("sweep-clean");
+    let full_dir = scratch("sweep-full");
     let mut clean = student(data.num_features());
     session
-        .run_epochs_resilient(&mut clean, &schedule, 4, &res, &clean_dir, None)
+        .run_epochs_resilient(&mut clean, &schedule, 4, &keep_all(&res), &full_dir)
         .unwrap();
 
     for crash_epoch in 0..4 {
-        let dir = scratch(&format!("sweep-{crash_epoch}"));
-        let mut mlp = student(data.num_features());
-        let mut inj = FaultInjector::new(FaultPlan::default().with_crash_after(crash_epoch));
-        // Every boundary checkpoints before the crash fires — including
-        // the final epoch, whose resumed run has nothing left to do.
-        session
-            .run_epochs_resilient(&mut mlp, &schedule, 4, &res, &dir, Some(&mut inj))
-            .unwrap_err();
+        // Every boundary checkpoints before the crash — including the
+        // final epoch, whose resumed run has nothing left to do.
+        let dir = crashed_after(
+            &full_dir,
+            crash_epoch,
+            res.keep_last,
+            &format!("sweep-{crash_epoch}"),
+        );
         let mut resumed = student(data.num_features());
         let report = session
-            .run_epochs_resilient(&mut resumed, &schedule, 4, &res, &dir, None)
+            .run_epochs_resilient(&mut resumed, &schedule, 4, &res, &dir)
             .unwrap();
         assert_eq!(report.resumed_from, Some(crash_epoch + 1));
         assert_eq!(
@@ -208,7 +273,7 @@ fn crash_at_every_epoch_boundary_resumes_equivalently() {
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
-    let _ = std::fs::remove_dir_all(&clean_dir);
+    let _ = std::fs::remove_dir_all(&full_dir);
 }
 
 #[test]
@@ -229,34 +294,47 @@ fn injected_nan_faults_roll_back_with_exact_counts() {
         ..Default::default()
     };
 
-    let clean_dir = scratch("nan-clean");
     let mut clean = student(data.num_features());
-    session
-        .run_epochs_resilient(&mut clean, &schedule, 5, &res, &clean_dir, None)
-        .unwrap();
+    session.run_epochs(&mut clean, &schedule, 0..5, None);
 
-    // Three NaN batches in separate epochs (well apart so each rollback
-    // completes before the next fault).
+    // Three NaN batches (well apart so each rollback completes before the
+    // next fault), fed through the session's own real-plus-synthetic
+    // batches: each rollback must also rewind the synthetic stream.
+    // The loop state is the one `run_epochs_resilient` builds.
     let dir = scratch("nan-faulted");
     let mut faulted = student(data.num_features());
-    let plan = FaultPlan::nan_at(&[2, 15, 31]);
-    let mut inj = FaultInjector::new(plan);
-    let report = session
-        .run_epochs_resilient(&mut faulted, &schedule, 5, &res, &dir, Some(&mut inj))
-        .unwrap();
+    let trainer = SgdTrainer::new(&faulted, cfg.hyper.dropout, cfg.seed ^ 0x7e57);
+    let masks = LayerMasks::none(faulted.layers().len());
+    let mut source = NanAt {
+        inner: session.batches(),
+        at: vec![2, 15, 31],
+        calls: 0,
+        written: 0,
+    };
+    let mut st = LoopState::new("distill", trainer, masks, source.num_docs(), cfg.seed);
+    let report = run_epochs(
+        &mut faulted,
+        &mut st,
+        &mut source,
+        &schedule,
+        5,
+        &res,
+        Some(&dir),
+        &mut |_, _| {},
+    )
+    .unwrap();
 
-    assert_eq!(inj.counters.nan_injected, 3, "all scheduled faults fired");
+    assert_eq!(source.written, 3, "all scheduled faults fired");
     assert_eq!(
-        report.stats.nonfinite_losses, inj.counters.nan_injected,
+        report.stats.nonfinite_losses, 3,
         "every injected NaN was detected"
     );
     assert_eq!(
-        report.stats.rollbacks, inj.counters.nan_injected,
+        report.stats.rollbacks, 3,
         "every detection triggered exactly one rollback"
     );
     assert_eq!(faulted, clean, "post-recovery trajectory must rejoin");
 
-    let _ = std::fs::remove_dir_all(&clean_dir);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -271,37 +349,34 @@ fn corrupt_newest_checkpoint_falls_back_to_previous() {
         ..Default::default()
     };
 
-    let clean_dir = scratch("corrupt-clean");
+    let full_dir = scratch("corrupt-full");
     let mut clean = student(data.num_features());
     session
-        .run_epochs_resilient(&mut clean, &schedule, 6, &res, &clean_dir, None)
+        .run_epochs_resilient(&mut clean, &schedule, 6, &keep_all(&res), &full_dir)
         .unwrap();
 
-    for mode in [CorruptMode::FlipByte, CorruptMode::Truncate] {
-        // Corrupt the checkpoint written after epoch 3 (file `ckpt-4`),
-        // then crash. Recovery must skip it and restart from `ckpt-2`.
-        let dir = scratch(&format!("corrupt-{mode:?}"));
-        let mut mlp = student(data.num_features());
-        let plan = FaultPlan::default()
-            .with_corrupt_after(3, mode)
-            .with_crash_after(3);
-        let mut inj = FaultInjector::new(plan);
-        let err = session
-            .run_epochs_resilient(&mut mlp, &schedule, 6, &res, &dir, Some(&mut inj))
-            .unwrap_err();
-        assert!(matches!(err, TrainError::InjectedCrash { epoch: 3 }));
-        assert_eq!(inj.counters.corruptions, 1);
+    for corruption in [
+        ArtifactCorruption::FlipByte { offset: 1000 },
+        ArtifactCorruption::Truncate { keep: 100 },
+        ArtifactCorruption::BadHeader,
+    ] {
+        // Crash right after epoch 3's checkpoint (file `ckpt-4`), which
+        // is damaged. Recovery must skip it and restart from `ckpt-2`.
+        let dir = crashed_after(&full_dir, 3, res.keep_last, &format!("{corruption:?}"));
+        let newest = dir.join("ckpt-00000004.dlrck");
+        let bytes = std::fs::read(&newest).unwrap();
+        std::fs::write(&newest, corrupt_artifact(&bytes, corruption)).unwrap();
 
         let mut resumed = student(data.num_features());
         let report = session
-            .run_epochs_resilient(&mut resumed, &schedule, 6, &res, &dir, None)
+            .run_epochs_resilient(&mut resumed, &schedule, 6, &res, &dir)
             .unwrap();
         assert_eq!(report.checkpoints_skipped, 1, "corrupt file was skipped");
         assert_eq!(report.resumed_from, Some(2), "fell back to epoch 2");
-        assert_eq!(resumed, clean, "{mode:?}: recovery diverged");
+        assert_eq!(resumed, clean, "{corruption:?}: recovery diverged");
         let _ = std::fs::remove_dir_all(&dir);
     }
-    let _ = std::fs::remove_dir_all(&clean_dir);
+    let _ = std::fs::remove_dir_all(&full_dir);
 }
 
 #[test]
@@ -321,18 +396,14 @@ fn prune_finetune_resume_is_bit_identical() {
     let base = {
         let mut mlp = student(data.num_features());
         let schedule = schedule_of(session.config());
-        let dir = scratch("prune-pretrain");
-        session
-            .run_epochs_resilient(&mut mlp, &schedule, 2, &res, &dir, None)
-            .unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
+        session.run_epochs(&mut mlp, &schedule, 0..2, None);
         mlp
     };
 
-    let clean_dir = scratch("prune-clean");
+    let full_dir = scratch("prune-full");
     let mut clean = base.clone();
     let clean_out =
-        prune_first_layer_resilient(&session, &mut clean, &prune_cfg, &res, &clean_dir, None)
+        prune_first_layer_resilient(&session, &mut clean, &prune_cfg, &keep_all(&res), &full_dir)
             .unwrap();
     assert_eq!(clean_out.sparsity_curve.len(), 4);
     assert!(clean_out.final_sparsity > 0.0);
@@ -341,17 +412,15 @@ fn prune_finetune_resume_is_bit_identical() {
     // run opens on the first fine-tune epoch, where the data streams
     // reseed), mid-fine-tune, and the final epoch.
     for crash_epoch in 0..4 + 3 {
-        let dir = scratch(&format!("prune-crash-{crash_epoch}"));
-        let mut mlp = base.clone();
-        let mut inj = FaultInjector::new(FaultPlan::default().with_crash_after(crash_epoch));
-        let err =
-            prune_first_layer_resilient(&session, &mut mlp, &prune_cfg, &res, &dir, Some(&mut inj))
-                .unwrap_err();
-        assert!(matches!(err, TrainError::InjectedCrash { .. }));
-
+        let dir = crashed_after(
+            &full_dir,
+            crash_epoch,
+            res.keep_last,
+            &format!("prune-crash-{crash_epoch}"),
+        );
         let mut resumed = base.clone();
-        let out = prune_first_layer_resilient(&session, &mut resumed, &prune_cfg, &res, &dir, None)
-            .unwrap();
+        let out =
+            prune_first_layer_resilient(&session, &mut resumed, &prune_cfg, &res, &dir).unwrap();
         assert_eq!(out.resumed_from, Some(crash_epoch + 1));
         assert_eq!(
             resumed, clean,
@@ -365,7 +434,7 @@ fn prune_finetune_resume_is_bit_identical() {
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
-    let _ = std::fs::remove_dir_all(&clean_dir);
+    let _ = std::fs::remove_dir_all(&full_dir);
 }
 
 #[test]
@@ -382,14 +451,13 @@ fn another_runs_checkpoint_is_rejected_on_resume() {
     let dir = scratch("foreign");
     let mut mlp = student(data.num_features());
     session
-        .run_epochs_resilient(&mut mlp, &schedule, 6, &res, &dir, None)
+        .run_epochs_resilient(&mut mlp, &schedule, 6, &res, &dir)
         .unwrap();
 
     // The prune schedule pointed at the directory its distillation wrote.
     let distilled = mlp.clone();
     let prune_cfg = PruneConfig::first_layer_level(0.8);
-    let err =
-        prune_first_layer_resilient(&session, &mut mlp, &prune_cfg, &res, &dir, None).unwrap_err();
+    let err = prune_first_layer_resilient(&session, &mut mlp, &prune_cfg, &res, &dir).unwrap_err();
     assert!(matches!(err, TrainError::Incompatible(_)), "{err:?}");
     assert_eq!(
         mlp, distilled,
@@ -399,7 +467,7 @@ fn another_runs_checkpoint_is_rejected_on_resume() {
     // A run asked for fewer epochs than the checkpoint holds.
     let mut short = student(data.num_features());
     let err = session
-        .run_epochs_resilient(&mut short, &schedule, 4, &res, &dir, None)
+        .run_epochs_resilient(&mut short, &schedule, 4, &res, &dir)
         .unwrap_err();
     assert!(matches!(err, TrainError::Incompatible(_)), "{err:?}");
     assert_eq!(short, student(data.num_features()));
@@ -417,13 +485,13 @@ fn incompatible_architecture_is_rejected_on_resume() {
     let dir = scratch("incompat");
     let mut mlp = student(data.num_features());
     session
-        .run_epochs_resilient(&mut mlp, &schedule, 2, &res, &dir, None)
+        .run_epochs_resilient(&mut mlp, &schedule, 2, &res, &dir)
         .unwrap();
 
     // A different architecture must not silently adopt the checkpoint.
     let mut other = Mlp::from_hidden(data.num_features(), &[7], 1);
     let err = session
-        .run_epochs_resilient(&mut other, &schedule, 4, &res, &dir, None)
+        .run_epochs_resilient(&mut other, &schedule, 4, &res, &dir)
         .unwrap_err();
     assert!(matches!(err, TrainError::Incompatible(_)), "{err:?}");
     let _ = std::fs::remove_dir_all(&dir);
