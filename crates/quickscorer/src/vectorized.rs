@@ -4,32 +4,82 @@
 //! registers, allowing to process up to 8 documents at a time". The
 //! traversal state becomes one `leafidx` word per (tree, document-lane)
 //! pair; each threshold is compared against all lanes at once and the
-//! mask is ANDed into the lanes that test false. The scan of a feature's
-//! condition list stops only when *every* lane has hit its early-exit
-//! point — the vectorized analogue of the scalar break.
+//! node's left-subtree leaves are cleared in the lanes that exceed it. The
+//! scan of a feature's condition list stops only when *no* lane exceeds
+//! the threshold — the vectorized analogue of the scalar break.
 //!
-//! The 8-lane comparison and conditional AND is `dlr-simd`'s mask step
-//! ([`dlr_simd::qs::mask_step`]): a lane loop the compiler vectorizes,
-//! the same code at every [`Isa`] level, so every level produces
-//! **bit-identical** scores.
+//! The word is the narrowest that holds the forest's widest tree: `u32`
+//! for trees of at most 32 leaves, so one 256-bit register holds a tree's
+//! 8 lanes (the paper's layout), `u64` up to 64. The conditions are stored
+//! once, as `dlr-simd`'s structure-of-arrays [`ConditionTable`], and each
+//! group of 8 documents is one call of [`dlr_simd::qs::scan_group`]: an
+//! AVX2 kernel over the whole group at [`Isa::Avx2`], the portable lane
+//! loop at every other level. A batch whose size is not a multiple of 8
+//! ends in a short group whose spare lanes repeat its last document; only
+//! the real lanes are written. Leaf selection is exact bit logic and every
+//! lane adds the base score and then the trees in order, so every level
+//! produces **bit-identical** scores, equal to per-tree traversal.
 
 use crate::model::QuickScorer;
 use crate::QsError;
 use dlr_gbdt::Ensemble;
+use dlr_simd::qs::{scan_group, ConditionTable, LeafWord};
 use dlr_simd::Isa;
 
 /// Number of documents processed per scan (mirrors AVX2's 8 × f32).
 pub const LANES: usize = 8;
 
-// The lane blocking below is exactly what the dlr-simd mask step
+// The lane blocking below is exactly what the dlr-simd group scan
 // consumes; keep the widths in lock-step.
 const _: () = assert!(LANES == dlr_simd::LANES);
 
-/// vQS-style scorer: a [`QuickScorer`] encoding driven 8 documents at a
-/// time.
+/// vQS-style scorer: a QuickScorer encoding driven 8 documents at a time.
 #[derive(Debug, Clone)]
 pub struct VectorizedQuickScorer {
-    inner: QuickScorer,
+    num_features: usize,
+    base_score: f32,
+    /// Per-tree start into `leaf_values`.
+    leaf_offsets: Vec<usize>,
+    leaf_values: Vec<f32>,
+    words: Words,
+}
+
+/// The conditions and initial bitvectors at the forest's leaf word.
+#[derive(Debug, Clone)]
+enum Words {
+    /// Every tree has at most 32 leaves.
+    Narrow(Encoding<u32>),
+    /// Some tree has 33 to 64 leaves.
+    Wide(Encoding<u64>),
+}
+
+#[derive(Debug, Clone)]
+struct Encoding<W> {
+    conditions: ConditionTable<W>,
+    /// All-ones initial bitvector per tree (`(1 << leaves) - 1`).
+    init_mask: Vec<W>,
+}
+
+impl<W: LeafWord> Encoding<W> {
+    /// Re-encode a QuickScorer's conditions in structure-of-arrays form.
+    fn new(qs: &QuickScorer) -> Encoding<W> {
+        let (feat_offsets, conditions, _, _, init_mask, _) = qs.parts();
+        Encoding {
+            conditions: ConditionTable::new(
+                qs.num_trees(),
+                feat_offsets.to_vec(),
+                conditions.iter().map(|c| c.threshold).collect(),
+                conditions.iter().map(|c| c.tree).collect(),
+                // A tree's leaves fit the word, so its left-subtree bits
+                // and initial bitvector survive the truncation.
+                conditions
+                    .iter()
+                    .map(|c| W::from_low_bits(!c.mask))
+                    .collect(),
+            ),
+            init_mask: init_mask.iter().map(|&m| W::from_low_bits(m)).collect(),
+        }
+    }
 }
 
 impl VectorizedQuickScorer {
@@ -38,23 +88,36 @@ impl VectorizedQuickScorer {
     /// # Errors
     /// Propagates [`QsError`] from the underlying encoding.
     pub fn compile(ensemble: &Ensemble) -> Result<VectorizedQuickScorer, QsError> {
+        let qs = QuickScorer::compile(ensemble)?;
+        let words = if ensemble.max_leaves() <= 32 {
+            Words::Narrow(Encoding::new(&qs))
+        } else {
+            Words::Wide(Encoding::new(&qs))
+        };
+        let (_, _, leaf_offsets, leaf_values, _, base_score) = qs.parts();
         Ok(VectorizedQuickScorer {
-            inner: QuickScorer::compile(ensemble)?,
+            num_features: qs.num_features(),
+            base_score,
+            leaf_offsets: leaf_offsets.to_vec(),
+            leaf_values: leaf_values.to_vec(),
+            words,
         })
     }
 
     /// Expected feature count.
     pub fn num_features(&self) -> usize {
-        self.inner.num_features()
+        self.num_features
     }
 
     /// Number of trees.
     pub fn num_trees(&self) -> usize {
-        self.inner.num_trees()
+        match &self.words {
+            Words::Narrow(e) => e.init_mask.len(),
+            Words::Wide(e) => e.init_mask.len(),
+        }
     }
 
-    /// Score a row-major batch into `out`, [`LANES`] documents per pass;
-    /// the ragged tail falls back to scalar scoring.
+    /// Score a row-major batch into `out`, [`LANES`] documents per pass.
     ///
     /// # Panics
     /// Panics on shape mismatches.
@@ -63,72 +126,47 @@ impl VectorizedQuickScorer {
         self.score_batch_with_isa(dlr_simd::active(), features, out);
     }
 
-    /// [`Self::score_batch`] with the ISA level handed to the mask step
+    /// [`Self::score_batch`] with the ISA level handed to the group scan
     /// chosen by the caller — exposed (doc-hidden) so the equivalence
     /// suite and the benchmark can sweep the levels without touching the
     /// process-wide state.
     #[doc(hidden)]
     pub fn score_batch_with_isa(&self, isa: Isa, features: &[f32], out: &mut [f32]) {
-        let nf = self.inner.num_features();
-        assert_eq!(features.len(), out.len() * nf, "batch shape mismatch");
-        let (feat_offsets, conditions, leaf_offsets, leaf_values, init_mask, base) =
-            self.inner.parts();
-        let nt = self.inner.num_trees();
-        // leafidx[t * LANES + lane]
-        let mut leafidx = vec![0u64; nt * LANES];
-        let full_groups = out.len() / LANES;
-
-        for g in 0..full_groups {
-            let rows = &features[g * LANES * nf..(g + 1) * LANES * nf];
-            // Re-arm every lane's bitvectors.
-            for t in 0..nt {
-                let init = init_mask[t];
-                for lane in 0..LANES {
-                    leafidx[t * LANES + lane] = init;
-                }
-            }
-            for f in 0..nf {
-                // Gather the 8 lane values of feature f.
-                let mut xf = [0.0f32; LANES];
-                for (lane, x) in xf.iter_mut().enumerate() {
-                    *x = rows[lane * nf + f];
-                }
-                let max_xf = xf.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-                for cond in &conditions[feat_offsets[f]..feat_offsets[f + 1]] {
-                    if max_xf <= cond.threshold {
-                        // Every lane tests true from here on.
-                        break;
-                    }
-                    // Always-Some: `cond.tree < nt` by construction, so the
-                    // group slice is at least LANES long.
-                    let group = &mut leafidx[cond.tree as usize * LANES..];
-                    if let Some(dst) = group.first_chunk_mut::<LANES>() {
-                        // Branch-free lane select: AND with the mask when
-                        // the lane's test is false, with all-ones otherwise.
-                        dlr_simd::qs::mask_step(isa, &xf, cond.threshold, cond.mask, dst);
-                    }
-                }
-            }
-            let out_group = &mut out[g * LANES..(g + 1) * LANES];
-            out_group.fill(base);
-            for t in 0..nt {
-                let lanes = &leafidx[t * LANES..t * LANES + LANES];
-                let base_off = leaf_offsets[t];
-                for (o, &bits) in out_group.iter_mut().zip(lanes) {
-                    *o += leaf_values[base_off + bits.trailing_zeros() as usize];
-                }
-            }
+        assert_eq!(
+            features.len(),
+            out.len() * self.num_features,
+            "batch shape mismatch"
+        );
+        match &self.words {
+            Words::Narrow(e) => self.score_groups(isa, e, features, out),
+            Words::Wide(e) => self.score_groups(isa, e, features, out),
         }
+    }
 
-        // Ragged tail: scalar path.
-        let tail_start = full_groups * LANES;
-        if tail_start < out.len() {
-            let mut buf = vec![0u64; nt];
-            for (row, o) in features[tail_start * nf..]
-                .chunks_exact(nf)
-                .zip(out[tail_start..].iter_mut())
-            {
-                *o = self.inner.score_with(row, &mut buf);
+    fn score_groups<W: LeafWord>(
+        &self,
+        isa: Isa,
+        enc: &Encoding<W>,
+        features: &[f32],
+        out: &mut [f32],
+    ) {
+        let nf = self.num_features;
+        // leafidx[t * LANES + lane]
+        let mut leafidx = vec![W::default(); enc.init_mask.len() * LANES];
+        for (g, out_group) in out.chunks_mut(LANES).enumerate() {
+            let first = g * LANES;
+            let rows = &features[first * nf..(first + out_group.len()) * nf];
+            // Re-arm every lane's bitvectors.
+            for (lanes, &init) in leafidx.chunks_exact_mut(LANES).zip(&enc.init_mask) {
+                lanes.fill(init);
+            }
+            scan_group(isa, &enc.conditions, rows, &mut leafidx);
+            out_group.fill(self.base_score);
+            for (lanes, &base_off) in leafidx.chunks_exact(LANES).zip(&self.leaf_offsets) {
+                // A short group's spare lanes are never read.
+                for (o, &bits) in out_group.iter_mut().zip(lanes) {
+                    *o += self.leaf_values[base_off + bits.trailing_zeros() as usize];
+                }
             }
         }
     }
@@ -191,6 +229,23 @@ mod tests {
         scalar.score_batch(&docs, &mut expect);
         v.score_batch(&docs, &mut got);
         assert_eq!(expect, got);
+    }
+
+    #[test]
+    fn picks_the_narrowest_word_that_holds_every_tree() {
+        for (max_leaves, seed) in [(8, 46), (32, 47), (40, 48), (64, 49)] {
+            let e = random_ensemble(20, 4, max_leaves, seed);
+            let v = VectorizedQuickScorer::compile(&e).unwrap();
+            let wide = matches!(v.words, Words::Wide(_));
+            assert_eq!(wide, e.max_leaves() > 32, "{} leaves", e.max_leaves());
+            let scalar = QuickScorer::compile(&e).unwrap();
+            let docs = random_docs(21, 4, seed);
+            let mut expect = vec![0.0f32; 21];
+            let mut got = vec![0.0f32; 21];
+            scalar.score_batch(&docs, &mut expect);
+            v.score_batch(&docs, &mut got);
+            assert_eq!(expect, got, "{} leaves", e.max_leaves());
+        }
     }
 
     #[test]

@@ -31,10 +31,15 @@
 //!   non-zero, multiply-add against packed B rows. Paths: scalar, AVX2.
 //!   Both use separate multiply and add (never FMA) in the same per-lane
 //!   order, so **every level is bit-identical** to scalar.
-//! * [`qs::mask_step`] — the vQS lane update: compare 8 document lanes
-//!   against a threshold and AND the tree's bitvector mask into the lanes
-//!   that test false. One path: the auto-vectorized lane loop, at every
-//!   level.
+//! * [`qs::scan_group`] — the vQS condition scan: every QuickScorer
+//!   condition of a forest against a group of 8 document lanes, clearing
+//!   a node's left-subtree leaves in the lanes whose value exceeds its
+//!   threshold, over a structure-of-arrays [`qs::ConditionTable`] at the
+//!   narrowest leaf word that holds the widest tree (`u32` up to 32
+//!   leaves, one ymm per tree; `u64` up to 64, two). Paths: the portable
+//!   lane loop ([`qs::mask_step`]'s body) at scalar and SSE2, one AVX2
+//!   kernel per group. Compare and bit logic only, so **every level is
+//!   bit-identical**.
 //!
 //! # Dispatch
 //!

@@ -47,27 +47,129 @@ fn sparse_matrix(m: usize, k: usize, keep_every: usize, seed: u64) -> CsrMatrix 
     CsrMatrix::from_dense(&d, 0.0)
 }
 
-/// Depth-2 trees (three internal nodes, four leaves) with varied splits.
-fn small_ensemble(trees: usize, nf: usize, seed: u64) -> Ensemble {
-    let mut e = Ensemble::new(nf, 0.2);
-    for t in 0..trees {
-        let s = seed + t as u64;
-        let f0 = (s % nf as u64) as u32;
-        let f1 = ((s * 3 + 1) % nf as u64) as u32;
+/// SplitMix64: a fixed stream that depends on nothing but this file, so
+/// the golden fingerprint below survives any change to `rand`.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    /// Uniform in `[-1, 1)`, a multiple of 2⁻²³.
+    fn signed_unit(&mut self) -> f32 {
+        (self.next() >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+    }
+}
+
+/// Split thresholds come from this grid, so many conditions tie and an
+/// edge document can sit exactly on one.
+fn grid_threshold(k: usize) -> f32 {
+    (k % 17) as f32 * 0.25 - 2.0
+}
+
+/// A forest of `trees` trees of exactly `leaves` leaves each, grown by
+/// splitting random leaves, over `nf` features.
+fn grown_forest(trees: usize, nf: usize, leaves: usize, seed: u64) -> Ensemble {
+    enum Node {
+        Leaf(f32),
+        Split(u32, f32, usize, usize),
+    }
+    /// `RegressionTree::from_raw`'s arrays, filled in pre-order.
+    #[derive(Default)]
+    struct Flat {
+        feature: Vec<u32>,
+        threshold: Vec<f32>,
+        left: Vec<i32>,
+        right: Vec<i32>,
+        values: Vec<f32>,
+    }
+    fn emit(arena: &[Node], at: usize, tree: &mut Flat) -> i32 {
+        match arena[at] {
+            Node::Leaf(v) => {
+                tree.values.push(v);
+                leaf_ref(tree.values.len() - 1)
+            }
+            Node::Split(f, t, l, r) => {
+                let me = tree.feature.len();
+                tree.feature.push(f);
+                tree.threshold.push(t);
+                tree.left.push(0);
+                tree.right.push(0);
+                tree.left[me] = emit(arena, l, tree);
+                tree.right[me] = emit(arena, r, tree);
+                me as i32
+            }
+        }
+    }
+    let mut mix = Mix(seed);
+    let mut e = Ensemble::new(nf, 0.3);
+    for _ in 0..trees {
+        let mut arena = vec![Node::Leaf(mix.signed_unit())];
+        let mut open = vec![0usize];
+        while open.len() < leaves {
+            let slot = open.swap_remove(mix.below(open.len()));
+            let (l, r) = (arena.len(), arena.len() + 1);
+            arena.push(Node::Leaf(mix.signed_unit()));
+            arena.push(Node::Leaf(mix.signed_unit()));
+            let f = mix.below(nf) as u32;
+            arena[slot] = Node::Split(f, grid_threshold(mix.below(17)), l, r);
+            open.extend([l, r]);
+        }
+        let mut t = Flat::default();
+        emit(&arena, 0, &mut t);
         e.push(RegressionTree::from_raw(
-            vec![f0, f1, f1],
-            vec![
-                (s % 9) as f32 * 0.1,
-                (s % 4) as f32 * 0.2 - 0.3,
-                (s % 6) as f32 * 0.15,
-            ],
-            vec![1, leaf_ref(0), leaf_ref(2)],
-            vec![2, leaf_ref(1), leaf_ref(3)],
-            vec![0.05 * (s % 7) as f32, -0.1, 0.2, -0.03 * (s % 5) as f32],
+            t.feature,
+            t.threshold,
+            t.left,
+            t.right,
+            t.values,
         ));
     }
     e
 }
+
+/// `n` documents whose features sit on the edges of the scan: exactly on
+/// a grid threshold or one ulp either side of it, ±0, ±∞, subnormal, or
+/// NaN when `nan` is set, mixed with plain values. Document 3 of every 11
+/// is all +∞ (its lane never exits a condition list early) and document
+/// 4 all −∞ (its lane exits every list at once), so the two share groups
+/// at every lane offset.
+fn edge_docs(n: usize, nf: usize, nan: bool, seed: u64) -> Vec<f32> {
+    let mut mix = Mix(seed);
+    let mut docs = Vec::with_capacity(n * nf);
+    for d in 0..n {
+        for _ in 0..nf {
+            let t = grid_threshold(mix.below(17));
+            let v = match (d % 11, mix.below(if nan { 10 } else { 9 })) {
+                (3, _) => f32::INFINITY,
+                (4, _) => f32::NEG_INFINITY,
+                (_, 0 | 1) => t,
+                (_, 2) => t.next_up(),
+                (_, 3) => t.next_down(),
+                (_, 4) => [0.0, -0.0][mix.below(2)],
+                (_, 5) => [f32::INFINITY, f32::NEG_INFINITY][mix.below(2)],
+                (_, 6) => [1e-40, -1e-40, f32::MIN_POSITIVE][mix.below(3)],
+                (_, 9) => f32::NAN,
+                _ => 2.5 * mix.signed_unit(),
+            };
+            docs.push(v);
+        }
+    }
+    docs
+}
+
+/// Leaf counts that straddle the leaf-word widths: a tree of at most 32
+/// leaves fits a `u32` bitvector, 33 to 64 need a `u64`.
+const QS_LEAVES: [usize; 4] = [8, 32, 33, 64];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -92,14 +194,16 @@ proptest! {
         }
     }
 
-    /// QuickScorer: the vectorized mask step is bit-identical to the
-    /// scalar traversal on every path, full groups and ragged tails alike.
+    /// QuickScorer: vQS on every path is bit-identical to the scalar
+    /// traversal, at both leaf-word widths, full groups and ragged tails
+    /// alike.
     #[test]
     fn quickscorer_paths_bit_identical(
         trees in 1usize..24, nf in 1usize..10, docs in 0usize..40,
-        seed in 0u64..500
+        width in 0usize..QS_LEAVES.len(), seed in 0u64..500
     ) {
-        let e = small_ensemble(trees, nf, seed);
+        let leaves = QS_LEAVES[width];
+        let e = grown_forest(trees, nf, leaves, seed);
         let scalar = QuickScorer::compile(&e).unwrap();
         let v = VectorizedQuickScorer::compile(&e).unwrap();
         let feats = Matrix::random(docs.max(1), nf, 2.0, seed + 7);
@@ -109,7 +213,7 @@ proptest! {
         for isa in [Isa::Scalar].into_iter().chain(simd_isas()) {
             let mut got = vec![0.0f32; docs];
             v.score_batch_with_isa(isa, feats, &mut got);
-            prop_assert!(want == got, "{} trees={} docs={}", isa, trees, docs);
+            prop_assert!(want == got, "{} trees={} leaves={} docs={}", isa, trees, leaves, docs);
         }
     }
 
@@ -231,23 +335,86 @@ fn forced_dispatch_sdmm_is_bit_identical() {
 }
 
 /// Forced-dispatch arm: `VectorizedQuickScorer::score_batch` under every
-/// pin matches the scalar `QuickScorer` bit for bit.
+/// pin matches the scalar `QuickScorer` bit for bit, at both leaf-word
+/// widths.
 #[test]
 fn forced_dispatch_quickscorer_is_bit_identical() {
     let _guard = FORCE_LOCK.lock().expect("force lock");
-    let e = small_ensemble(17, 6, 23);
-    let scalar = QuickScorer::compile(&e).unwrap();
-    let v = VectorizedQuickScorer::compile(&e).unwrap();
-    let docs = 43usize; // five full 8-lane groups + a ragged tail
-    let feats = Matrix::random(docs, 6, 2.0, 24);
-    let mut want = vec![0.0f32; docs];
-    scalar.score_batch(feats.as_slice(), &mut want);
-    for (isa, got) in with_each_forced(|| {
-        let mut got = vec![0.0f32; docs];
-        v.score_batch(feats.as_slice(), &mut got);
-        got
-    }) {
-        assert_eq!(want, got, "forced {isa}");
+    for leaves in [4, 64] {
+        let e = grown_forest(17, 6, leaves, 23);
+        let scalar = QuickScorer::compile(&e).unwrap();
+        let v = VectorizedQuickScorer::compile(&e).unwrap();
+        let docs = 43usize; // five full 8-lane groups + a ragged tail
+        let feats = Matrix::random(docs, 6, 2.0, 24);
+        let mut want = vec![0.0f32; docs];
+        scalar.score_batch(feats.as_slice(), &mut want);
+        for (isa, got) in with_each_forced(|| {
+            let mut got = vec![0.0f32; docs];
+            v.score_batch(feats.as_slice(), &mut got);
+            got
+        }) {
+            assert_eq!(want, got, "forced {isa}, {leaves} leaves");
+        }
+    }
+}
+
+/// Every path's vQS scores on [`edge_docs`] against per-tree traversal
+/// (`Ensemble::predict`), bit for bit, at every leaf-word width and at
+/// batch sizes around the 8-document group. Documents with NaN features
+/// are held to the scalar `QuickScorer` instead: QuickScorer's test
+/// `x > γ` is false on NaN, so a NaN feature takes the left branch,
+/// where traversal's `x <= γ` sends it right.
+#[test]
+fn vqs_matches_traversal_on_edge_inputs() {
+    let nf = 7;
+    for leaves in QS_LEAVES {
+        let e = grown_forest(20, nf, leaves, leaves as u64);
+        let qs = QuickScorer::compile(&e).unwrap();
+        let v = VectorizedQuickScorer::compile(&e).unwrap();
+        for n in [1, 7, 8, 9, 64, 1000] {
+            for nan in [false, true] {
+                let docs = edge_docs(n, nf, nan, (n as u64) << 8 | leaves as u64);
+                let want: Vec<u32> = docs
+                    .chunks_exact(nf)
+                    .map(|row| if nan { qs.score(row) } else { e.predict(row) }.to_bits())
+                    .collect();
+                for isa in [Isa::Scalar].into_iter().chain(simd_isas()) {
+                    let mut got = vec![f32::NAN; n];
+                    v.score_batch_with_isa(isa, &docs, &mut got);
+                    let got: Vec<u32> = got.iter().map(|g| g.to_bits()).collect();
+                    assert_eq!(want, got, "{isa} leaves={leaves} n={n} nan={nan}");
+                }
+            }
+        }
+    }
+}
+
+/// FNV-1a over the output bits of vQS on the [`edge_docs`] (NaN included)
+/// of one forest per [`QS_LEAVES`] width, 1000 documents each. The value
+/// was taken on the lane-loop vQS that kept every bitvector as a `u64`,
+/// before the group kernel and the `u32` word; every path must read it.
+const VQS_GOLDEN: u64 = 0x63cb_28d9_d74a_a866;
+
+#[test]
+fn vqs_output_bits_keep_their_fingerprint() {
+    let nf = 9;
+    for isa in [Isa::Scalar].into_iter().chain(simd_isas()) {
+        let mut fnv: u64 = 0xcbf2_9ce4_8422_2325;
+        for leaves in QS_LEAVES {
+            let e = grown_forest(40, nf, leaves, 0x5eed + leaves as u64);
+            let v = VectorizedQuickScorer::compile(&e).unwrap();
+            let docs = edge_docs(1000, nf, true, 0xf00d + leaves as u64);
+            let mut out = vec![0.0f32; 1000];
+            v.score_batch_with_isa(isa, &docs, &mut out);
+            for byte in out.iter().flat_map(|o| o.to_bits().to_le_bytes()) {
+                fnv ^= u64::from(byte);
+                fnv = fnv.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        assert_eq!(
+            fnv, VQS_GOLDEN,
+            "{isa}: vQS output bits moved ({fnv:#018x})"
+        );
     }
 }
 
