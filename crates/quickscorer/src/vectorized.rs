@@ -38,7 +38,7 @@ const _: () = assert!(LANES == dlr_simd::LANES);
 pub struct VectorizedQuickScorer {
     num_features: usize,
     base_score: f32,
-    /// Per-tree start into `leaf_values`.
+    /// Per-tree start into `leaf_values`, then its length.
     leaf_offsets: Vec<usize>,
     leaf_values: Vec<f32>,
     words: Words,
@@ -111,10 +111,7 @@ impl VectorizedQuickScorer {
 
     /// Number of trees.
     pub fn num_trees(&self) -> usize {
-        match &self.words {
-            Words::Narrow(e) => e.init_mask.len(),
-            Words::Wide(e) => e.init_mask.len(),
-        }
+        self.leaf_offsets.len() - 1
     }
 
     /// Score a row-major batch into `out`, [`LANES`] documents per pass.
@@ -165,7 +162,7 @@ impl VectorizedQuickScorer {
             for (lanes, &base_off) in leafidx.chunks_exact(LANES).zip(&self.leaf_offsets) {
                 // A short group's spare lanes are never read.
                 for (o, &bits) in out_group.iter_mut().zip(lanes) {
-                    *o += self.leaf_values[base_off + bits.trailing_zeros() as usize];
+                    *o += self.leaf_values[base_off + bits.to_u64().trailing_zeros() as usize];
                 }
             }
         }

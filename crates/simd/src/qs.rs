@@ -55,9 +55,6 @@ pub trait LeafWord:
 
     /// The word zero-extended to 64 bits.
     fn to_u64(self) -> u64;
-
-    /// Index of the lowest set bit: the exit leaf of a scanned tree.
-    fn trailing_zeros(self) -> u32;
 }
 
 impl LeafWord for u32 {
@@ -73,11 +70,6 @@ impl LeafWord for u32 {
     fn to_u64(self) -> u64 {
         u64::from(self)
     }
-
-    #[inline]
-    fn trailing_zeros(self) -> u32 {
-        u32::trailing_zeros(self)
-    }
 }
 
 impl LeafWord for u64 {
@@ -91,11 +83,6 @@ impl LeafWord for u64 {
     #[inline]
     fn to_u64(self) -> u64 {
         self
-    }
-
-    #[inline]
-    fn trailing_zeros(self) -> u32 {
-        u64::trailing_zeros(self)
     }
 }
 
@@ -163,11 +150,6 @@ impl<W: LeafWord> ConditionTable<W> {
     /// Number of features the conditions test.
     pub fn num_features(&self) -> usize {
         self.feat_offsets.len() - 1
-    }
-
-    /// Number of trees the conditions belong to.
-    pub fn num_trees(&self) -> usize {
-        self.num_trees
     }
 }
 
@@ -291,7 +273,7 @@ mod x86 {
     ///
     /// # Safety
     /// Caller must ensure AVX2 is available, `leafidx` is
-    /// `table.num_trees() · LANES` words, and `lane_rows[l] + f <
+    /// `table.num_trees · LANES` words, and `lane_rows[l] + f <
     /// rows.len()` for every lane `l` and feature `f`.
     #[target_feature(enable = "avx2")]
     unsafe fn scan_group_impl<W: LeafWord>(
@@ -494,7 +476,7 @@ mod tests {
 
     fn scan<W: LeafWord>(isa: Isa, rows: &[f32]) -> Vec<W> {
         let t = table::<W>();
-        let mut leafidx = vec![!W::default(); t.num_trees() * LANES];
+        let mut leafidx = vec![!W::default(); 2 * LANES];
         scan_group(isa, &t, rows, &mut leafidx);
         leafidx
     }
