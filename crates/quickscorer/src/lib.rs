@@ -30,8 +30,9 @@
 //! * [`BlockwiseQuickScorer`] — BWQS: the forest is partitioned into
 //!   blocks sized for cache residency, each scored over the whole
 //!   document batch before moving on;
-//! * [`vectorized`] — vQS-style scoring of [`LANES`](vectorized::LANES)
-//!   documents per scan, the analogue of the AVX2 8-document variant.
+//! * [`vectorized`] — vQS-style scoring of up to
+//!   [`GROUP`](vectorized::GROUP) documents per scan, in 8-document
+//!   AVX2 registers as the paper's vQS, four registers per tree.
 
 pub mod blockwise;
 pub mod model;

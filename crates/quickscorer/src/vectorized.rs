@@ -9,31 +9,35 @@
 //! the threshold — the vectorized analogue of the scalar break.
 //!
 //! The word is the narrowest that holds the forest's widest tree: `u32`
-//! for trees of at most 32 leaves, so one 256-bit register holds a tree's
-//! 8 lanes (the paper's layout), `u64` up to 64. The conditions are stored
-//! once, as `dlr-simd`'s structure-of-arrays [`ConditionTable`], and each
-//! group of 8 documents is one call of [`dlr_simd::qs::scan_group`]: an
-//! AVX2 kernel over the whole group at [`Isa::Avx2`], the portable lane
-//! loop at every other level. A batch whose size is not a multiple of 8
-//! ends in a short group whose spare lanes repeat its last document; only
-//! the real lanes are written. Leaf selection is exact bit logic and every
-//! lane adds the base score and then the trees in order, so every level
-//! produces **bit-identical** scores, equal to per-tree traversal.
+//! for trees of at most 32 leaves, so one 256-bit register holds 8 lanes
+//! of a tree (the paper's layout), `u64` up to 64. The conditions are
+//! stored once, as `dlr-simd`'s structure-of-arrays [`ConditionTable`],
+//! and each group of up to [`GROUP`] = 32 documents is one call of
+//! [`dlr_simd::qs::scan_group`]: an AVX2 kernel at [`Isa::Avx2`] that
+//! holds a tree's lanes in one to four registers and pays each
+//! condition's scalar work (threshold, tree, left-subtree bits, early-exit
+//! test) once for all of them, the portable lane loop at every other
+//! level. A batch is scanned in full groups of 32 and then one group of
+//! the remaining documents rounded up to 8 lanes, so a batch of 8 or fewer
+//! documents scans 8 lanes; a group's spare lanes repeat its last
+//! document and are never read. Leaf selection is exact bit logic and
+//! every lane adds the base score and then the trees in order, so every
+//! level produces **bit-identical** scores, equal to per-tree traversal.
 
 use crate::model::QuickScorer;
 use crate::QsError;
 use dlr_gbdt::Ensemble;
-use dlr_simd::qs::{scan_group, ConditionTable, LeafWord};
-use dlr_simd::Isa;
+use dlr_simd::qs::{scan_group, ConditionTable, LeafWord, MAX_GROUP};
+use dlr_simd::{Isa, LANES};
 
-/// Number of documents processed per scan (mirrors AVX2's 8 × f32).
-pub const LANES: usize = 8;
+/// Most documents scored per scan: four registers of 8 lanes per tree.
+/// It holds at both leaf words. A `u64` tree's 32 lanes take twice the
+/// registers and cache of a `u32` tree's, yet a 100 × 64-leaf forest
+/// scored as fast in groups of 32 as of 24, and slower in groups of 16.
+pub const GROUP: usize = MAX_GROUP;
 
-// The lane blocking below is exactly what the dlr-simd group scan
-// consumes; keep the widths in lock-step.
-const _: () = assert!(LANES == dlr_simd::LANES);
-
-/// vQS-style scorer: a QuickScorer encoding driven 8 documents at a time.
+/// vQS-style scorer: a QuickScorer encoding driven up to [`GROUP`]
+/// documents at a time.
 #[derive(Debug, Clone)]
 pub struct VectorizedQuickScorer {
     num_features: usize,
@@ -114,7 +118,8 @@ impl VectorizedQuickScorer {
         self.leaf_offsets.len() - 1
     }
 
-    /// Score a row-major batch into `out`, [`LANES`] documents per pass.
+    /// Score a row-major batch into `out`, up to [`GROUP`] documents per
+    /// pass.
     ///
     /// # Panics
     /// Panics on shape mismatches.
@@ -148,20 +153,23 @@ impl VectorizedQuickScorer {
         out: &mut [f32],
     ) {
         let nf = self.num_features;
-        // leafidx[t * LANES + lane]
-        let mut leafidx = vec![W::default(); enc.init_mask.len() * LANES];
-        for (g, out_group) in out.chunks_mut(LANES).enumerate() {
-            let first = g * LANES;
+        // leafidx[t * lanes + lane], `lanes` the group's lane count.
+        let most_lanes = out.len().min(GROUP).next_multiple_of(LANES);
+        let mut leafidx = vec![W::default(); enc.init_mask.len() * most_lanes];
+        for (g, out_group) in out.chunks_mut(GROUP).enumerate() {
+            let first = g * GROUP;
             let rows = &features[first * nf..(first + out_group.len()) * nf];
+            let lanes = out_group.len().next_multiple_of(LANES);
+            let leafidx = &mut leafidx[..enc.init_mask.len() * lanes];
             // Re-arm every lane's bitvectors.
-            for (lanes, &init) in leafidx.chunks_exact_mut(LANES).zip(&enc.init_mask) {
-                lanes.fill(init);
+            for (tree_lanes, &init) in leafidx.chunks_exact_mut(lanes).zip(&enc.init_mask) {
+                tree_lanes.fill(init);
             }
-            scan_group(isa, &enc.conditions, rows, &mut leafidx);
+            scan_group(isa, &enc.conditions, rows, leafidx);
             out_group.fill(self.base_score);
-            for (lanes, &base_off) in leafidx.chunks_exact(LANES).zip(&self.leaf_offsets) {
-                // A short group's spare lanes are never read.
-                for (o, &bits) in out_group.iter_mut().zip(lanes) {
+            for (tree_lanes, &base_off) in leafidx.chunks_exact(lanes).zip(&self.leaf_offsets) {
+                // A group's spare lanes are never read.
+                for (o, &bits) in out_group.iter_mut().zip(tree_lanes) {
                     *o += self.leaf_values[base_off + bits.to_u64().trailing_zeros() as usize];
                 }
             }

@@ -1,31 +1,39 @@
 //! The vQS condition scan (§2.2): score the QuickScorer conditions of a
-//! forest against a group of 8 documents, one document per lane.
+//! forest against a group of up to [`MAX_GROUP`] = 32 documents, one
+//! document per lane, in registers of [`LANES`] = 8 lanes.
 //!
-//! For each feature the scan takes the 8 lane values once, then walks the
-//! feature's conditions in ascending threshold order: a lane whose value
-//! exceeds a node's threshold clears the node's left-subtree leaves from
-//! its copy of the tree's leaf bitvector, and the walk stops once no lane
-//! exceeds the threshold (the vectorized analogue of QuickScorer's early
-//! exit). The conditions live in a [`ConditionTable`], structure of
-//! arrays, at the narrowest [`LeafWord`] that holds the forest's widest
-//! tree: `u32` up to 32 leaves, so a tree's 8 lanes are one 256-bit
-//! register — the layout the paper's AVX2 vQS uses — and `u64` up to 64,
-//! two registers.
+//! For each feature the scan takes the group's lane values once, then
+//! walks the feature's conditions in ascending threshold order: a lane
+//! whose value exceeds a node's threshold clears the node's left-subtree
+//! leaves from its copy of the tree's leaf bitvector, and the walk stops
+//! once no lane exceeds the threshold (the vectorized analogue of
+//! QuickScorer's early exit). The conditions live in a [`ConditionTable`],
+//! structure of arrays, at the narrowest [`LeafWord`] that holds the
+//! forest's widest tree: `u32` up to 32 leaves, so 8 lanes of a tree are
+//! one 256-bit register — the layout the paper's AVX2 vQS uses — and
+//! `u64` up to 64, two registers.
 //!
 //! Two paths, one semantics:
 //!
 //! * [`Isa::Avx2`] runs the whole group in one `#[target_feature]`
-//!   kernel: per condition one `vcmpps` (`_CMP_GT_OQ`, false on NaN, so a
-//!   NaN lane keeps its bits), one and/and-not against the broadcast
-//!   left-subtree bits, and one load/store of the tree's lanes (two for
-//!   `u64`, the compare widened by `vpmovsxdq`). A kernel per *condition*
-//!   read slower than the lane loop, because a `#[target_feature]`
-//!   function cannot inline into a caller built without AVX2 and every
-//!   condition paid a call; at the group the call is paid once per 8
-//!   documents, as the GEMM tiles pay it once per k-loop.
+//!   kernel, generic over the `R` = 1 to 4 registers of 8 lanes that a
+//!   group of `docs` documents fills (`R = ⌈docs / 8⌉`). Per condition it
+//!   loads the threshold, tree id and left-subtree bits once, broadcasts
+//!   them once and tests the early exit once, then for each of the `R`
+//!   registers does one compare (`_CMP_GT_OQ`, false on NaN, so a NaN
+//!   lane keeps its bits), one and/and-not against the left-subtree bits
+//!   and one load/store of the tree's lanes. At `u64` the compare is
+//!   `vcmppd` on the lanes widened once per feature to `f64` (exact, so
+//!   the order and NaN are kept), two per register, each yielding a
+//!   64-bit mask. The scalar work is thus paid once per 32 documents, not
+//!   once per 8: score-forest's `us_per_doc` fell by about a third. A
+//!   kernel per *condition* read slower than the lane loop, because a
+//!   `#[target_feature]` function cannot inline into a caller built
+//!   without AVX2 and every condition paid a call; at the group the call
+//!   is paid once per group, as the GEMM tiles pay it once per k-loop.
 //! * every other level runs the portable lane loop ([`mask_step`]'s
-//!   body), which the compiler vectorizes for the build target. It is the
-//!   reference the kernel is tested against.
+//!   body), 8 lanes at a time, which the compiler vectorizes for the
+//!   build target. It is the reference the kernel is tested against.
 //!
 //! The update is a float compare followed by pure bitwise arithmetic and
 //! both paths stop each list at the same condition, so every level yields
@@ -153,66 +161,87 @@ impl<W: LeafWord> ConditionTable<W> {
     }
 }
 
-/// Scan every condition of `table` for one group of 1–8 documents.
+/// The most documents one [`scan_group`] call scans: four registers of
+/// [`LANES`] lanes per tree.
+pub const MAX_GROUP: usize = 4 * LANES;
+
+/// Scan every condition of `table` for one group of 1 to [`MAX_GROUP`]
+/// documents.
 ///
 /// `rows` holds the group's documents row-major, `num_features` values
-/// each; lane `l` scores document `min(l, docs − 1)`, so a short group's
-/// spare lanes repeat its last document and the caller reads only the
-/// first `docs` lanes. `leafidx[t * LANES + l]` is tree `t`'s bitvector
-/// in lane `l`: the caller arms it with every tree's leaves and reads the
-/// exit leaves from it afterwards. [`Isa::Avx2`] runs the group kernel;
-/// every other level, or an `isa` this host lacks, the lane loop.
+/// each. The group spans `lanes = 8 · ⌈docs / 8⌉` lanes, and lane `l`
+/// scores document `min(l, docs − 1)`, so a group's spare lanes repeat its
+/// last document and the caller reads only the first `docs` lanes.
+/// `leafidx[t * lanes + l]` is tree `t`'s bitvector in lane `l`: the
+/// caller arms it with every tree's leaves and reads the exit leaves from
+/// it afterwards. [`Isa::Avx2`] runs the group kernel; every other level,
+/// or an `isa` this host lacks, the lane loop. A table over no features
+/// has no conditions: it reads no rows and clears no bit.
 ///
 /// # Panics
-/// Panics when `leafidx` is not `num_trees · LANES` words, or when `rows`
-/// does not hold 1 to [`LANES`] whole documents (a table over no features
-/// reads no rows).
+/// Panics when `rows` does not hold 1 to [`MAX_GROUP`] whole documents, or
+/// when `leafidx` is not `num_trees · lanes` words.
 pub fn scan_group<W: LeafWord>(
     isa: Isa,
     table: &ConditionTable<W>,
     rows: &[f32],
     leafidx: &mut [W],
 ) {
-    assert_eq!(
-        leafidx.len(),
-        table.num_trees * LANES,
-        "one bitvector per tree and lane"
-    );
     let nf = table.num_features();
     if nf == 0 {
         return;
     }
     let docs = rows.len() / nf;
     assert!(
-        (1..=LANES).contains(&docs) && rows.len() == docs * nf,
-        "a group is 1 to {LANES} whole documents"
+        (1..=MAX_GROUP).contains(&docs) && rows.len() == docs * nf,
+        "a group is 1 to {MAX_GROUP} whole documents"
     );
-    let lane_rows: [usize; LANES] = std::array::from_fn(|l| l.min(docs - 1) * nf);
+    let regs = docs.div_ceil(LANES);
+    assert_eq!(
+        leafidx.len(),
+        table.num_trees * regs * LANES,
+        "one bitvector per tree and lane"
+    );
+    let lane_rows: [usize; MAX_GROUP] = std::array::from_fn(|l| l.min(docs - 1) * nf);
     match isa {
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 if supported(Isa::Avx2) => {
             // SAFETY: AVX2 was checked just above. `ConditionTable::new`
             // proved every offset lies in the condition arrays and every
-            // tree id is below `num_trees`, so each `tree · LANES` group
-            // of `leafidx` (asserted `num_trees · LANES` long) is in
-            // bounds; every `lane_rows[l] + f` is below `docs · nf ==
-            // rows.len()` for `f < nf`.
-            unsafe { x86::scan_group_avx2(table, rows, &lane_rows, leafidx) }
+            // tree id is below `num_trees`, so each tree's `regs · LANES`
+            // words of `leafidx` (asserted `num_trees · regs · LANES`
+            // long) are in bounds; every `lane_rows[l] + f` is below
+            // `docs · nf == rows.len()` for `f < nf`.
+            unsafe {
+                match regs {
+                    1 => x86::scan_group_avx2::<W, 1>(table, rows, &lane_rows, leafidx),
+                    2 => x86::scan_group_avx2::<W, 2>(table, rows, &lane_rows, leafidx),
+                    3 => x86::scan_group_avx2::<W, 3>(table, rows, &lane_rows, leafidx),
+                    _ => x86::scan_group_avx2::<W, 4>(table, rows, &lane_rows, leafidx),
+                }
+            }
         }
-        _ => scan_group_lanes(table, rows, &lane_rows, leafidx),
+        _ => scan_group_lanes(table, rows, &lane_rows[..regs * LANES], leafidx),
     }
 }
 
-/// The portable path of [`scan_group`]: the lane loop per condition.
+/// The portable path of [`scan_group`]: the lane loop per condition, 8
+/// lanes at a time over the group's `lane_rows.len()` lanes.
 fn scan_group_lanes<W: LeafWord>(
     table: &ConditionTable<W>,
     rows: &[f32],
-    lane_rows: &[usize; LANES],
+    lane_rows: &[usize],
     leafidx: &mut [W],
 ) {
+    let lanes = lane_rows.len();
+    let mut group = [0.0f32; MAX_GROUP];
     for (f, bounds) in table.feat_offsets.windows(2).enumerate() {
-        let xf: [f32; LANES] = std::array::from_fn(|l| rows[lane_rows[l] + f]);
+        let xf = &mut group[..lanes];
+        for (x, &row) in xf.iter_mut().zip(lane_rows) {
+            *x = rows[row + f];
+        }
         let max_xf = xf.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let (xf, _) = xf.as_chunks::<LANES>();
         let list = bounds[0]..bounds[1];
         let conditions = table.thresholds[list.clone()]
             .iter()
@@ -224,8 +253,10 @@ fn scan_group_lanes<W: LeafWord>(
                 break;
             }
             // Always-Some: tree ids are below `num_trees`.
-            if let Some(dst) = leafidx[tree as usize * LANES..].first_chunk_mut::<LANES>() {
-                clear_lanes(&xf, threshold, left, dst);
+            if let Some(dst) = leafidx[tree as usize * lanes..].get_mut(..lanes) {
+                for (x, dst) in xf.iter().zip(dst.as_chunks_mut::<LANES>().0) {
+                    clear_lanes(x, threshold, left, dst);
+                }
             }
         }
     }
@@ -261,25 +292,28 @@ mod x86 {
     //! The group kernel. Private: callable only through the dispatch
     //! wrapper above (enforced by dlr-lint's `SIMD_TARGET_FEATURE` rule).
 
-    use super::{ConditionTable, LeafWord};
+    use super::{ConditionTable, LeafWord, MAX_GROUP};
     use crate::LANES;
     use core::arch::x86_64::*;
 
-    /// AVX2 condition scan of one group: the lane loop of
-    /// `scan_group_lanes` with the 8 lanes in one ymm of `f32`, and each
-    /// tree's 8 bitvectors in one ymm (`u32`) or two (`u64`). The early
-    /// exit compares the same lane maximum as the lane loop (NaN lanes
-    /// skipped), so both stop every list at the same condition.
+    /// AVX2 condition scan of one group of `R · 8` lanes: the lane loop
+    /// of `scan_group_lanes` with the lanes in `R` ymm of `f32` (and, at
+    /// `u64`, `2R` ymm of `f64`), and each tree's bitvectors in `R` ymm
+    /// (`u32`) or `2R` (`u64`). Each condition's threshold, tree and
+    /// left-subtree bits are loaded and broadcast once and applied to all
+    /// `R` registers. The early exit compares the maximum over all the
+    /// group's lanes (NaN lanes skipped), as the lane loop does, so both
+    /// stop every list at the same condition.
     ///
     /// # Safety
     /// Caller must ensure AVX2 is available, `leafidx` is
-    /// `table.num_trees · LANES` words, and `lane_rows[l] + f <
-    /// rows.len()` for every lane `l` and feature `f`.
+    /// `table.num_trees · R · LANES` words, and `lane_rows[l] + f <
+    /// rows.len()` for every lane `l < R · LANES` and feature `f`.
     #[target_feature(enable = "avx2")]
-    unsafe fn scan_group_impl<W: LeafWord>(
+    unsafe fn scan_group_impl<W: LeafWord, const R: usize>(
         table: &ConditionTable<W>,
         rows: &[f32],
-        lane_rows: &[usize; LANES],
+        lane_rows: &[usize; MAX_GROUP],
         leafidx: &mut [W],
     ) {
         let offsets = table.feat_offsets.as_ptr();
@@ -288,39 +322,61 @@ mod x86 {
         let left_leaves = table.left_leaves.as_ptr();
         let rows = rows.as_ptr();
         let leafidx = leafidx.as_mut_ptr();
-        let neg_inf = _mm256_set1_ps(f32::NEG_INFINITY);
+        let mut x = [_mm256_setzero_ps(); R];
+        let mut wide = [[_mm256_setzero_pd(); 2]; R];
         for f in 0..table.feat_offsets.len() - 1 {
-            let x = _mm256_setr_ps(
-                *rows.add(lane_rows[0] + f),
-                *rows.add(lane_rows[1] + f),
-                *rows.add(lane_rows[2] + f),
-                *rows.add(lane_rows[3] + f),
-                *rows.add(lane_rows[4] + f),
-                *rows.add(lane_rows[5] + f),
-                *rows.add(lane_rows[6] + f),
-                *rows.add(lane_rows[7] + f),
-            );
             // `maxps` returns its second operand when the first is NaN,
-            // so NaN lanes count as −∞, as `f32::max` skips them.
-            let max_xf = horizontal_max(_mm256_max_ps(x, neg_inf));
+            // so NaN lanes never reach the maximum, as `f32::max` skips
+            // them.
+            let mut max = _mm256_set1_ps(f32::NEG_INFINITY);
+            for (r, x) in x.iter_mut().enumerate() {
+                let lane = |l: usize| *rows.add(lane_rows[r * LANES + l] + f);
+                *x = _mm256_setr_ps(
+                    lane(0),
+                    lane(1),
+                    lane(2),
+                    lane(3),
+                    lane(4),
+                    lane(5),
+                    lane(6),
+                    lane(7),
+                );
+                max = _mm256_max_ps(*x, max);
+            }
+            let max_xf = horizontal_max(max);
+            if W::BITS == 64 {
+                for (wide, &x) in wide.iter_mut().zip(&x) {
+                    *wide = [
+                        _mm256_cvtps_pd(_mm256_castps256_ps128(x)),
+                        _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(x)),
+                    ];
+                }
+            }
             for c in *offsets.add(f)..*offsets.add(f + 1) {
                 let threshold = *thresholds.add(c);
                 if max_xf <= threshold {
                     break;
                 }
-                let gt = _mm256_cmp_ps::<_CMP_GT_OQ>(x, _mm256_set1_ps(threshold));
                 let dst = leafidx
-                    .add(*trees.add(c) as usize * LANES)
+                    .add(*trees.add(c) as usize * R * LANES)
                     .cast::<__m256i>();
                 let left = (*left_leaves.add(c)).to_u64();
                 if W::BITS == 32 {
-                    clear(dst, _mm256_castps_si256(gt), _mm256_set1_epi32(left as i32));
+                    let threshold = _mm256_set1_ps(threshold);
+                    let left = _mm256_set1_epi32(left as i32);
+                    for (r, &x) in x.iter().enumerate() {
+                        let gt = _mm256_cmp_ps::<_CMP_GT_OQ>(x, threshold);
+                        clear(dst.add(r), _mm256_castps_si256(gt), left);
+                    }
                 } else {
-                    let gt = _mm256_castps_si256(gt);
                     let left = _mm256_set1_epi64x(left as i64);
-                    clear(dst, _mm256_cvtepi32_epi64(_mm256_castsi256_si128(gt)), left);
-                    let hi = _mm256_extracti128_si256::<1>(gt);
-                    clear(dst.add(1), _mm256_cvtepi32_epi64(hi), left);
+                    let threshold = _mm256_set1_pd(f64::from(threshold));
+                    for (r, x) in wide.iter().enumerate() {
+                        for (h, &x) in x.iter().enumerate() {
+                            let gt = _mm256_cmp_pd::<_CMP_GT_OQ>(x, threshold);
+                            clear(dst.add(2 * r + h), _mm256_castpd_si256(gt), left);
+                        }
+                    }
                 }
             }
         }
@@ -351,18 +407,18 @@ mod x86 {
         _mm_cvtss_f32(_mm_max_ss(m, _mm_shuffle_ps::<1>(m, m)))
     }
 
-    /// Dispatch-table entry for the group kernel.
+    /// Dispatch-table entry for the group kernel at `R` registers a tree.
     ///
     /// # Safety
     /// Same contract as [`scan_group_impl`].
-    pub(super) unsafe fn scan_group_avx2<W: LeafWord>(
+    pub(super) unsafe fn scan_group_avx2<W: LeafWord, const R: usize>(
         table: &ConditionTable<W>,
         rows: &[f32],
-        lane_rows: &[usize; LANES],
+        lane_rows: &[usize; MAX_GROUP],
         leafidx: &mut [W],
     ) {
         // SAFETY: forwarded verbatim; the caller upholds the contract.
-        unsafe { scan_group_impl(table, rows, lane_rows, leafidx) }
+        unsafe { scan_group_impl::<W, R>(table, rows, lane_rows, leafidx) }
     }
 }
 
@@ -474,13 +530,26 @@ mod tests {
         )
     }
 
+    /// Scan `rows` (documents of 2 features) as one group over
+    /// [`table`], every bitvector armed all ones; `got[t * lanes + l]`.
     fn scan<W: LeafWord>(isa: Isa, rows: &[f32]) -> Vec<W> {
         let t = table::<W>();
-        let mut leafidx = vec![!W::default(); 2 * LANES];
+        let lanes = (rows.len() / 2).div_ceil(LANES) * LANES;
+        let mut leafidx = vec![!W::default(); 2 * lanes];
         scan_group(isa, &t, rows, &mut leafidx);
         leafidx
     }
 
+    /// The ISA levels this host runs, scalar first.
+    fn supported_isas() -> impl Iterator<Item = Isa> {
+        Isa::ALL.into_iter().filter(|&isa| dispatch::supported(isa))
+    }
+
+    /// Groups of 1 to 32 documents, so one to four registers a tree and
+    /// every tail: every level reads the scalar lane loop's bits, spare
+    /// lanes repeat the last document, and each lane reads what its
+    /// document scanned alone does, so where a group's walk stops moves
+    /// no bit.
     fn group_scans_agree<W: LeafWord>() {
         let values = [
             -2.0,
@@ -494,22 +563,35 @@ mod tests {
             f32::INFINITY,
             1e-40,
         ];
-        for docs in 1..=LANES {
-            for shift in 0..values.len() {
-                let rows: Vec<f32> = (0..2 * docs)
+        for docs in 1..=MAX_GROUP {
+            // Mixed values, then one document that exceeds every threshold
+            // among documents that exit every list at once, at each lane.
+            let mixed = (0..values.len()).map(|shift| {
+                (0..2 * docs)
                     .map(|i| values[(i * 7 + shift) % values.len()])
-                    .collect();
+                    .collect::<Vec<f32>>()
+            });
+            let hot = (0..docs).map(|hot| {
+                (0..2 * docs)
+                    .map(|i| if i / 2 == hot { 3.0 } else { -2.0 })
+                    .collect::<Vec<f32>>()
+            });
+            for rows in mixed.chain(hot) {
                 let want = scan::<W>(Isa::Scalar, &rows);
-                // Spare lanes repeat the last document.
+                let lanes = want.len() / 2;
                 for t in 0..2 {
-                    for l in docs..LANES {
-                        assert_eq!(want[t * LANES + l], want[t * LANES + docs - 1]);
+                    for l in 0..lanes {
+                        let d = l.min(docs - 1);
+                        let alone = scan::<W>(Isa::Scalar, &rows[2 * d..2 * d + 2]);
+                        assert_eq!(
+                            want[t * lanes + l],
+                            alone[t * LANES],
+                            "docs={docs} lane {l}"
+                        );
                     }
                 }
-                for isa in [Isa::Sse2, Isa::Avx2] {
-                    if dispatch::supported(isa) {
-                        assert_eq!(want, scan::<W>(isa, &rows), "{isa} docs={docs}");
-                    }
+                for isa in supported_isas() {
+                    assert_eq!(want, scan::<W>(isa, &rows), "{isa} docs={docs}");
                 }
             }
         }
@@ -521,19 +603,49 @@ mod tests {
         group_scans_agree::<u64>();
     }
 
+    /// Each lane of groups of one to four registers, with and without a
+    /// tail, on every level, holds the bits the definition gives its
+    /// document.
+    fn definition_holds<W: LeafWord>() {
+        let top = W::from_low_bits(1 << (W::BITS - 1));
+        let all = !W::default();
+        // (document, tree 0, tree 1): one exceeds every threshold, one
+        // none, one sits on the thresholds (`x > t` false) and one is NaN.
+        let cases = [
+            ([5.0, 5.0], !W::from_low_bits(0b111), !top),
+            ([-5.0, -5.0], all, all),
+            ([0.0, 0.5], !W::from_low_bits(0b1), all),
+            ([f32::NAN, f32::NAN], all, all),
+        ];
+        for docs in [1, 2, 3, 8, 13, 16, 22, 24, 29, 32] {
+            for shift in 0..cases.len() {
+                let case = |d: usize| cases[(d + shift) % cases.len()];
+                let rows: Vec<f32> = (0..docs).flat_map(|d| case(d).0).collect();
+                for isa in supported_isas() {
+                    let got = scan::<W>(isa, &rows);
+                    let lanes = got.len() / 2;
+                    for d in 0..docs {
+                        let (_, t0, t1) = case(d);
+                        let lane = (got[d], got[lanes + d]);
+                        assert_eq!(lane, (t0, t1), "{isa} docs={docs} lane {d}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn group_scan_applies_the_definition() {
-        // Lane 0 exceeds every threshold, lane 1 none; lane 2 sits on the
-        // thresholds (`x > t` false) and lane 3 is NaN.
-        let rows = [5.0, 5.0, -5.0, -5.0, 0.0, 0.5, f32::NAN, f32::NAN];
-        let got = scan::<u32>(Isa::Scalar, &rows);
-        let top = 1u32 << 31;
-        assert_eq!(got[0], !(0b111));
-        assert_eq!(got[LANES], !top);
-        for l in 1..4 {
-            let want0 = if l == 2 { !0b1 } else { !0 };
-            assert_eq!((got[l], got[LANES + l]), (want0, !0), "lane {l}");
-        }
+        definition_holds::<u32>();
+        definition_holds::<u64>();
+    }
+
+    #[test]
+    #[should_panic(expected = "1 to 32 whole documents")]
+    fn groups_reject_more_than_four_registers() {
+        let t = table::<u32>();
+        let mut leafidx = vec![0; 2 * (MAX_GROUP + LANES)];
+        scan_group(Isa::Scalar, &t, &[0.0; 2 * (MAX_GROUP + 1)], &mut leafidx);
     }
 
     #[test]

@@ -199,7 +199,7 @@ proptest! {
     /// alike.
     #[test]
     fn quickscorer_paths_bit_identical(
-        trees in 1usize..24, nf in 1usize..10, docs in 0usize..40,
+        trees in 1usize..24, nf in 1usize..10, docs in 0usize..72,
         width in 0usize..QS_LEAVES.len(), seed in 0u64..500
     ) {
         let leaves = QS_LEAVES[width];
@@ -344,7 +344,7 @@ fn forced_dispatch_quickscorer_is_bit_identical() {
         let e = grown_forest(17, 6, leaves, 23);
         let scalar = QuickScorer::compile(&e).unwrap();
         let v = VectorizedQuickScorer::compile(&e).unwrap();
-        let docs = 43usize; // five full 8-lane groups + a ragged tail
+        let docs = 43usize; // one full 32-document group + an 11-document tail
         let feats = Matrix::random(docs, 6, 2.0, 24);
         let mut want = vec![0.0f32; docs];
         scalar.score_batch(feats.as_slice(), &mut want);
@@ -360,7 +360,8 @@ fn forced_dispatch_quickscorer_is_bit_identical() {
 
 /// Every path's vQS scores on [`edge_docs`] against per-tree traversal
 /// (`Ensemble::predict`), bit for bit, at every leaf-word width and at
-/// batch sizes around the 8-document group. Documents with NaN features
+/// batch sizes around every register count of the 32-document group and
+/// its tails. Documents with NaN features
 /// are held to the scalar `QuickScorer` instead: QuickScorer's test
 /// `x > γ` is false on NaN, so a NaN feature takes the left branch,
 /// where traversal's `x <= γ` sends it right.
@@ -371,7 +372,7 @@ fn vqs_matches_traversal_on_edge_inputs() {
         let e = grown_forest(20, nf, leaves, leaves as u64);
         let qs = QuickScorer::compile(&e).unwrap();
         let v = VectorizedQuickScorer::compile(&e).unwrap();
-        for n in [1, 7, 8, 9, 64, 1000] {
+        for n in [1, 7, 8, 9, 15, 16, 17, 24, 31, 32, 33, 40, 63, 64, 65, 1000] {
             for nan in [false, true] {
                 let docs = edge_docs(n, nf, nan, (n as u64) << 8 | leaves as u64);
                 let want: Vec<u32> = docs
