@@ -11,8 +11,10 @@
 //!   left subtree — the leaves that become unreachable when the node's
 //!   test `x[f] <= γ` is **false**;
 //! * for each feature, the forest's thresholds are sorted ascending; the
-//!   scan ANDs masks while `x[f] > γ` and stops at the first `x[f] <= γ`
-//!   (every later threshold would also test true);
+//!   scan ANDs masks while `x[f] <= γ` is false and stops at the first
+//!   `x[f] <= γ` (every later threshold would also test true). A NaN
+//!   feature tests false at every node, so it goes right, as per-tree
+//!   traversal sends it, and its scan never stops early;
 //! * after all features, the exit leaf of each tree is the first
 //!   surviving (lowest-index) bit of its `leafidx`.
 //!

@@ -83,7 +83,8 @@ impl QuickScorer {
             for (node, (feature, threshold)) in tree.splits().enumerate() {
                 let (start, end) = layout.left_leaf_range[node];
                 // Zero the left-subtree leaves: they are unreachable when
-                // the node tests false (x > threshold).
+                // the node's test `x <= threshold` is false (x is greater
+                // or NaN).
                 let mask = !(ones(end - start) << start);
                 per_feature[feature as usize].push(Condition {
                     threshold,
@@ -157,12 +158,12 @@ impl QuickScorer {
         for (f, &xf) in x.iter().enumerate() {
             let list = &self.conditions[self.feat_offsets[f]..self.feat_offsets[f + 1]];
             for cond in list {
-                if xf > cond.threshold {
-                    leafidx[cond.tree as usize] &= cond.mask;
-                } else {
+                if xf <= cond.threshold {
                     // Thresholds ascend: every later test is true too.
                     break;
                 }
+                // The test is false, NaN included: traversal goes right.
+                leafidx[cond.tree as usize] &= cond.mask;
             }
         }
         let mut score = self.base_score;

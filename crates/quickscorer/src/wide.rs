@@ -133,15 +133,15 @@ impl WideQuickScorer {
         leafidx.copy_from_slice(&self.init_masks);
         for (f, &xf) in x.iter().enumerate() {
             for cond in &self.conditions[self.feat_offsets[f]..self.feat_offsets[f + 1]] {
-                if xf > cond.threshold {
-                    let m = cond.mask_start as usize;
-                    let mask = &self.mask_pool[m..m + w];
-                    let dst = &mut leafidx[cond.tree as usize * w..(cond.tree as usize + 1) * w];
-                    for (d, &mw) in dst.iter_mut().zip(mask) {
-                        *d &= mw;
-                    }
-                } else {
+                if xf <= cond.threshold {
                     break;
+                }
+                // The test is false, NaN included: traversal goes right.
+                let m = cond.mask_start as usize;
+                let mask = &self.mask_pool[m..m + w];
+                let dst = &mut leafidx[cond.tree as usize * w..(cond.tree as usize + 1) * w];
+                for (d, &mw) in dst.iter_mut().zip(mask) {
+                    *d &= mw;
                 }
             }
         }

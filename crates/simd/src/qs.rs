@@ -4,10 +4,13 @@
 //!
 //! For each feature the scan takes the group's lane values once, then
 //! walks the feature's conditions in ascending threshold order: a lane
-//! whose value exceeds a node's threshold clears the node's left-subtree
-//! leaves from its copy of the tree's leaf bitvector, and the walk stops
-//! once no lane exceeds the threshold (the vectorized analogue of
-//! QuickScorer's early exit). The conditions live in a [`ConditionTable`],
+//! whose node test `x <= threshold` is false (the value exceeds the
+//! threshold or is NaN, and traversal goes right) clears the node's
+//! left-subtree leaves from its copy of the tree's leaf bitvector, and the
+//! walk stops once every lane tests true (the vectorized analogue of
+//! QuickScorer's early exit): at the first threshold that reaches the
+//! group's maximum, which is NaN, and so reached by none, while a lane is
+//! NaN. The conditions live in a [`ConditionTable`],
 //! structure of arrays, at the narrowest [`LeafWord`] that holds the
 //! forest's widest tree: `u32` up to 32 leaves, so 8 lanes of a tree are
 //! one 256-bit register — the layout the paper's AVX2 vQS uses — and
@@ -20,9 +23,9 @@
 //!   group of `docs` documents fills (`R = ⌈docs / 8⌉`). Per condition it
 //!   loads the threshold, tree id and left-subtree bits once, broadcasts
 //!   them once and tests the early exit once, then for each of the `R`
-//!   registers does one compare (`_CMP_GT_OQ`, false on NaN, so a NaN
-//!   lane keeps its bits), one and/and-not against the left-subtree bits
-//!   and one load/store of the tree's lanes. At `u64` the compare is
+//!   registers does one compare (`_CMP_NLE_UQ`, `!(x <= t)`, true on NaN),
+//!   one and/and-not against the left-subtree bits and one load/store of
+//!   the tree's lanes. At `u64` the compare is
 //!   `vcmppd` on the lanes widened once per feature to `f64` (exact, so
 //!   the order and NaN are kept), two per register, each yielding a
 //!   64-bit mask. The scalar work is thus paid once per 32 documents, not
@@ -99,7 +102,7 @@ impl LeafWord for u64 {
 /// `feat_offsets[f]..feat_offsets[f + 1]`, thresholds ascending, and
 /// condition `c` tests `threshold[c]` in tree `tree[c]`, clearing
 /// `left_leaves[c]` (the complement of QuickScorer's node mask) when the
-/// document's value exceeds it.
+/// document's value exceeds it or is NaN.
 ///
 /// [`ConditionTable::new`] checks every index the scan follows once, so
 /// [`scan_group`] indexes without bounds checks.
@@ -240,7 +243,11 @@ fn scan_group_lanes<W: LeafWord>(
         for (x, &row) in xf.iter_mut().zip(lane_rows) {
             *x = rows[row + f];
         }
-        let max_xf = xf.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let max_xf = if xf.iter().any(|x| x.is_nan()) {
+            f32::NAN
+        } else {
+            xf.iter().copied().fold(f32::NEG_INFINITY, f32::max)
+        };
         let (xf, _) = xf.as_chunks::<LANES>();
         let list = bounds[0]..bounds[1];
         let conditions = table.thresholds[list.clone()]
@@ -249,7 +256,8 @@ fn scan_group_lanes<W: LeafWord>(
             .zip(&table.left_leaves[list]);
         for ((&threshold, &tree), &left) in conditions {
             if max_xf <= threshold {
-                // Every lane tests true from here on.
+                // Every lane tests true from here on; a NaN maximum never
+                // does.
                 break;
             }
             // Always-Some: tree ids are below `num_trees`.
@@ -263,7 +271,7 @@ fn scan_group_lanes<W: LeafWord>(
 }
 
 /// Apply one QuickScorer condition to the 8 traversal bitvectors:
-/// `dst[lane] &= if xf[lane] > threshold { mask } else { !0 }`.
+/// `dst[lane] &= if xf[lane] <= threshold { !0 } else { mask }`.
 ///
 /// This is the portable path's step, run at every `isa` level: the
 /// argument is kept for the callers that sweep [`Isa::ALL`]. vQS itself
@@ -273,15 +281,15 @@ pub fn mask_step(_isa: Isa, xf: &[f32; LANES], threshold: f32, mask: u64, dst: &
 }
 
 /// The auto-vectorizable lane loop: clear `left` from the lanes whose
-/// value exceeds `threshold`; `>` is false on NaN, so a NaN lane keeps its
-/// bits.
+/// node test `x <= threshold` is false, which a NaN lane's is, so NaN goes
+/// right as in per-tree traversal.
 #[inline]
 fn clear_lanes<W: LeafWord>(xf: &[f32; LANES], threshold: f32, left: W, dst: &mut [W; LANES]) {
     for lane in 0..LANES {
-        let keep = if xf[lane] > threshold {
-            !left
-        } else {
+        let keep = if xf[lane] <= threshold {
             !W::default()
+        } else {
+            !left
         };
         dst[lane] &= keep;
     }
@@ -302,7 +310,7 @@ mod x86 {
     /// (`u32`) or `2R` (`u64`). Each condition's threshold, tree and
     /// left-subtree bits are loaded and broadcast once and applied to all
     /// `R` registers. The early exit compares the maximum over all the
-    /// group's lanes (NaN lanes skipped), as the lane loop does, so both
+    /// group's lanes (NaN when one is), as the lane loop does, so both
     /// stop every list at the same condition.
     ///
     /// # Safety
@@ -326,9 +334,9 @@ mod x86 {
         let mut wide = [[_mm256_setzero_pd(); 2]; R];
         for f in 0..table.feat_offsets.len() - 1 {
             // `maxps` returns its second operand when the first is NaN,
-            // so NaN lanes never reach the maximum, as `f32::max` skips
-            // them.
+            // so NaN lanes never reach `max`; `nan` flags them instead.
             let mut max = _mm256_set1_ps(f32::NEG_INFINITY);
+            let mut nan = _mm256_setzero_ps();
             for (r, x) in x.iter_mut().enumerate() {
                 let lane = |l: usize| *rows.add(lane_rows[r * LANES + l] + f);
                 *x = _mm256_setr_ps(
@@ -342,8 +350,13 @@ mod x86 {
                     lane(7),
                 );
                 max = _mm256_max_ps(*x, max);
+                nan = _mm256_or_ps(nan, _mm256_cmp_ps::<_CMP_UNORD_Q>(*x, *x));
             }
-            let max_xf = horizontal_max(max);
+            let max_xf = if _mm256_movemask_ps(nan) == 0 {
+                horizontal_max(max)
+            } else {
+                f32::NAN
+            };
             if W::BITS == 64 {
                 for (wide, &x) in wide.iter_mut().zip(&x) {
                     *wide = [
@@ -365,16 +378,16 @@ mod x86 {
                     let threshold = _mm256_set1_ps(threshold);
                     let left = _mm256_set1_epi32(left as i32);
                     for (r, &x) in x.iter().enumerate() {
-                        let gt = _mm256_cmp_ps::<_CMP_GT_OQ>(x, threshold);
-                        clear(dst.add(r), _mm256_castps_si256(gt), left);
+                        let right = _mm256_cmp_ps::<_CMP_NLE_UQ>(x, threshold);
+                        clear(dst.add(r), _mm256_castps_si256(right), left);
                     }
                 } else {
                     let left = _mm256_set1_epi64x(left as i64);
                     let threshold = _mm256_set1_pd(f64::from(threshold));
                     for (r, x) in wide.iter().enumerate() {
                         for (h, &x) in x.iter().enumerate() {
-                            let gt = _mm256_cmp_pd::<_CMP_GT_OQ>(x, threshold);
-                            clear(dst.add(2 * r + h), _mm256_castpd_si256(gt), left);
+                            let right = _mm256_cmp_pd::<_CMP_NLE_UQ>(x, threshold);
+                            clear(dst.add(2 * r + h), _mm256_castpd_si256(right), left);
                         }
                     }
                 }
@@ -382,17 +395,20 @@ mod x86 {
         }
     }
 
-    /// `*dst &= !(gt & left)`: clear the left-subtree bits in the lanes
-    /// whose test was true.
+    /// `*dst &= !(right & left)`: clear the left-subtree bits in the lanes
+    /// that go right.
     ///
     /// # Safety
     /// Caller must ensure AVX2 is available and `dst` is readable and
     /// writable for 32 bytes.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn clear(dst: *mut __m256i, gt: __m256i, left: __m256i) {
+    unsafe fn clear(dst: *mut __m256i, right: __m256i, left: __m256i) {
         let bits = _mm256_loadu_si256(dst);
-        _mm256_storeu_si256(dst, _mm256_andnot_si256(_mm256_and_si256(gt, left), bits));
+        _mm256_storeu_si256(
+            dst,
+            _mm256_andnot_si256(_mm256_and_si256(right, left), bits),
+        );
     }
 
     /// Largest of the 8 lanes of a NaN-free vector.
@@ -493,7 +509,7 @@ mod tests {
         let xf = [1.0, 0.0, 2.0, -3.0, 0.5, 0.5, 10.0, -10.0];
         let got = run(Isa::Scalar, xf, 0.5, 0b0110, [u64::MAX; 8]);
         for (lane, &g) in got.iter().enumerate() {
-            let expect = if xf[lane] > 0.5 { 0b0110 } else { u64::MAX };
+            let expect = if xf[lane] <= 0.5 { u64::MAX } else { 0b0110 };
             assert_eq!(g, expect, "lane {lane}");
         }
     }
@@ -505,27 +521,30 @@ mod tests {
             if !dispatch::supported(isa) {
                 continue;
             }
-            // NaN > t is false: every lane keeps its bits.
-            let got = run(isa, xf, f32::NEG_INFINITY, 0, [0xABCD; 8]);
-            assert_eq!(got, [0xABCD; 8], "{isa}");
+            // NaN <= t is false even at t = +inf: every lane goes right
+            // and takes the mask, as traversal sends NaN right.
+            let got = run(isa, xf, f32::INFINITY, 0x00FF, [0xABCD; 8]);
+            assert_eq!(got, [0x00CD; 8], "{isa}");
         }
     }
 
     /// Two trees over two features; the left-subtree bits use the top bit
-    /// of the word, so a `u32` kernel that widened wrongly would show.
+    /// of the word, so a `u32` kernel that widened wrongly would show. The
+    /// last threshold is +inf, which only a NaN value fails.
     fn table<W: LeafWord>() -> ConditionTable<W> {
         let top = W::from_low_bits(1 << (W::BITS - 1));
         ConditionTable::new(
             2,
-            vec![0, 3, 5],
-            vec![-1.0, 0.0, 0.0, 0.5, 2.0],
-            vec![0, 1, 0, 1, 0],
+            vec![0, 3, 6],
+            vec![-1.0, 0.0, 0.0, 0.5, 2.0, f32::INFINITY],
+            vec![0, 1, 0, 1, 0, 0],
             vec![
                 W::from_low_bits(0b1),
                 top,
                 W::from_low_bits(0b10),
                 top,
                 W::from_low_bits(0b100),
+                W::from_low_bits(0b1000),
             ],
         )
     }
@@ -609,13 +628,15 @@ mod tests {
     fn definition_holds<W: LeafWord>() {
         let top = W::from_low_bits(1 << (W::BITS - 1));
         let all = !W::default();
-        // (document, tree 0, tree 1): one exceeds every threshold, one
-        // none, one sits on the thresholds (`x > t` false) and one is NaN.
+        // (document, tree 0, tree 1): one exceeds every finite threshold,
+        // one none, one sits on the thresholds (`x <= t` true), one is +inf
+        // and one NaN, which goes right at every node, +inf's included.
         let cases = [
             ([5.0, 5.0], !W::from_low_bits(0b111), !top),
             ([-5.0, -5.0], all, all),
             ([0.0, 0.5], !W::from_low_bits(0b1), all),
-            ([f32::NAN, f32::NAN], all, all),
+            ([f32::INFINITY; 2], !W::from_low_bits(0b111), !top),
+            ([f32::NAN, f32::NAN], !W::from_low_bits(0b1111), !top),
         ];
         for docs in [1, 2, 3, 8, 13, 16, 22, 24, 29, 32] {
             for shift in 0..cases.len() {

@@ -21,7 +21,7 @@
 use distilled_ltr::dense::{gemm_with, GemmWorkspace, GotoParams, Matrix};
 use distilled_ltr::gbdt::tree::leaf_ref;
 use distilled_ltr::gbdt::{Ensemble, RegressionTree};
-use distilled_ltr::quickscorer::{QuickScorer, VectorizedQuickScorer};
+use distilled_ltr::quickscorer::{QuickScorer, VectorizedQuickScorer, WideQuickScorer};
 use distilled_ltr::simd::gemm::{micro_kernel_12x8, micro_kernel_6x16, micro_kernel_8x8, MR};
 use distilled_ltr::simd::Isa;
 use distilled_ltr::sparse::xsmm::spmm_xsmm_rows_with_isa;
@@ -361,24 +361,32 @@ fn forced_dispatch_quickscorer_is_bit_identical() {
 /// Every path's vQS scores on [`edge_docs`] against per-tree traversal
 /// (`Ensemble::predict`), bit for bit, at every leaf-word width and at
 /// batch sizes around every register count of the 32-document group and
-/// its tails. Documents with NaN features
-/// are held to the scalar `QuickScorer` instead: QuickScorer's test
-/// `x > γ` is false on NaN, so a NaN feature takes the left branch,
-/// where traversal's `x <= γ` sends it right.
+/// its tails; the scalar `QuickScorer` and `WideQuickScorer` likewise.
+/// NaN documents included: QuickScorer's test `x <= γ` is false on NaN at
+/// every node, so a NaN feature goes right, as traversal sends it.
 #[test]
 fn vqs_matches_traversal_on_edge_inputs() {
     let nf = 7;
     for leaves in QS_LEAVES {
         let e = grown_forest(20, nf, leaves, leaves as u64);
         let qs = QuickScorer::compile(&e).unwrap();
+        let wide = WideQuickScorer::compile(&e).unwrap();
         let v = VectorizedQuickScorer::compile(&e).unwrap();
         for n in [1, 7, 8, 9, 15, 16, 17, 24, 31, 32, 33, 40, 63, 64, 65, 1000] {
             for nan in [false, true] {
                 let docs = edge_docs(n, nf, nan, (n as u64) << 8 | leaves as u64);
                 let want: Vec<u32> = docs
                     .chunks_exact(nf)
-                    .map(|row| if nan { qs.score(row) } else { e.predict(row) }.to_bits())
+                    .map(|row| e.predict(row).to_bits())
                     .collect();
+                for (row, &w) in docs.chunks_exact(nf).zip(&want) {
+                    assert_eq!(qs.score(row).to_bits(), w, "QS leaves={leaves} {row:?}");
+                    assert_eq!(
+                        wide.score(row).to_bits(),
+                        w,
+                        "wide QS leaves={leaves} {row:?}"
+                    );
+                }
                 for isa in [Isa::Scalar].into_iter().chain(simd_isas()) {
                     let mut got = vec![f32::NAN; n];
                     v.score_batch_with_isa(isa, &docs, &mut got);
@@ -392,26 +400,43 @@ fn vqs_matches_traversal_on_edge_inputs() {
 
 /// FNV-1a over the output bits of vQS on the [`edge_docs`] (NaN included)
 /// of one forest per [`QS_LEAVES`] width, 1000 documents each. The value
-/// was taken on the lane-loop vQS that kept every bitvector as a `u64`,
-/// before the group kernel and the `u32` word; every path must read it.
-const VQS_GOLDEN: u64 = 0x63cb_28d9_d74a_a866;
+/// is the fingerprint of `Ensemble::predict` over the same documents,
+/// which the test checks too; every path must read it.
+const VQS_GOLDEN: u64 = 0x8e92_5191_5c47_9145;
+
+/// The forests and documents of [`VQS_GOLDEN`], scored by `score`.
+fn edge_fingerprint(mut score: impl FnMut(&Ensemble, &[f32], &mut [f32])) -> u64 {
+    let nf = 9;
+    let mut fnv: u64 = 0xcbf2_9ce4_8422_2325;
+    for leaves in QS_LEAVES {
+        let e = grown_forest(40, nf, leaves, 0x5eed + leaves as u64);
+        let docs = edge_docs(1000, nf, true, 0xf00d + leaves as u64);
+        let mut out = vec![0.0f32; 1000];
+        score(&e, &docs, &mut out);
+        for byte in out.iter().flat_map(|o| o.to_bits().to_le_bytes()) {
+            fnv ^= u64::from(byte);
+            fnv = fnv.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    fnv
+}
 
 #[test]
 fn vqs_output_bits_keep_their_fingerprint() {
-    let nf = 9;
-    for isa in [Isa::Scalar].into_iter().chain(simd_isas()) {
-        let mut fnv: u64 = 0xcbf2_9ce4_8422_2325;
-        for leaves in QS_LEAVES {
-            let e = grown_forest(40, nf, leaves, 0x5eed + leaves as u64);
-            let v = VectorizedQuickScorer::compile(&e).unwrap();
-            let docs = edge_docs(1000, nf, true, 0xf00d + leaves as u64);
-            let mut out = vec![0.0f32; 1000];
-            v.score_batch_with_isa(isa, &docs, &mut out);
-            for byte in out.iter().flat_map(|o| o.to_bits().to_le_bytes()) {
-                fnv ^= u64::from(byte);
-                fnv = fnv.wrapping_mul(0x0100_0000_01b3);
-            }
+    let traversal = edge_fingerprint(|e, docs, out| {
+        for (row, o) in docs.chunks_exact(e.num_features()).zip(out) {
+            *o = e.predict(row);
         }
+    });
+    assert_eq!(
+        traversal, VQS_GOLDEN,
+        "traversal's output bits moved ({traversal:#018x})"
+    );
+    for isa in [Isa::Scalar].into_iter().chain(simd_isas()) {
+        let fnv = edge_fingerprint(|e, docs, out| {
+            let v = VectorizedQuickScorer::compile(e).unwrap();
+            v.score_batch_with_isa(isa, docs, out);
+        });
         assert_eq!(
             fnv, VQS_GOLDEN,
             "{isa}: vQS output bits moved ({fnv:#018x})"
