@@ -235,6 +235,18 @@ pub fn calibrate_sparse(quick: bool) -> SparsePredictor {
 mod tests {
     use super::*;
     use crate::sparse_pred::CsrShapeStats;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Every test here that times a kernel holds this lock, so no two of
+    /// them measure at once on the same cores (a calibration taken beside
+    /// another one reads the other's load), and none observes another's
+    /// temporary dispatch pin from `measure_forced`.
+    static TIMING_LOCK: Mutex<()> = Mutex::new(());
+
+    fn timing() -> MutexGuard<'static, ()> {
+        // A failed timing test poisons the lock; the next one still runs.
+        TIMING_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn calibration_matrices_have_the_prescribed_structure() {
@@ -252,6 +264,7 @@ mod tests {
 
     #[test]
     fn quick_dense_calibration_produces_sane_zones() {
+        let _timing = timing();
         let p = calibrate_dense(true);
         assert_eq!(p.zones().len(), 3);
         for &(_, g) in p.zones() {
@@ -261,6 +274,7 @@ mod tests {
 
     #[test]
     fn quick_sparse_calibration_produces_positive_coefficients() {
+        let _timing = timing();
         let p = calibrate_sparse(true);
         assert!(p.la > 0.0 && p.la < 1e-5, "la = {}", p.la);
         assert!(p.lb > 0.0 && p.lb < 1e-5, "lb = {}", p.lb);
@@ -271,6 +285,7 @@ mod tests {
 
     #[test]
     fn calibrated_sparse_predictor_tracks_measurements() {
+        let _timing = timing();
         // Predict a structured matrix the calibration never saw and check
         // the prediction lands within a generous factor of the measured
         // time (timers on shared machines are noisy).
@@ -292,14 +307,9 @@ mod tests {
         );
     }
 
-    /// `measure_forced` mutates the process-wide dispatch choice; the two
-    /// tests touching it serialize on this lock so neither observes the
-    /// other's temporary pin.
-    static DISPATCH_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn forced_calibration_tags_the_isa_and_restores_dispatch() {
-        let _guard = DISPATCH_LOCK.lock().expect("dispatch lock");
+        let _timing = timing();
         let before = dlr_simd::active();
         // Scalar is supported everywhere, so the forced path always runs.
         let cal =
@@ -311,7 +321,7 @@ mod tests {
 
     #[test]
     fn host_calibration_records_the_active_isa() {
-        let _guard = DISPATCH_LOCK.lock().expect("dispatch lock");
+        let _timing = timing();
         // Zone/coefficient sanity is covered by the quick_* tests; here we
         // only check the label matches the process's dispatch choice.
         let cal = HostCalibration::measure(true);
@@ -320,6 +330,7 @@ mod tests {
 
     #[test]
     fn time_spmm_scales_with_batch() {
+        let _timing = timing();
         let a = matrix_a2c(200, 200);
         let t16 = time_spmm(&a, 16, 3);
         let t128 = time_spmm(&a, 128, 3);
