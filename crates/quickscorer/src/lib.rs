@@ -33,8 +33,9 @@
 //!   blocks sized for cache residency, each scored over the whole
 //!   document batch before moving on;
 //! * [`vectorized`] — vQS-style scoring of up to
-//!   [`GROUP`](vectorized::GROUP) documents per scan, in 8-document
-//!   AVX2 registers as the paper's vQS, four registers per tree.
+//!   [`GROUP`](vectorized::GROUP) = 32 documents per scan: the paper's
+//!   vQS holds 8 documents in an AVX2 register, this one up to four such
+//!   registers a tree.
 
 pub mod blockwise;
 pub mod model;

@@ -23,8 +23,8 @@ pub enum Isa {
     Sse2 = 1,
     /// 256-bit AVX2 with FMA: the oneDNN/LIBXSMM configuration the paper
     /// benchmarks. GEMM uses fused multiply-add (ULP-bounded vs. scalar);
-    /// SDMM stays bit-identical; QuickScorer scans each 8-document group
-    /// in one kernel, bit-identical to the lane loop.
+    /// SDMM stays bit-identical; QuickScorer scans each group of up to
+    /// 32 documents in one kernel, bit-identical to the lane loop.
     Avx2 = 2,
 }
 

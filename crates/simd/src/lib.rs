@@ -32,14 +32,15 @@
 //!   Both use separate multiply and add (never FMA) in the same per-lane
 //!   order, so **every level is bit-identical** to scalar.
 //! * [`qs::scan_group`] — the vQS condition scan: every QuickScorer
-//!   condition of a forest against a group of 8 document lanes, clearing
-//!   a node's left-subtree leaves in the lanes whose value exceeds its
-//!   threshold, over a structure-of-arrays [`qs::ConditionTable`] at the
-//!   narrowest leaf word that holds the widest tree (`u32` up to 32
-//!   leaves, one ymm per tree; `u64` up to 64, two). Paths: the portable
-//!   lane loop ([`qs::mask_step`]'s body) at scalar and SSE2, one AVX2
-//!   kernel per group. Compare and bit logic only, so **every level is
-//!   bit-identical**.
+//!   condition of a forest against a group of up to 32 document lanes,
+//!   clearing a node's left-subtree leaves in the lanes that go right
+//!   (value above the threshold, or NaN), over a structure-of-arrays
+//!   [`qs::ConditionTable`] at the narrowest leaf word that holds the
+//!   widest tree (`u32` up to 32 leaves, one ymm per 8 lanes of a tree;
+//!   `u64` up to 64, two). Paths: the portable lane loop
+//!   ([`qs::mask_step`]'s body) at scalar and SSE2, one AVX2 kernel per
+//!   group, generic over its 1–4 registers a tree. Compare and bit logic
+//!   only, so **every level is bit-identical**.
 //!
 //! # Dispatch
 //!

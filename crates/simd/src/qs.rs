@@ -25,15 +25,16 @@
 //!   them once and tests the early exit once, then for each of the `R`
 //!   registers does one compare (`_CMP_NLE_UQ`, `!(x <= t)`, true on NaN),
 //!   one and/and-not against the left-subtree bits and one load/store of
-//!   the tree's lanes. At `u64` the compare is
-//!   `vcmppd` on the lanes widened once per feature to `f64` (exact, so
-//!   the order and NaN are kept), two per register, each yielding a
-//!   64-bit mask. The scalar work is thus paid once per 32 documents, not
-//!   once per 8: score-forest's `us_per_doc` fell by about a third. A
-//!   kernel per *condition* read slower than the lane loop, because a
-//!   `#[target_feature]` function cannot inline into a caller built
-//!   without AVX2 and every condition paid a call; at the group the call
-//!   is paid once per group, as the GEMM tiles pay it once per k-loop.
+//!   the tree's lanes. At `u64` the compare is `vcmppd` on the lanes
+//!   widened once per feature to `f64` (exact, so the order and NaN are
+//!   kept), two per register, each yielding a 64-bit mask. The scalar
+//!   work is thus paid once per 32 documents, not once per 8:
+//!   score-forest's `us_per_doc` fell to about 0.66× of the 8-document
+//!   kernel's. A kernel per *condition* read slower than the lane loop,
+//!   because a `#[target_feature]` function cannot inline into a caller
+//!   built without AVX2 and every condition paid a call; at the group the
+//!   call is paid once per group, as the GEMM tiles pay it once per
+//!   k-loop.
 //! * every other level runs the portable lane loop ([`mask_step`]'s
 //!   body), 8 lanes at a time, which the compiler vectorizes for the
 //!   build target. It is the reference the kernel is tested against.
