@@ -39,6 +39,4 @@ pub use dlr_predictor::{
 pub use dlr_prune::{
     dynamic_sensitivity, prune_first_layer, static_sensitivity, PruneConfig, PruneMethod,
 };
-pub use dlr_quickscorer::{
-    BlockwiseQuickScorer, QuickScorer, VectorizedQuickScorer, WideQuickScorer,
-};
+pub use dlr_quickscorer::{BlockwiseQuickScorer, QuickScorer, VectorizedQuickScorer};

@@ -11,9 +11,7 @@ use dlr_data::Normalizer;
 use dlr_gbdt::Ensemble;
 use dlr_nn::hybrid::HybridWorkspace;
 use dlr_nn::{HybridMlp, Mlp, MlpWorkspace};
-use dlr_quickscorer::{
-    BlockwiseQuickScorer, QsError, QuickScorer, VectorizedQuickScorer, WideQuickScorer,
-};
+use dlr_quickscorer::{BlockwiseQuickScorer, QsError, QuickScorer, VectorizedQuickScorer};
 use std::sync::Arc;
 
 /// A named document scorer over raw (unnormalized) feature rows.
@@ -62,7 +60,6 @@ impl DocumentScorer for EnsembleScorer {
 /// Which QuickScorer variant a [`QuickScorerScorer`] runs.
 enum QsVariant {
     Plain(QuickScorer, Vec<u64>),
-    Wide(WideQuickScorer, Vec<u64>),
     Blockwise(BlockwiseQuickScorer),
     Vectorized(VectorizedQuickScorer),
 }
@@ -76,28 +73,23 @@ pub struct QuickScorerScorer {
 }
 
 impl QuickScorerScorer {
-    /// Single-word QuickScorer (trees ≤ 64 leaves), or the wide multi-word
-    /// fallback when any tree is larger — mirroring how the paper treats
-    /// 256-leaf models as traversable but slower.
+    /// Single-word QuickScorer when every tree has at most 64 leaves, vQS
+    /// (which cuts trees of any size into 32-leaf slices) when one is
+    /// larger, as the paper's 256-leaf teachers are.
     ///
     /// # Errors
-    /// [`QsError`] when even the wide encoding rejects the ensemble
-    /// (it is empty or has no features).
+    /// [`QsError::EmptyEnsemble`] when the ensemble has no trees.
     pub fn try_compile(
         ensemble: &Ensemble,
         label: impl Into<String>,
     ) -> Result<QuickScorerScorer, QsError> {
         let nf = ensemble.num_features();
-        let variant = match QuickScorer::compile(ensemble) {
-            Ok(qs) => {
-                let nt = qs.num_trees();
-                QsVariant::Plain(qs, vec![0u64; nt])
-            }
-            Err(_) => {
-                let qs = WideQuickScorer::compile(ensemble)?;
-                let words = qs.num_trees() * qs.words();
-                QsVariant::Wide(qs, vec![0u64; words])
-            }
+        let variant = if ensemble.max_leaves() <= 64 {
+            let qs = QuickScorer::compile(ensemble)?;
+            let nt = qs.num_trees();
+            QsVariant::Plain(qs, vec![0u64; nt])
+        } else {
+            QsVariant::Vectorized(VectorizedQuickScorer::compile(ensemble)?)
         };
         Ok(QuickScorerScorer {
             variant,
@@ -110,7 +102,8 @@ impl QuickScorerScorer {
     /// Block-wise variant (BWQS) with the given trees per block.
     ///
     /// # Errors
-    /// [`QsError`] when the ensemble cannot be encoded (empty, > 64 leaves).
+    /// [`QsError`] when the ensemble cannot be encoded (empty, a tree of
+    /// more than 64 leaves, or no trees per block).
     pub fn try_compile_blockwise(
         ensemble: &Ensemble,
         trees_per_block: usize,
@@ -125,10 +118,10 @@ impl QuickScorerScorer {
         })
     }
 
-    /// Vectorized multi-document variant (vQS).
+    /// Vectorized multi-document variant (vQS), for trees of any size.
     ///
     /// # Errors
-    /// [`QsError`] when the ensemble cannot be encoded (empty, > 64 leaves).
+    /// [`QsError::EmptyEnsemble`] when the ensemble has no trees.
     pub fn try_compile_vectorized(
         ensemble: &Ensemble,
         label: impl Into<String>,
@@ -155,7 +148,7 @@ impl QuickScorerScorer {
     /// Panicking convenience wrapper over [`Self::try_compile_blockwise`].
     ///
     /// # Panics
-    /// Panics when the ensemble cannot be encoded (empty, > 64 leaves).
+    /// Panics when [`Self::try_compile_blockwise`] errors.
     pub fn compile_blockwise(
         ensemble: &Ensemble,
         trees_per_block: usize,
@@ -168,7 +161,7 @@ impl QuickScorerScorer {
     /// Panicking convenience wrapper over [`Self::try_compile_vectorized`].
     ///
     /// # Panics
-    /// Panics when the ensemble cannot be encoded (empty, > 64 leaves).
+    /// Panics when the ensemble has no trees.
     pub fn compile_vectorized(ensemble: &Ensemble, label: impl Into<String>) -> QuickScorerScorer {
         Self::try_compile_vectorized(ensemble, label).unwrap_or_else(|e| panic!("vQS compile: {e}"))
     }
@@ -193,11 +186,6 @@ impl DocumentScorer for QuickScorerScorer {
             .map(|o| o.scope(dlr_obs::Stage::KernelVqs));
         match &mut self.variant {
             QsVariant::Plain(qs, buf) => {
-                for (row, o) in rows.chunks_exact(self.num_features).zip(out.iter_mut()) {
-                    *o = qs.score_with(row, buf);
-                }
-            }
-            QsVariant::Wide(qs, buf) => {
                 for (row, o) in rows.chunks_exact(self.num_features).zip(out.iter_mut()) {
                     *o = qs.score_with(row, buf);
                 }
@@ -392,8 +380,9 @@ mod tests {
     }
 
     #[test]
-    fn wide_fallback_for_large_leaf_ensembles() {
-        // A 256-leaf-style teacher still gets a QuickScorer wrapper.
+    fn vqs_for_large_leaf_ensembles() {
+        // A 256-leaf-style teacher still gets a QuickScorer wrapper: vQS
+        // over 32-leaf slices, traversal's scores bit for bit.
         let mut cfg = SyntheticConfig::msn30k_like(15);
         cfg.docs_per_query = 40;
         cfg.num_features = 10;
@@ -413,8 +402,9 @@ mod tests {
         let mut qs = QuickScorerScorer::compile(&e, "teacher");
         let mut out = vec![0.0f32; data.num_docs()];
         qs.score_batch(data.features(), &mut out);
+        assert!(e.max_leaves() > 64, "{} leaves", e.max_leaves());
         for (row, &o) in data.features().chunks_exact(10).zip(&out) {
-            assert!((e.predict(row) - o).abs() < 1e-4);
+            assert_eq!(e.predict(row).to_bits(), o.to_bits());
         }
     }
 

@@ -25,8 +25,8 @@ impl Teacher for Ensemble {
     }
 }
 
-/// The compiled forest: on finite features, the scores of traversing the
-/// [`Ensemble`] it was compiled from, bit for bit, several times faster.
+/// The compiled forest: the scores of traversing the [`Ensemble`] it was
+/// compiled from, bit for bit at any leaf count, several times faster.
 impl Teacher for VectorizedQuickScorer {
     fn num_features(&self) -> usize {
         VectorizedQuickScorer::num_features(self)

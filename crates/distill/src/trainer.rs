@@ -6,7 +6,8 @@
 //! samples (scored by the teacher on the fly), minimizing MSE between
 //! student and teacher scores with Adam under a step-LR schedule.
 //! The teacher scores through the vectorized QuickScorer compiled once
-//! per session, which gives traversal's scores bit for bit.
+//! per session, which gives traversal's scores bit for bit at any leaf
+//! count.
 //!
 //! [`DistillSession`] holds everything reusable across students (teacher
 //! scores, normalizer, sampler), so designing many candidate architectures
@@ -16,7 +17,6 @@
 
 use crate::augment::MidpointSampler;
 use crate::hyper::DistillHyper;
-use crate::teacher::Teacher;
 use dlr_data::{Dataset, FeatureStats, Normalizer};
 use dlr_gbdt::Ensemble;
 use dlr_nn::train::SgdTrainer;
@@ -74,12 +74,9 @@ impl DistilledModel {
 }
 
 /// Reusable distillation state for one (teacher, training set) pair.
-pub struct DistillSession<'a> {
-    /// The forest the session distils.
-    forest: &'a Ensemble,
-    /// The forest compiled for vQS; `None` when it does not compile (a
-    /// tree with more than 64 leaves), and labels come from traversal.
-    compiled: Option<VectorizedQuickScorer>,
+pub struct DistillSession {
+    /// The forest the session distils, compiled for vQS.
+    teacher: VectorizedQuickScorer,
     cfg: DistillConfig,
     normalizer: Normalizer,
     sampler: MidpointSampler,
@@ -90,57 +87,44 @@ pub struct DistillSession<'a> {
     num_features: usize,
 }
 
-impl<'a> DistillSession<'a> {
+impl DistillSession {
     /// Prepare a session: fit the normalizer, score the training set with
     /// the teacher, and build the midpoint sampler from the teacher's
     /// split points.
     ///
     /// The forest is compiled once for the vectorized QuickScorer, which
     /// labels the real rows here and every batch's midpoint rows — the
-    /// same scores as traversal, bit for bit, several times faster. A
-    /// forest that does not compile is traversed instead.
+    /// same scores as traversal, bit for bit, several times faster, at
+    /// any leaf count.
     ///
     /// `train` carries RAW (unnormalized) features, as the teacher was
     /// trained on them.
     ///
     /// # Panics
-    /// Panics when the teacher's feature count differs from the dataset's
-    /// or the dataset is empty.
-    pub fn new(teacher: &'a Ensemble, train: &Dataset, cfg: DistillConfig) -> DistillSession<'a> {
+    /// Panics when the teacher's feature count differs from the dataset's,
+    /// the teacher has no trees or the dataset is empty.
+    pub fn new(teacher: &Ensemble, train: &Dataset, cfg: DistillConfig) -> DistillSession {
         assert_eq!(
-            Teacher::num_features(teacher),
+            teacher.num_features(),
             train.num_features(),
             "teacher and dataset feature counts differ"
         );
+        let compiled = VectorizedQuickScorer::compile(teacher).expect("non-empty teacher");
         let stats = FeatureStats::compute(train).expect("non-empty training set");
         let normalizer = Normalizer::from_stats(&stats);
         let sampler = MidpointSampler::build(teacher, &stats);
         let mut real_rows = train.features().to_vec();
         normalizer.apply_matrix(&mut real_rows);
-        let mut session = DistillSession {
-            forest: teacher,
-            compiled: VectorizedQuickScorer::compile(teacher).ok(),
+        let mut real_targets = vec![0.0f32; train.num_docs()];
+        compiled.score_batch(train.features(), &mut real_targets);
+        DistillSession {
+            teacher: compiled,
             cfg,
             normalizer,
             sampler,
             real_rows,
-            real_targets: Vec::new(),
+            real_targets,
             num_features: train.num_features(),
-        };
-        let mut real_targets = vec![0.0f32; train.num_docs()];
-        session
-            .teacher()
-            .score_batch(train.features(), &mut real_targets);
-        session.real_targets = real_targets;
-        session
-    }
-
-    /// The scorer that labels documents: the compiled forest when there
-    /// is one.
-    fn teacher(&self) -> &dyn Teacher {
-        match &self.compiled {
-            Some(vqs) => vqs,
-            None => self.forest,
         }
     }
 
@@ -249,7 +233,7 @@ impl<'a> DistillSession<'a> {
     /// This session's batches as a source for [`dlr_nn::run_epochs`]:
     /// each a chunk of real documents plus freshly sampled, teacher-scored
     /// midpoint points (§3).
-    pub fn batches(&self) -> SessionBatches<'_, 'a> {
+    pub fn batches(&self) -> SessionBatches<'_> {
         let bs = self.cfg.batch_size.max(2);
         SessionBatches {
             session: self,
@@ -261,14 +245,14 @@ impl<'a> DistillSession<'a> {
 }
 
 /// [`DistillSession::batches`]: the real-plus-synthetic batch assembly.
-pub struct SessionBatches<'s, 'a> {
-    session: &'s DistillSession<'a>,
+pub struct SessionBatches<'s> {
+    session: &'s DistillSession,
     synth_per_batch: usize,
     synth_raw: Vec<f32>,
     synth_scores: Vec<f32>,
 }
 
-impl BatchSource for SessionBatches<'_, '_> {
+impl BatchSource for SessionBatches<'_> {
     fn num_docs(&self) -> usize {
         self.session.real_targets.len()
     }
@@ -297,7 +281,7 @@ impl BatchSource for SessionBatches<'_, '_> {
             s.sampler
                 .sample_batch(self.synth_per_batch, *seed, &mut self.synth_raw);
             self.synth_scores.resize(self.synth_per_batch, 0.0);
-            s.teacher()
+            s.teacher
                 .score_batch(&self.synth_raw, &mut self.synth_scores);
             s.normalizer.apply_matrix(&mut self.synth_raw);
             rows.extend_from_slice(&self.synth_raw);
@@ -411,9 +395,10 @@ mod tests {
     }
 
     /// The session's labels — the real rows at construction, the midpoint
-    /// rows of every batch — are traversal's scores bit for bit: through
-    /// vQS for a LambdaMART forest (base 0) and a MART one (base = target
-    /// mean), through traversal for a forest too wide to compile.
+    /// rows of every batch — are traversal's scores bit for bit, through
+    /// vQS: for a LambdaMART forest (base 0), a MART one (base = target
+    /// mean) and one of more than 64 leaves a tree, which vQS cuts into
+    /// three 32-leaf slices.
     #[test]
     fn labels_are_traversal_scores_bit_for_bit() {
         let (lambdamart, data) = small_setup();
@@ -443,8 +428,9 @@ mod tests {
         assert!(wide.max_leaves() > 64, "{} leaves", wide.max_leaves());
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for forest in [&lambdamart, &mart, &wide] {
+            // `teacher` is the compiled forest: every forest labels through
+            // vQS, the 80-leaf one included.
             let session = DistillSession::new(forest, &data, distill_cfg(1));
-            assert_eq!(session.compiled.is_some(), forest.max_leaves() <= 64);
             let mut want = vec![0.0f32; data.num_docs()];
             forest.predict_batch(data.features(), &mut want);
             assert_eq!(bits(&session.real_targets), bits(&want));
@@ -461,6 +447,13 @@ mod tests {
             forest.predict_batch(&midpoints, &mut want);
             assert_eq!(bits(&labels[docs.len()..]), bits(&want));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "non-empty teacher")]
+    fn an_empty_teacher_is_refused() {
+        let (_, data) = small_setup();
+        DistillSession::new(&Ensemble::new(16, 0.0), &data, distill_cfg(1));
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub struct PruneOutcome {
 /// [`TrainError::Diverged`] text when an epoch keeps producing non-finite
 /// losses or gradients through the default rollback budget.
 pub fn prune_first_layer(
-    session: &DistillSession<'_>,
+    session: &DistillSession,
     mlp: &mut Mlp,
     cfg: &PruneConfig,
 ) -> PruneOutcome {
@@ -97,7 +97,7 @@ pub fn prune_first_layer(
 /// # Panics
 /// Panics when `cfg.layer` is out of range for `mlp`.
 pub fn prune_first_layer_resilient(
-    session: &DistillSession<'_>,
+    session: &DistillSession,
     mlp: &mut Mlp,
     cfg: &PruneConfig,
     res: &ResilienceConfig,
@@ -109,7 +109,7 @@ pub fn prune_first_layer_resilient(
 /// The schedule: one [`dlr_nn::run_epochs`] call of `E_p + E_ft` epochs
 /// whose per-epoch hook derives the pruning-phase masks.
 fn run_schedule(
-    session: &DistillSession<'_>,
+    session: &DistillSession,
     mlp: &mut Mlp,
     cfg: &PruneConfig,
     res: &ResilienceConfig,

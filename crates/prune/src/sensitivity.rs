@@ -60,7 +60,7 @@ pub fn static_sensitivity(
 /// fine-tuned for `retrain_epochs` under its mask (using the distillation
 /// loop) before evaluation.
 pub fn dynamic_sensitivity(
-    session: &DistillSession<'_>,
+    session: &DistillSession,
     mlp: &Mlp,
     valid: &Dataset,
     levels: &[f64],

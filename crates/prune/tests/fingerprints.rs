@@ -136,7 +136,7 @@ fn config(epochs: [usize; 3], dropout: f32) -> DistillConfig {
 
 /// Distil a student from `session`, then prune its first layer to the
 /// benchmark's 98.7% and fine-tune.
-fn distilled_and_pruned(session: &DistillSession<'_>, hidden: &[usize]) -> (Mlp, Normalizer) {
+fn distilled_and_pruned(session: &DistillSession, hidden: &[usize]) -> (Mlp, Normalizer) {
     let model = session.train_student(hidden);
     let mut mlp = model.mlp;
     prune_first_layer(session, &mut mlp, &PruneConfig::first_layer_level(0.987));

@@ -118,10 +118,6 @@ impl BlockwiseQuickScorer {
             out.len() * self.num_features,
             "batch shape mismatch"
         );
-        debug_assert!(
-            features.iter().all(|v| v.is_finite()),
-            "feature chunk must be finite (traversal compares against finite thresholds)"
-        );
         out.fill(self.base_score);
         let max_trees = self.blocks.iter().map(|b| b.num_trees()).max().unwrap_or(0);
         if buf.len() < max_trees {

@@ -27,27 +27,26 @@
 //! Variants implemented here, mirroring the paper's description:
 //!
 //! * [`QuickScorer`] — single-`u64` masks for trees with ≤ 64 leaves;
-//! * [`WideQuickScorer`] — multi-word masks for larger trees (the paper
-//!   notes QS degrades here; Table 5's 256-leaf teachers need it);
 //! * [`BlockwiseQuickScorer`] — BWQS: the forest is partitioned into
 //!   blocks sized for cache residency, each scored over the whole
 //!   document batch before moving on;
 //! * [`vectorized`] — vQS-style scoring of up to
-//!   [`GROUP`](vectorized::GROUP) = 32 documents per scan: the paper's
-//!   vQS holds 8 documents in an AVX2 register, this one up to four such
-//!   registers a tree.
+//!   [`GROUP`](vectorized::GROUP) = 32 documents per scan, for trees of
+//!   any size: every tree is cut into slices of 32 leaves, one `u32` word
+//!   each (the paper notes QS degrades past 64 leaves, where a mask no
+//!   longer fits one word; Table 5's 256-leaf teachers are cut into 8
+//!   slices). The paper's vQS holds 8 documents in an AVX2 register, this
+//!   one up to four such registers a slice.
 
 pub mod blockwise;
 pub mod model;
 #[cfg(test)]
 pub(crate) mod testutil;
 pub mod vectorized;
-pub mod wide;
 
 pub use blockwise::BlockwiseQuickScorer;
 pub use model::{QsError, QuickScorer};
 pub use vectorized::VectorizedQuickScorer;
-pub use wide::WideQuickScorer;
 
 #[cfg(test)]
 mod tests {
@@ -56,9 +55,9 @@ mod tests {
     use dlr_data::SyntheticConfig;
     use dlr_gbdt::{GrowthParams, MartParams, MartTrainer};
 
-    /// QS, vQS and wide QS start from the base score and add the trees in
-    /// order, as traversal does, so they agree with it bit for bit — also
-    /// on a MART forest, whose base score (the target mean) is not zero.
+    /// QS and vQS start from the base score and add the trees in order,
+    /// as traversal does, so they agree with it bit for bit — also on a
+    /// MART forest, whose base score (the target mean) is not zero.
     #[test]
     fn every_variant_equals_traversal_bit_for_bit_on_a_mart_forest() {
         let mut cfg = SyntheticConfig::msn30k_like(40);
@@ -84,17 +83,14 @@ mod tests {
         let n = rows.len() / 12;
         let mut want = vec![0.0f32; n];
         forest.predict_batch(&rows, &mut want);
-        let mut got = vec![vec![0.0f32; n]; 3];
+        let mut got = vec![vec![0.0f32; n]; 2];
         QuickScorer::compile(&forest)
             .unwrap()
             .score_batch(&rows, &mut got[0]);
         VectorizedQuickScorer::compile(&forest)
             .unwrap()
             .score_batch(&rows, &mut got[1]);
-        WideQuickScorer::compile(&forest)
-            .unwrap()
-            .score_batch(&rows, &mut got[2]);
-        for (name, got) in ["qs", "vqs", "wide"].into_iter().zip(&got) {
+        for (name, got) in ["qs", "vqs"].into_iter().zip(&got) {
             let differ = got
                 .iter()
                 .zip(&want)

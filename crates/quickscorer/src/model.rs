@@ -6,7 +6,8 @@ use dlr_gbdt::Ensemble;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QsError {
     /// A tree has more than 64 leaves; use
-    /// [`WideQuickScorer`](crate::WideQuickScorer).
+    /// [`VectorizedQuickScorer`](crate::VectorizedQuickScorer), which
+    /// cuts trees of any size into 32-leaf slices.
     TooManyLeaves {
         /// Leaf count of the offending tree.
         leaves: usize,
@@ -31,10 +32,10 @@ impl std::error::Error for QsError {}
 
 /// One decision node in the feature-wise condition lists.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Condition {
-    pub threshold: f32,
-    pub tree: u32,
-    pub mask: u64,
+struct Condition {
+    threshold: f32,
+    tree: u32,
+    mask: u64,
 }
 
 /// QuickScorer encoding of a tree ensemble (all trees ≤ 64 leaves).
@@ -133,19 +134,6 @@ impl QuickScorer {
         self.conditions.len()
     }
 
-    /// Borrow the feature-wise condition lists (for block construction).
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn parts(&self) -> (&[usize], &[Condition], &[usize], &[f32], &[u64], f32) {
-        (
-            &self.feat_offsets,
-            &self.conditions,
-            &self.leaf_offsets,
-            &self.leaf_values,
-            &self.init_mask,
-            self.base_score,
-        )
-    }
-
     /// Score one document using a caller-provided working buffer of at
     /// least `num_trees` words (no allocation on the hot path).
     ///
@@ -200,7 +188,7 @@ impl QuickScorer {
 
 /// Low `n` bits set (`n <= 64`).
 #[inline]
-pub(crate) fn ones(n: usize) -> u64 {
+fn ones(n: usize) -> u64 {
     debug_assert!(n <= 64);
     if n == 64 {
         u64::MAX

@@ -35,12 +35,11 @@
 //!   condition of a forest against a group of up to 32 document lanes,
 //!   clearing a node's left-subtree leaves in the lanes that go right
 //!   (value above the threshold, or NaN), over a structure-of-arrays
-//!   [`qs::ConditionTable`] at the narrowest leaf word that holds the
-//!   widest tree (`u32` up to 32 leaves, one ymm per 8 lanes of a tree;
-//!   `u64` up to 64, two). Paths: the portable lane loop
-//!   ([`qs::mask_step`]'s body) at scalar and SSE2, one AVX2 kernel per
-//!   group, generic over its 1–4 registers a tree. Compare and bit logic
-//!   only, so **every level is bit-identical**.
+//!   [`qs::ConditionTable`] over `u32` words, each a slice of 32 leaves
+//!   of a tree (one ymm per 8 lanes of a slice). Paths: the portable lane
+//!   loop at scalar and SSE2, one AVX2 kernel per group, generic over its
+//!   1–4 registers a slice. Compare and bit logic only, so **every level
+//!   is bit-identical**.
 //!
 //! # Dispatch
 //!

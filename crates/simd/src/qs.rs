@@ -6,38 +6,35 @@
 //! walks the feature's conditions in ascending threshold order: a lane
 //! whose node test `x <= threshold` is false (the value exceeds the
 //! threshold or is NaN, and traversal goes right) clears the node's
-//! left-subtree leaves from its copy of the tree's leaf bitvector, and the
-//! walk stops once every lane tests true (the vectorized analogue of
+//! left-subtree leaves from its copy of the slice's leaf bitvector, and
+//! the walk stops once every lane tests true (the vectorized analogue of
 //! QuickScorer's early exit): at the first threshold that reaches the
 //! group's maximum, which is NaN, and so reached by none, while a lane is
-//! NaN. The conditions live in a [`ConditionTable`],
-//! structure of arrays, at the narrowest [`LeafWord`] that holds the
-//! forest's widest tree: `u32` up to 32 leaves, so 8 lanes of a tree are
-//! one 256-bit register — the layout the paper's AVX2 vQS uses — and
-//! `u64` up to 64, two registers.
+//! NaN. The conditions live in a [`ConditionTable`], structure of arrays,
+//! over `u32` words: each word is one *slice* of 32 leaves of a tree, so
+//! 8 lanes of a slice are one 256-bit register — the layout the paper's
+//! AVX2 vQS uses. The caller cuts a larger tree into several slices; the
+//! scan sees only slices.
 //!
 //! Two paths, one semantics:
 //!
 //! * [`Isa::Avx2`] runs the whole group in one `#[target_feature]`
 //!   kernel, generic over the `R` = 1 to 4 registers of 8 lanes that a
 //!   group of `docs` documents fills (`R = ⌈docs / 8⌉`). Per condition it
-//!   loads the threshold, tree id and left-subtree bits once, broadcasts
+//!   loads the threshold, slice id and left-subtree bits once, broadcasts
 //!   them once and tests the early exit once, then for each of the `R`
 //!   registers does one compare (`_CMP_NLE_UQ`, `!(x <= t)`, true on NaN),
 //!   one and/and-not against the left-subtree bits and one load/store of
-//!   the tree's lanes. At `u64` the compare is `vcmppd` on the lanes
-//!   widened once per feature to `f64` (exact, so the order and NaN are
-//!   kept), two per register, each yielding a 64-bit mask. The scalar
-//!   work is thus paid once per 32 documents, not once per 8:
-//!   score-forest's `us_per_doc` fell to about 0.66× of the 8-document
-//!   kernel's. A kernel per *condition* read slower than the lane loop,
-//!   because a `#[target_feature]` function cannot inline into a caller
-//!   built without AVX2 and every condition paid a call; at the group the
-//!   call is paid once per group, as the GEMM tiles pay it once per
-//!   k-loop.
-//! * every other level runs the portable lane loop ([`mask_step`]'s
-//!   body), 8 lanes at a time, which the compiler vectorizes for the
-//!   build target. It is the reference the kernel is tested against.
+//!   the slice's lanes. The scalar work is thus paid once per 32
+//!   documents, not once per 8: score-forest's `us_per_doc` fell to about
+//!   0.66× of the 8-document kernel's. A kernel per *condition* read
+//!   slower than the lane loop, because a `#[target_feature]` function
+//!   cannot inline into a caller built without AVX2 and every condition
+//!   paid a call; at the group the call is paid once per group, as the
+//!   GEMM tiles pay it once per k-loop.
+//! * every other level runs the portable lane loop, 8 lanes at a time,
+//!   which the compiler vectorizes for the build target. It is the
+//!   reference the kernel is tested against.
 //!
 //! The update is a float compare followed by pure bitwise arithmetic and
 //! both paths stop each list at the same condition, so every level yields
@@ -45,80 +42,29 @@
 
 use crate::dispatch::{supported, Isa};
 use crate::LANES;
-use std::fmt::Debug;
-use std::ops::{BitAndAssign, Not};
-
-mod sealed {
-    pub trait Sealed {}
-    impl Sealed for u32 {}
-    impl Sealed for u64 {}
-}
-
-/// A leaf bitvector word: bit `i` set while leaf `i` of a tree is still
-/// reachable. `u32` holds trees of up to 32 leaves, `u64` up to 64.
-pub trait LeafWord:
-    sealed::Sealed + Copy + Default + Eq + Debug + BitAndAssign + Not<Output = Self>
-{
-    /// Width in bits: the most leaves a tree encoded in this word can have.
-    const BITS: u32;
-
-    /// The low [`Self::BITS`] bits of `bits`.
-    fn from_low_bits(bits: u64) -> Self;
-
-    /// The word zero-extended to 64 bits.
-    fn to_u64(self) -> u64;
-}
-
-impl LeafWord for u32 {
-    const BITS: u32 = u32::BITS;
-
-    #[inline]
-    fn from_low_bits(bits: u64) -> u32 {
-        // Truncation is the point: the caller keeps only the low bits.
-        bits as u32
-    }
-
-    #[inline]
-    fn to_u64(self) -> u64 {
-        u64::from(self)
-    }
-}
-
-impl LeafWord for u64 {
-    const BITS: u32 = u64::BITS;
-
-    #[inline]
-    fn from_low_bits(bits: u64) -> u64 {
-        bits
-    }
-
-    #[inline]
-    fn to_u64(self) -> u64 {
-        self
-    }
-}
 
 /// A forest's QuickScorer conditions as structure of arrays, grouped by
 /// feature: the conditions of feature `f` are the indices
 /// `feat_offsets[f]..feat_offsets[f + 1]`, thresholds ascending, and
-/// condition `c` tests `threshold[c]` in tree `tree[c]`, clearing
+/// condition `c` tests `threshold[c]` in slice `slices[c]`, clearing
 /// `left_leaves[c]` (the complement of QuickScorer's node mask) when the
-/// document's value exceeds it or is NaN.
+/// document's value exceeds it or is NaN. A slice is one `u32` leaf
+/// bitvector: a tree of up to 32 leaves, or 32 leaves of a larger one.
 ///
 /// [`ConditionTable::new`] checks every index the scan follows once, so
 /// [`scan_group`] indexes without bounds checks.
 #[derive(Debug, Clone)]
-pub struct ConditionTable<W> {
-    num_trees: usize,
+pub struct ConditionTable {
+    num_slices: usize,
     feat_offsets: Vec<usize>,
     thresholds: Vec<f32>,
-    trees: Vec<u32>,
-    left_leaves: Vec<W>,
+    slices: Vec<u32>,
+    left_leaves: Vec<u32>,
 }
 
-impl<W: LeafWord> ConditionTable<W> {
-    /// Build a table over `num_trees` trees and `feat_offsets.len() - 1`
-    /// features from per-condition `thresholds`, `trees` and
+impl ConditionTable {
+    /// Build a table over `num_slices` slices and `feat_offsets.len() - 1`
+    /// features from per-condition `thresholds`, `slices` and
     /// `left_leaves`. Within a feature the thresholds must ascend (as
     /// [`f32::total_cmp`] orders them) for the early exit to be exact;
     /// that is the caller's encoding, not checked here.
@@ -126,18 +72,18 @@ impl<W: LeafWord> ConditionTable<W> {
     /// # Panics
     /// Panics when the three condition arrays differ in length, when
     /// `feat_offsets` is empty, does not start at 0, descends or does not
-    /// end at the condition count, or when a tree id is not below
-    /// `num_trees`: a table built from a QuickScorer encoding never does.
+    /// end at the condition count, or when a slice id is not below
+    /// `num_slices`: a table built from a QuickScorer encoding never does.
     pub fn new(
-        num_trees: usize,
+        num_slices: usize,
         feat_offsets: Vec<usize>,
         thresholds: Vec<f32>,
-        trees: Vec<u32>,
-        left_leaves: Vec<W>,
-    ) -> ConditionTable<W> {
+        slices: Vec<u32>,
+        left_leaves: Vec<u32>,
+    ) -> ConditionTable {
         let n = thresholds.len();
         assert!(
-            trees.len() == n && left_leaves.len() == n,
+            slices.len() == n && left_leaves.len() == n,
             "condition arrays differ in length"
         );
         assert!(
@@ -147,14 +93,14 @@ impl<W: LeafWord> ConditionTable<W> {
             "feature offsets must ascend from 0 to the condition count"
         );
         assert!(
-            trees.iter().all(|&t| (t as usize) < num_trees),
-            "a condition names a tree outside the forest"
+            slices.iter().all(|&s| (s as usize) < num_slices),
+            "a condition names a slice outside the forest"
         );
         ConditionTable {
-            num_trees,
+            num_slices,
             feat_offsets,
             thresholds,
-            trees,
+            slices,
             left_leaves,
         }
     }
@@ -163,10 +109,16 @@ impl<W: LeafWord> ConditionTable<W> {
     pub fn num_features(&self) -> usize {
         self.feat_offsets.len() - 1
     }
+
+    /// Number of conditions: one per node and slice its left subtree
+    /// touches.
+    pub fn num_conditions(&self) -> usize {
+        self.thresholds.len()
+    }
 }
 
 /// The most documents one [`scan_group`] call scans: four registers of
-/// [`LANES`] lanes per tree.
+/// [`LANES`] lanes per slice.
 pub const MAX_GROUP: usize = 4 * LANES;
 
 /// Scan every condition of `table` for one group of 1 to [`MAX_GROUP`]
@@ -176,21 +128,16 @@ pub const MAX_GROUP: usize = 4 * LANES;
 /// each. The group spans `lanes = 8 · ⌈docs / 8⌉` lanes, and lane `l`
 /// scores document `min(l, docs − 1)`, so a group's spare lanes repeat its
 /// last document and the caller reads only the first `docs` lanes.
-/// `leafidx[t * lanes + l]` is tree `t`'s bitvector in lane `l`: the
-/// caller arms it with every tree's leaves and reads the exit leaves from
+/// `leafidx[s * lanes + l]` is slice `s`'s bitvector in lane `l`: the
+/// caller arms it with every slice's leaves and reads the exit leaves from
 /// it afterwards. [`Isa::Avx2`] runs the group kernel; every other level,
 /// or an `isa` this host lacks, the lane loop. A table over no features
 /// has no conditions: it reads no rows and clears no bit.
 ///
 /// # Panics
 /// Panics when `rows` does not hold 1 to [`MAX_GROUP`] whole documents, or
-/// when `leafidx` is not `num_trees · lanes` words.
-pub fn scan_group<W: LeafWord>(
-    isa: Isa,
-    table: &ConditionTable<W>,
-    rows: &[f32],
-    leafidx: &mut [W],
-) {
+/// when `leafidx` is not `num_slices · lanes` words.
+pub fn scan_group(isa: Isa, table: &ConditionTable, rows: &[f32], leafidx: &mut [u32]) {
     let nf = table.num_features();
     if nf == 0 {
         return;
@@ -203,8 +150,8 @@ pub fn scan_group<W: LeafWord>(
     let regs = docs.div_ceil(LANES);
     assert_eq!(
         leafidx.len(),
-        table.num_trees * regs * LANES,
-        "one bitvector per tree and lane"
+        table.num_slices * regs * LANES,
+        "one bitvector per slice and lane"
     );
     let lane_rows: [usize; MAX_GROUP] = std::array::from_fn(|l| l.min(docs - 1) * nf);
     match isa {
@@ -212,16 +159,16 @@ pub fn scan_group<W: LeafWord>(
         Isa::Avx2 if supported(Isa::Avx2) => {
             // SAFETY: AVX2 was checked just above. `ConditionTable::new`
             // proved every offset lies in the condition arrays and every
-            // tree id is below `num_trees`, so each tree's `regs · LANES`
-            // words of `leafidx` (asserted `num_trees · regs · LANES`
+            // slice id is below `num_slices`, so each slice's `regs · LANES`
+            // words of `leafidx` (asserted `num_slices · regs · LANES`
             // long) are in bounds; every `lane_rows[l] + f` is below
             // `docs · nf == rows.len()` for `f < nf`.
             unsafe {
                 match regs {
-                    1 => x86::scan_group_avx2::<W, 1>(table, rows, &lane_rows, leafidx),
-                    2 => x86::scan_group_avx2::<W, 2>(table, rows, &lane_rows, leafidx),
-                    3 => x86::scan_group_avx2::<W, 3>(table, rows, &lane_rows, leafidx),
-                    _ => x86::scan_group_avx2::<W, 4>(table, rows, &lane_rows, leafidx),
+                    1 => x86::scan_group_avx2::<1>(table, rows, &lane_rows, leafidx),
+                    2 => x86::scan_group_avx2::<2>(table, rows, &lane_rows, leafidx),
+                    3 => x86::scan_group_avx2::<3>(table, rows, &lane_rows, leafidx),
+                    _ => x86::scan_group_avx2::<4>(table, rows, &lane_rows, leafidx),
                 }
             }
         }
@@ -231,11 +178,11 @@ pub fn scan_group<W: LeafWord>(
 
 /// The portable path of [`scan_group`]: the lane loop per condition, 8
 /// lanes at a time over the group's `lane_rows.len()` lanes.
-fn scan_group_lanes<W: LeafWord>(
-    table: &ConditionTable<W>,
+fn scan_group_lanes(
+    table: &ConditionTable,
     rows: &[f32],
     lane_rows: &[usize],
-    leafidx: &mut [W],
+    leafidx: &mut [u32],
 ) {
     let lanes = lane_rows.len();
     let mut group = [0.0f32; MAX_GROUP];
@@ -253,16 +200,16 @@ fn scan_group_lanes<W: LeafWord>(
         let list = bounds[0]..bounds[1];
         let conditions = table.thresholds[list.clone()]
             .iter()
-            .zip(&table.trees[list.clone()])
+            .zip(&table.slices[list.clone()])
             .zip(&table.left_leaves[list]);
-        for ((&threshold, &tree), &left) in conditions {
+        for ((&threshold, &slice), &left) in conditions {
             if max_xf <= threshold {
                 // Every lane tests true from here on; a NaN maximum never
                 // does.
                 break;
             }
-            // Always-Some: tree ids are below `num_trees`.
-            if let Some(dst) = leafidx[tree as usize * lanes..].get_mut(..lanes) {
+            // Always-Some: slice ids are below `num_slices`.
+            if let Some(dst) = leafidx[slice as usize * lanes..].get_mut(..lanes) {
                 for (x, dst) in xf.iter().zip(dst.as_chunks_mut::<LANES>().0) {
                     clear_lanes(x, threshold, left, dst);
                 }
@@ -271,27 +218,28 @@ fn scan_group_lanes<W: LeafWord>(
     }
 }
 
-/// Apply one QuickScorer condition to the 8 traversal bitvectors:
-/// `dst[lane] &= if xf[lane] <= threshold { !0 } else { mask }`.
+/// Apply one QuickScorer condition to 8 traversal bitvectors of a tree of
+/// up to 64 leaves: `dst[lane] &= if xf[lane] <= threshold { !0 } else {
+/// mask }`.
 ///
-/// This is the portable path's step, run at every `isa` level: the
-/// argument is kept for the callers that sweep [`Isa::ALL`]. vQS itself
-/// scans through [`scan_group`], whose AVX2 kernel holds the step inline.
+/// vQS does not call it: it scans through [`scan_group`], over `u32`
+/// slices. This lane loop exists only for the benchmark's
+/// `simd.qs_mask_ns` metric, until a change to the benchmark retires
+/// both. Its `isa` argument selects nothing: every level runs this one
+/// loop, so the metric's per-ISA readings time the same code.
 pub fn mask_step(_isa: Isa, xf: &[f32; LANES], threshold: f32, mask: u64, dst: &mut [u64; LANES]) {
-    clear_lanes(xf, threshold, !mask, dst);
+    for (&x, dst) in xf.iter().zip(dst) {
+        *dst &= if x <= threshold { u64::MAX } else { mask };
+    }
 }
 
 /// The auto-vectorizable lane loop: clear `left` from the lanes whose
 /// node test `x <= threshold` is false, which a NaN lane's is, so NaN goes
 /// right as in per-tree traversal.
 #[inline]
-fn clear_lanes<W: LeafWord>(xf: &[f32; LANES], threshold: f32, left: W, dst: &mut [W; LANES]) {
+fn clear_lanes(xf: &[f32; LANES], threshold: f32, left: u32, dst: &mut [u32; LANES]) {
     for lane in 0..LANES {
-        let keep = if xf[lane] <= threshold {
-            !W::default()
-        } else {
-            !left
-        };
+        let keep = if xf[lane] <= threshold { !0 } else { !left };
         dst[lane] &= keep;
     }
 }
@@ -301,38 +249,36 @@ mod x86 {
     //! The group kernel. Private: callable only through the dispatch
     //! wrapper above (enforced by dlr-lint's `SIMD_TARGET_FEATURE` rule).
 
-    use super::{ConditionTable, LeafWord, MAX_GROUP};
+    use super::{ConditionTable, MAX_GROUP};
     use crate::LANES;
     use core::arch::x86_64::*;
 
     /// AVX2 condition scan of one group of `R · 8` lanes: the lane loop
-    /// of `scan_group_lanes` with the lanes in `R` ymm of `f32` (and, at
-    /// `u64`, `2R` ymm of `f64`), and each tree's bitvectors in `R` ymm
-    /// (`u32`) or `2R` (`u64`). Each condition's threshold, tree and
-    /// left-subtree bits are loaded and broadcast once and applied to all
-    /// `R` registers. The early exit compares the maximum over all the
-    /// group's lanes (NaN when one is), as the lane loop does, so both
-    /// stop every list at the same condition.
+    /// of `scan_group_lanes` with the lanes in `R` ymm of `f32` and each
+    /// slice's bitvectors in `R` ymm of `u32`. Each condition's threshold,
+    /// slice and left-subtree bits are loaded and broadcast once and
+    /// applied to all `R` registers. The early exit compares the maximum
+    /// over all the group's lanes (NaN when one is), as the lane loop
+    /// does, so both stop every list at the same condition.
     ///
     /// # Safety
     /// Caller must ensure AVX2 is available, `leafidx` is
-    /// `table.num_trees · R · LANES` words, and `lane_rows[l] + f <
+    /// `table.num_slices · R · LANES` words, and `lane_rows[l] + f <
     /// rows.len()` for every lane `l < R · LANES` and feature `f`.
     #[target_feature(enable = "avx2")]
-    unsafe fn scan_group_impl<W: LeafWord, const R: usize>(
-        table: &ConditionTable<W>,
+    unsafe fn scan_group_impl<const R: usize>(
+        table: &ConditionTable,
         rows: &[f32],
         lane_rows: &[usize; MAX_GROUP],
-        leafidx: &mut [W],
+        leafidx: &mut [u32],
     ) {
         let offsets = table.feat_offsets.as_ptr();
         let thresholds = table.thresholds.as_ptr();
-        let trees = table.trees.as_ptr();
+        let slices = table.slices.as_ptr();
         let left_leaves = table.left_leaves.as_ptr();
         let rows = rows.as_ptr();
         let leafidx = leafidx.as_mut_ptr();
         let mut x = [_mm256_setzero_ps(); R];
-        let mut wide = [[_mm256_setzero_pd(); 2]; R];
         for f in 0..table.feat_offsets.len() - 1 {
             // `maxps` returns its second operand when the first is NaN,
             // so NaN lanes never reach `max`; `nan` flags them instead.
@@ -358,39 +304,19 @@ mod x86 {
             } else {
                 f32::NAN
             };
-            if W::BITS == 64 {
-                for (wide, &x) in wide.iter_mut().zip(&x) {
-                    *wide = [
-                        _mm256_cvtps_pd(_mm256_castps256_ps128(x)),
-                        _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(x)),
-                    ];
-                }
-            }
             for c in *offsets.add(f)..*offsets.add(f + 1) {
                 let threshold = *thresholds.add(c);
                 if max_xf <= threshold {
                     break;
                 }
                 let dst = leafidx
-                    .add(*trees.add(c) as usize * R * LANES)
+                    .add(*slices.add(c) as usize * R * LANES)
                     .cast::<__m256i>();
-                let left = (*left_leaves.add(c)).to_u64();
-                if W::BITS == 32 {
-                    let threshold = _mm256_set1_ps(threshold);
-                    let left = _mm256_set1_epi32(left as i32);
-                    for (r, &x) in x.iter().enumerate() {
-                        let right = _mm256_cmp_ps::<_CMP_NLE_UQ>(x, threshold);
-                        clear(dst.add(r), _mm256_castps_si256(right), left);
-                    }
-                } else {
-                    let left = _mm256_set1_epi64x(left as i64);
-                    let threshold = _mm256_set1_pd(f64::from(threshold));
-                    for (r, x) in wide.iter().enumerate() {
-                        for (h, &x) in x.iter().enumerate() {
-                            let right = _mm256_cmp_pd::<_CMP_NLE_UQ>(x, threshold);
-                            clear(dst.add(2 * r + h), _mm256_castpd_si256(right), left);
-                        }
-                    }
+                let threshold = _mm256_set1_ps(threshold);
+                let left = _mm256_set1_epi32(*left_leaves.add(c) as i32);
+                for (r, &x) in x.iter().enumerate() {
+                    let right = _mm256_cmp_ps::<_CMP_NLE_UQ>(x, threshold);
+                    clear(dst.add(r), _mm256_castps_si256(right), left);
                 }
             }
         }
@@ -424,18 +350,18 @@ mod x86 {
         _mm_cvtss_f32(_mm_max_ss(m, _mm_shuffle_ps::<1>(m, m)))
     }
 
-    /// Dispatch-table entry for the group kernel at `R` registers a tree.
+    /// Dispatch-table entry for the group kernel at `R` registers a slice.
     ///
     /// # Safety
     /// Same contract as [`scan_group_impl`].
-    pub(super) unsafe fn scan_group_avx2<W: LeafWord, const R: usize>(
-        table: &ConditionTable<W>,
+    pub(super) unsafe fn scan_group_avx2<const R: usize>(
+        table: &ConditionTable,
         rows: &[f32],
         lane_rows: &[usize; MAX_GROUP],
-        leafidx: &mut [W],
+        leafidx: &mut [u32],
     ) {
         // SAFETY: forwarded verbatim; the caller upholds the contract.
-        unsafe { scan_group_impl::<W, R>(table, rows, lane_rows, leafidx) }
+        unsafe { scan_group_impl::<R>(table, rows, lane_rows, leafidx) }
     }
 }
 
@@ -529,33 +455,28 @@ mod tests {
         }
     }
 
-    /// Two trees over two features; the left-subtree bits use the top bit
-    /// of the word, so a `u32` kernel that widened wrongly would show. The
-    /// last threshold is +inf, which only a NaN value fails.
-    fn table<W: LeafWord>() -> ConditionTable<W> {
-        let top = W::from_low_bits(1 << (W::BITS - 1));
+    /// The top bit of a slice word.
+    const TOP: u32 = 1 << 31;
+
+    /// Two slices over two features; the left-subtree bits use the top
+    /// bit of the word, so a kernel that mishandled the sign bit would
+    /// show. The last threshold is +inf, which only a NaN value fails.
+    fn table() -> ConditionTable {
         ConditionTable::new(
             2,
             vec![0, 3, 6],
             vec![-1.0, 0.0, 0.0, 0.5, 2.0, f32::INFINITY],
             vec![0, 1, 0, 1, 0, 0],
-            vec![
-                W::from_low_bits(0b1),
-                top,
-                W::from_low_bits(0b10),
-                top,
-                W::from_low_bits(0b100),
-                W::from_low_bits(0b1000),
-            ],
+            vec![0b1, TOP, 0b10, TOP, 0b100, 0b1000],
         )
     }
 
     /// Scan `rows` (documents of 2 features) as one group over
-    /// [`table`], every bitvector armed all ones; `got[t * lanes + l]`.
-    fn scan<W: LeafWord>(isa: Isa, rows: &[f32]) -> Vec<W> {
-        let t = table::<W>();
+    /// [`table`], every bitvector armed all ones; `got[s * lanes + l]`.
+    fn scan(isa: Isa, rows: &[f32]) -> Vec<u32> {
+        let t = table();
         let lanes = (rows.len() / 2).div_ceil(LANES) * LANES;
-        let mut leafidx = vec![!W::default(); 2 * lanes];
+        let mut leafidx = vec![u32::MAX; 2 * lanes];
         scan_group(isa, &t, rows, &mut leafidx);
         leafidx
     }
@@ -565,12 +486,13 @@ mod tests {
         Isa::ALL.into_iter().filter(|&isa| dispatch::supported(isa))
     }
 
-    /// Groups of 1 to 32 documents, so one to four registers a tree and
+    /// Groups of 1 to 32 documents, so one to four registers a slice and
     /// every tail: every level reads the scalar lane loop's bits, spare
     /// lanes repeat the last document, and each lane reads what its
     /// document scanned alone does, so where a group's walk stops moves
     /// no bit.
-    fn group_scans_agree<W: LeafWord>() {
+    #[test]
+    fn group_scan_is_bit_identical_on_every_path() {
         let values = [
             -2.0,
             -1.0,
@@ -597,59 +519,52 @@ mod tests {
                     .collect::<Vec<f32>>()
             });
             for rows in mixed.chain(hot) {
-                let want = scan::<W>(Isa::Scalar, &rows);
+                let want = scan(Isa::Scalar, &rows);
                 let lanes = want.len() / 2;
-                for t in 0..2 {
+                for s in 0..2 {
                     for l in 0..lanes {
                         let d = l.min(docs - 1);
-                        let alone = scan::<W>(Isa::Scalar, &rows[2 * d..2 * d + 2]);
+                        let alone = scan(Isa::Scalar, &rows[2 * d..2 * d + 2]);
                         assert_eq!(
-                            want[t * lanes + l],
-                            alone[t * LANES],
+                            want[s * lanes + l],
+                            alone[s * LANES],
                             "docs={docs} lane {l}"
                         );
                     }
                 }
                 for isa in supported_isas() {
-                    assert_eq!(want, scan::<W>(isa, &rows), "{isa} docs={docs}");
+                    assert_eq!(want, scan(isa, &rows), "{isa} docs={docs}");
                 }
             }
         }
     }
 
-    #[test]
-    fn group_scan_is_bit_identical_on_every_path_and_word() {
-        group_scans_agree::<u32>();
-        group_scans_agree::<u64>();
-    }
-
     /// Each lane of groups of one to four registers, with and without a
     /// tail, on every level, holds the bits the definition gives its
     /// document.
-    fn definition_holds<W: LeafWord>() {
-        let top = W::from_low_bits(1 << (W::BITS - 1));
-        let all = !W::default();
-        // (document, tree 0, tree 1): one exceeds every finite threshold,
+    #[test]
+    fn group_scan_applies_the_definition() {
+        // (document, slice 0, slice 1): one exceeds every finite threshold,
         // one none, one sits on the thresholds (`x <= t` true), one is +inf
         // and one NaN, which goes right at every node, +inf's included.
         let cases = [
-            ([5.0, 5.0], !W::from_low_bits(0b111), !top),
-            ([-5.0, -5.0], all, all),
-            ([0.0, 0.5], !W::from_low_bits(0b1), all),
-            ([f32::INFINITY; 2], !W::from_low_bits(0b111), !top),
-            ([f32::NAN, f32::NAN], !W::from_low_bits(0b1111), !top),
+            ([5.0, 5.0], !0b111, !TOP),
+            ([-5.0, -5.0], u32::MAX, u32::MAX),
+            ([0.0, 0.5], !0b1, u32::MAX),
+            ([f32::INFINITY; 2], !0b111, !TOP),
+            ([f32::NAN, f32::NAN], !0b1111, !TOP),
         ];
         for docs in [1, 2, 3, 8, 13, 16, 22, 24, 29, 32] {
             for shift in 0..cases.len() {
                 let case = |d: usize| cases[(d + shift) % cases.len()];
                 let rows: Vec<f32> = (0..docs).flat_map(|d| case(d).0).collect();
                 for isa in supported_isas() {
-                    let got = scan::<W>(isa, &rows);
+                    let got = scan(isa, &rows);
                     let lanes = got.len() / 2;
                     for d in 0..docs {
-                        let (_, t0, t1) = case(d);
+                        let (_, s0, s1) = case(d);
                         let lane = (got[d], got[lanes + d]);
-                        assert_eq!(lane, (t0, t1), "{isa} docs={docs} lane {d}");
+                        assert_eq!(lane, (s0, s1), "{isa} docs={docs} lane {d}");
                     }
                 }
             }
@@ -657,28 +572,22 @@ mod tests {
     }
 
     #[test]
-    fn group_scan_applies_the_definition() {
-        definition_holds::<u32>();
-        definition_holds::<u64>();
-    }
-
-    #[test]
     #[should_panic(expected = "1 to 32 whole documents")]
     fn groups_reject_more_than_four_registers() {
-        let t = table::<u32>();
+        let t = table();
         let mut leafidx = vec![0; 2 * (MAX_GROUP + LANES)];
         scan_group(Isa::Scalar, &t, &[0.0; 2 * (MAX_GROUP + 1)], &mut leafidx);
     }
 
     #[test]
     #[should_panic(expected = "outside the forest")]
-    fn tables_reject_tree_ids_past_the_forest() {
-        ConditionTable::<u32>::new(1, vec![0, 1], vec![0.0], vec![1], vec![1]);
+    fn tables_reject_slice_ids_past_the_forest() {
+        ConditionTable::new(1, vec![0, 1], vec![0.0], vec![1], vec![1]);
     }
 
     #[test]
     #[should_panic(expected = "ascend")]
     fn tables_reject_offsets_past_the_conditions() {
-        ConditionTable::<u64>::new(1, vec![0, 2], vec![0.0], vec![0], vec![1]);
+        ConditionTable::new(1, vec![0, 2], vec![0.0], vec![0], vec![1]);
     }
 }

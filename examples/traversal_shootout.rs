@@ -2,10 +2,10 @@
 //!
 //! Trains one forest and scores the same documents with classic
 //! root-to-leaf traversal, plain QuickScorer, the block-wise variant
-//! (BWQS) and the 8-document vectorized variant (vQS-style), verifying
-//! they agree and reporting each one's µs/doc. Also shows the wide
-//! (multi-word) encoding cost on a 256-leaf forest — why the paper's
-//! teachers stay offline.
+//! (BWQS) and the vectorized variant (vQS-style, up to 32 documents per
+//! scan), verifying they agree and reporting each one's µs/doc. Also
+//! shows the cost of a 256-leaf forest, which vQS cuts into eight 32-leaf
+//! slices a tree — why the paper's teachers stay offline.
 //!
 //! ```sh
 //! cargo run --release --example traversal_shootout
@@ -43,11 +43,11 @@ fn main() {
         )),
         Box::new(QuickScorerScorer::compile_vectorized(
             &forest,
-            "vQS (8 docs per scan)",
+            "vQS (32 docs per scan)",
         )),
         Box::new(QuickScorerScorer::compile(
             &wide,
-            "wide QS (256-leaf teacher)",
+            "vQS, 8 slices (256-leaf teacher)",
         )),
     ];
     for scorer in scorers.iter_mut() {
@@ -68,5 +68,5 @@ fn main() {
     }
 
     println!("\nexpected ordering: QuickScorer variants beat classic traversal;");
-    println!("the 256-leaf encoding pays for multi-word masks (the paper's 4x-slower teachers).");
+    println!("the 256-leaf teacher pays for eight slices a tree (the paper's 4x-slower teachers).");
 }

@@ -15,7 +15,7 @@
 //! | [`data`] | LTR datasets, LETOR parser, synthetic generators, Z-normalization |
 //! | [`metrics`] | NDCG/MAP + Fisher randomization test |
 //! | [`gbdt`] | LambdaMART / MART training (LightGBM stand-in) |
-//! | [`quickscorer`] | QuickScorer traversal (plain, wide, block-wise, vectorized) |
+//! | [`quickscorer`] | QuickScorer traversal (plain, block-wise, vectorized over 32-leaf slices) |
 //! | [`dense`] | Goto-algorithm blocked GEMM (oneDNN stand-in) |
 //! | [`sparse`] | CSR + LIBXSMM-style SDMM kernel |
 //! | [`nn`] | MLPs, Adam, dropout, hybrid sparse/dense inference |

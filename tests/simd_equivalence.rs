@@ -4,9 +4,9 @@
 //!
 //! * **SDMM** and **QuickScorer** are *bit-identical* across every path —
 //!   the SDMM kernels keep a separate multiply and add per element in
-//!   non-zero order, and the QS mask step is an ordered compare plus pure
-//!   bitwise arithmetic. `assert_eq!` on raw `f32`/`u64` output, not an
-//!   epsilon.
+//!   non-zero order, and the QS condition scan is an ordered compare plus
+//!   pure bitwise arithmetic. `assert_eq!` on raw `f32` output bits, not
+//!   an epsilon.
 //! * **GEMM** on AVX2 fuses the multiply-add (one rounding per reduction
 //!   step instead of two), so its output may differ from scalar by a
 //!   bounded number of half-ULP steps — at most `kcb` per element. The
@@ -21,7 +21,7 @@
 use distilled_ltr::dense::{gemm_with, GemmWorkspace, GotoParams, Matrix};
 use distilled_ltr::gbdt::tree::leaf_ref;
 use distilled_ltr::gbdt::{Ensemble, RegressionTree};
-use distilled_ltr::quickscorer::{QuickScorer, VectorizedQuickScorer, WideQuickScorer};
+use distilled_ltr::quickscorer::{BlockwiseQuickScorer, QuickScorer, VectorizedQuickScorer};
 use distilled_ltr::simd::gemm::{micro_kernel_12x8, micro_kernel_6x16, micro_kernel_8x8, MR};
 use distilled_ltr::simd::Isa;
 use distilled_ltr::sparse::xsmm::spmm_xsmm_rows_with_isa;
@@ -167,8 +167,8 @@ fn edge_docs(n: usize, nf: usize, nan: bool, seed: u64) -> Vec<f32> {
     docs
 }
 
-/// Leaf counts that straddle the leaf-word widths: a tree of at most 32
-/// leaves fits a `u32` bitvector, 33 to 64 need a `u64`.
+/// Leaf counts around vQS's 32-leaf slice, up to the scalar QuickScorer's
+/// 64: a tree of at most 32 leaves is one slice, 33 to 64 two.
 const QS_LEAVES: [usize; 4] = [8, 32, 33, 64];
 
 proptest! {
@@ -195,7 +195,7 @@ proptest! {
     }
 
     /// QuickScorer: vQS on every path is bit-identical to the scalar
-    /// traversal, at both leaf-word widths, full groups and ragged tails
+    /// traversal, at one slice and two, full groups and ragged tails
     /// alike.
     #[test]
     fn quickscorer_paths_bit_identical(
@@ -335,8 +335,7 @@ fn forced_dispatch_sdmm_is_bit_identical() {
 }
 
 /// Forced-dispatch arm: `VectorizedQuickScorer::score_batch` under every
-/// pin matches the scalar `QuickScorer` bit for bit, at both leaf-word
-/// widths.
+/// pin matches the scalar `QuickScorer` bit for bit, at one slice and two.
 #[test]
 fn forced_dispatch_quickscorer_is_bit_identical() {
     let _guard = FORCE_LOCK.lock().expect("force lock");
@@ -359,18 +358,18 @@ fn forced_dispatch_quickscorer_is_bit_identical() {
 }
 
 /// Every path's vQS scores on [`edge_docs`] against per-tree traversal
-/// (`Ensemble::predict`), bit for bit, at every leaf-word width and at
-/// batch sizes around every register count of the 32-document group and
-/// its tails; the scalar `QuickScorer` and `WideQuickScorer` likewise.
-/// NaN documents included: QuickScorer's test `x <= γ` is false on NaN at
-/// every node, so a NaN feature goes right, as traversal sends it.
+/// (`Ensemble::predict`), bit for bit, at one to eight 32-leaf slices a
+/// tree (256 leaves, a paper teacher's size) and at batch sizes around
+/// every register count of the 32-document group and its tails; the
+/// scalar `QuickScorer` likewise up to its 64 leaves. NaN documents
+/// included: QuickScorer's test `x <= γ` is false on NaN at every node,
+/// so a NaN feature goes right, as traversal sends it.
 #[test]
 fn vqs_matches_traversal_on_edge_inputs() {
     let nf = 7;
-    for leaves in QS_LEAVES {
+    for leaves in QS_LEAVES.into_iter().chain([65, 96, 256]) {
         let e = grown_forest(20, nf, leaves, leaves as u64);
-        let qs = QuickScorer::compile(&e).unwrap();
-        let wide = WideQuickScorer::compile(&e).unwrap();
+        let qs = (leaves <= 64).then(|| QuickScorer::compile(&e).unwrap());
         let v = VectorizedQuickScorer::compile(&e).unwrap();
         for n in [1, 7, 8, 9, 15, 16, 17, 24, 31, 32, 33, 40, 63, 64, 65, 1000] {
             for nan in [false, true] {
@@ -379,19 +378,42 @@ fn vqs_matches_traversal_on_edge_inputs() {
                     .chunks_exact(nf)
                     .map(|row| e.predict(row).to_bits())
                     .collect();
-                for (row, &w) in docs.chunks_exact(nf).zip(&want) {
-                    assert_eq!(qs.score(row).to_bits(), w, "QS leaves={leaves} {row:?}");
-                    assert_eq!(
-                        wide.score(row).to_bits(),
-                        w,
-                        "wide QS leaves={leaves} {row:?}"
-                    );
+                if let Some(qs) = &qs {
+                    for (row, &w) in docs.chunks_exact(nf).zip(&want) {
+                        assert_eq!(qs.score(row).to_bits(), w, "QS leaves={leaves} {row:?}");
+                    }
                 }
                 for isa in [Isa::Scalar].into_iter().chain(simd_isas()) {
                     let mut got = vec![f32::NAN; n];
                     v.score_batch_with_isa(isa, &docs, &mut got);
                     let got: Vec<u32> = got.iter().map(|g| g.to_bits()).collect();
                     assert_eq!(want, got, "{isa} leaves={leaves} n={n} nan={nan}");
+                }
+            }
+        }
+    }
+}
+
+/// BWQS on [`edge_docs`], NaN and ±∞ included, against per-tree
+/// traversal: at one tree a block it adds the trees to the base score in
+/// traversal's order, so it reads `Ensemble::predict`'s bits; at larger
+/// blocks it sums per block, so it agrees within rounding.
+#[test]
+fn bwqs_matches_traversal_on_edge_inputs() {
+    let nf = 7;
+    for leaves in QS_LEAVES {
+        let e = grown_forest(20, nf, leaves, leaves as u64);
+        let docs = edge_docs(100, nf, true, leaves as u64);
+        for block in [1, 7] {
+            let bw = BlockwiseQuickScorer::compile(&e, block).unwrap();
+            let mut got = vec![f32::NAN; 100];
+            bw.score_batch(&docs, &mut got);
+            for (row, g) in docs.chunks_exact(nf).zip(&got) {
+                let want = e.predict(row);
+                if block == 1 {
+                    assert_eq!(g.to_bits(), want.to_bits(), "leaves={leaves} {row:?}");
+                } else {
+                    assert!((g - want).abs() <= 1e-4, "leaves={leaves} {row:?}");
                 }
             }
         }
