@@ -186,10 +186,14 @@ impl VectorizedQuickScorer {
             for ((&start, &end), &base_off) in
                 self.slice_offsets.iter().zip(ends).zip(&self.leaf_offsets)
             {
-                let tree_lanes = &leafidx[start * lanes..end * lanes];
+                let (first, later) = leafidx[start * lanes..end * lanes].split_at(lanes);
                 // A group's spare lanes are never read.
-                for (l, o) in out_group.iter_mut().enumerate() {
-                    *o += self.leaf_values[base_off + exit_leaf(tree_lanes, lanes, l)];
+                for (l, (o, &bits)) in out_group.iter_mut().zip(first).enumerate() {
+                    let leaf = match bits {
+                        0 => later_exit_leaf(later, lanes, l),
+                        bits => bits.trailing_zeros() as usize,
+                    };
+                    *o += self.leaf_values[base_off + leaf];
                 }
             }
         }
@@ -208,18 +212,18 @@ fn slice_bits(start: usize, end: usize) -> impl Iterator<Item = u32> {
     })
 }
 
-/// Lane `l`'s exit leaf in one tree whose slices' bitvectors are
-/// `tree_lanes`, `lanes` words a slice: the lowest set bit of its first
-/// non-zero slice. The tree's rightmost leaf is in no left subtree, so
-/// some slice keeps a bit.
-#[inline]
-fn exit_leaf(tree_lanes: &[u32], lanes: usize, l: usize) -> usize {
-    let (mut word, mut first_leaf) = (l, 0);
-    while tree_lanes[word] == 0 {
+/// Lane `l`'s exit leaf in a tree whose first slice kept no bit: the
+/// lowest set bit of its first non-zero slice among `later`, the tree's
+/// further slices, `lanes` words each. The tree's rightmost leaf is in no
+/// left subtree, so some slice keeps a bit.
+#[cold]
+fn later_exit_leaf(later: &[u32], lanes: usize, l: usize) -> usize {
+    let (mut word, mut first_leaf) = (l, SLICE);
+    while later[word] == 0 {
         word += lanes;
         first_leaf += SLICE;
     }
-    first_leaf + tree_lanes[word].trailing_zeros() as usize
+    first_leaf + later[word].trailing_zeros() as usize
 }
 
 #[cfg(test)]
